@@ -2,7 +2,8 @@
 
 Measures the amortized block transfers per append across string sizes
 (the bound grows only doubly-logarithmically) and confirms queries
-after appends retain the Theorem 2 shape.
+after appends retain the Theorem 2 shape.  E4d appends codes the build
+never saw: they go to provisional leaves, so the same bound holds.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 import pytest
 
 from repro.bench import cold_query, output_bits_bound, ratio, standard_string
-from repro.core import AppendableIndex
+from repro.core import AppendableIndex, BufferedAppendableIndex
 
 SIGMA = 64
 
@@ -97,3 +98,38 @@ def test_e4_space_preserved(report, benchmark):
         "includes that overhead and must stay O(1).",
     )
     benchmark(lambda: idx.count_range(0, SIGMA - 1))
+
+
+def _never_seen_append_io(cls, n0: int) -> tuple[float, int]:
+    """Block I/Os per append and rebuilds when half the codes are new."""
+    x = [2 * c for c in standard_string("uniform", n0, SIGMA // 2, seed=18)]
+    idx = cls(x, SIGMA, rebuild_factor=2.0, mem_blocks=4)  # as in E4a
+    extra = standard_string("uniform", n0 // 2, SIGMA, seed=19)
+    idx.stats.reset()
+    for ch in extra:
+        idx.append(ch)
+    return idx.stats.total / len(extra), idx.rebuilds
+
+
+def test_e4d_never_seen_codes(report, benchmark):
+    rows = []
+    for n0 in [1 << 10, 1 << 12, 1 << 14]:
+        bound = math.log2(math.log2(n0)) + 2
+        for cls in (AppendableIndex, BufferedAppendableIndex):
+            per_op, rebuilds = _never_seen_append_io(cls, n0)
+            rows.append(
+                [cls.__name__, n0, rebuilds, f"{per_op:.2f}", f"{bound:.2f}",
+                 ratio(per_op, bound)]
+            )
+            assert per_op <= bound, (cls.__name__, n0, per_op)
+    report.table(
+        "E4d  appends over all of sigma=64 after a build over its even half",
+        ["index", "n at build", "rebuilds", "I/Os per append", "lg lg n + 2",
+         "ratio"],
+        rows,
+        note="n0/2 appends; each odd code starts a provisional leaf, and "
+        "more than lg n of them fold into the tree by a rebuild.",
+    )
+    x = [2 * c for c in standard_string("uniform", 2048, SIGMA // 2, seed=20)]
+    idx = AppendableIndex(x, SIGMA)
+    benchmark(lambda: idx.append(1))

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..bits.ops import union_sorted
-from ..errors import InvalidParameterError
 from ..iomodel.disk import Disk
 from ..trees.buffers import NodeBuffer
 from ..trees.weighted import WNode
@@ -91,17 +90,8 @@ class BufferedAppendableIndex(AppendableIndex):
     # Updates
     # ------------------------------------------------------------------
 
-    def append(self, ch: int) -> None:
-        if ch < 0 or ch >= self._sigma:
-            raise InvalidParameterError(
-                f"character {ch} outside alphabet [0, {self._sigma})"
-            )
-        pos = len(self._x)
-        self._x.append(ch)
-        if self._tree is None or ch not in self._char_path:
-            self.rebuilds += 1
-            self._build_structure()
-            return
+    def _apply_append(self, ch: int, pos: int) -> None:
+        """Enter the append at the root buffer (§4.1.1)."""
         # Weights must reflect the append immediately (queries compute z
         # from them), independently of where the op is buffered.
         for node in self._char_path[ch]:
@@ -116,9 +106,6 @@ class BufferedAppendableIndex(AppendableIndex):
             buf.append(op, charge=False)  # root buffer is pinned (§4.1.1)
             if buf.is_full:
                 self._flush(root)
-        if self._needs_rebuild():
-            self.rebuilds += 1
-            self._build_structure()
 
     def _child_on_path(self, node: WNode, char: int) -> WNode:
         """The child of ``node`` on the path to ``char``'s target leaf."""
@@ -158,6 +145,11 @@ class BufferedAppendableIndex(AppendableIndex):
         )
         self._layout.touch_nodes(directory_nodes)
         lists = [self._chains[v.node_id].read_positions() for v in read_nodes]
+        # Provisional leaves take no buffered ops: appends of a
+        # character without a leaf bypass the buffers.
+        lists.extend(
+            c.read_positions() for c in self._provisional_in(char_lo, char_hi)
+        )
         pending = self._pending_positions(
             char_lo, char_hi, read_nodes, directory_nodes, slab_nodes
         )

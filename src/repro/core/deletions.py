@@ -162,6 +162,7 @@ class DeletableIndex(SecondaryIndex):
             stats=self._inner.stats,
             latency_s=self._inner.disk.latency_s,
         )
+        disk.metrics = self._inner.disk.metrics
         self._inner = DynamicSecondaryIndex(
             live,
             self._user_sigma + 1,

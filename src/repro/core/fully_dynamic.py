@@ -66,6 +66,9 @@ class DynamicSecondaryIndex(SecondaryIndex):
         self._block_bits = block_bits
         self._mem_blocks = mem_blocks
         self._stats = disk.stats if disk is not None else IOStats()
+        if disk is not None:
+            # The first build's device inherits the given one's runtime.
+            self._disk = disk
         self._x = list(x)
         for ch in self._x:
             if ch < 0 or ch >= sigma:
@@ -80,15 +83,14 @@ class DynamicSecondaryIndex(SecondaryIndex):
     # ------------------------------------------------------------------
 
     def _build_structure(self) -> None:
-        # Rebuilds inherit the previous device's latency model: a
-        # global rebuild swaps the bits, not the timing characteristics.
-        latency_s = self._disk.latency_s if hasattr(self, "_disk") else 0.0
-        self._disk = Disk(
-            self._block_bits,
-            self._mem_blocks,
-            stats=self._stats,
-            latency_s=latency_s,
-        )
+        # Rebuilds inherit the previous device's latency model and
+        # metrics hook: a global rebuild swaps the bits, not the timing
+        # characteristics or where transfers are reported.
+        old = getattr(self, "_disk", None)
+        self._disk = Disk(self._block_bits, self._mem_blocks, stats=self._stats)
+        if old is not None:
+            self._disk.latency_s = old.latency_s
+            self._disk.metrics = old.metrics
         self._updates_since_build = 0
         self._built_n = len(self._x)
         self._char_bits = max(1, (self._sigma - 1).bit_length())

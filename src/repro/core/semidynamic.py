@@ -22,8 +22,17 @@ Realization notes (see DESIGN.md substitutions):
   in-place cost, and node weights stay within a factor two of their
   built values so every query bound is preserved;
 * appending a character that did not occur at the last rebuild has no
-  leaf to extend, so it triggers the rebuild immediately (amortized
-  away whenever sigma = o(n)).
+  leaf to extend, so it starts a *provisional leaf*: a block chain of
+  that character's positions beside the tree, appended in O(1) block
+  writes like any leaf.  Queries add the provisional leaves in range
+  (counts from the chain headers, positions read through the same
+  device), and the next global rebuild folds them into the tree.
+  Besides growth, a rebuild fires once there are more than ``lg n``
+  provisional leaves (``n`` at the last build): a query then reads at
+  most ``lg n`` extra chains, the order of its directory descent, and
+  every chain it reads holds an answer position.  Rebuilding on every
+  new character instead would cost O(n) per append whenever sigma is
+  not o(n), as on a sharded high-cardinality column.
 """
 
 from __future__ import annotations
@@ -93,17 +102,23 @@ class AppendableIndex(SecondaryIndex):
     def _fresh_disk(self) -> Disk:
         """A new device for a rebuild, sharing the I/O counters.
 
-        The latency model (if any) carries over: a rebuild swaps the
-        bits, not the device's timing characteristics.
+        The latency model and the metrics hook (if any) carry over: a
+        rebuild swaps the bits, not the device's timing characteristics
+        or where it reports transfers.
         """
-        return Disk(
+        disk = Disk(
             self._block_bits,
             self._mem_blocks,
             stats=self._stats,
             latency_s=self._disk.latency_s,
         )
+        disk.metrics = self._disk.metrics
+        return disk
 
     def _build_structure(self) -> None:
+        # Character -> provisional leaf: positions of a character the
+        # last build did not see (see module docs).
+        self._provisional: dict[int, BlockChain] = {}
         if not self._x:
             # Defer until the first append provides content.
             self._tree = None
@@ -142,7 +157,10 @@ class AppendableIndex(SecondaryIndex):
         return node.is_leaf or node.level in self._mat_levels
 
     def _needs_rebuild(self) -> bool:
-        return len(self._x) >= self._rebuild_factor * max(1, self._built_n)
+        return (
+            len(self._x) >= self._rebuild_factor * max(1, self._built_n)
+            or len(self._provisional) > self._built_n.bit_length()
+        )
 
     # ------------------------------------------------------------------
     # Updates
@@ -156,12 +174,18 @@ class AppendableIndex(SecondaryIndex):
             )
         pos = len(self._x)
         self._x.append(ch)
-        if self._tree is None or ch not in self._char_path:
-            # No leaf to extend: rebuild (amortized; see module docs).
+        if self._tree is None:
             self.rebuilds += 1
             self._build_structure()
             return
-        self._apply_append(ch, pos)
+        if ch in self._char_path:
+            self._apply_append(ch, pos)
+        else:
+            # No leaf to extend: grow the provisional leaf (module docs).
+            chain = self._provisional.get(ch)
+            if chain is None:
+                chain = self._provisional[ch] = BlockChain(self._disk)
+            chain.append(pos)
         if self._needs_rebuild():
             self.rebuilds += 1
             self._build_structure()
@@ -197,9 +221,15 @@ class AppendableIndex(SecondaryIndex):
     def tree(self) -> WeightedTree | None:
         return self._tree
 
+    @property
+    def provisional_leaves(self) -> int:
+        """Characters waiting for a leaf until the next rebuild."""
+        return len(self._provisional)
+
     def space(self) -> SpaceBreakdown:
-        payload = sum(c.size_bits for c in self._chains.values())
-        chain_dir = sum(c.directory_bits for c in self._chains.values())
+        chains = [*self._chains.values(), *self._provisional.values()]
+        payload = sum(c.size_bits for c in chains)
+        chain_dir = sum(c.directory_bits for c in chains)
         layout_bits = self._layout.size_bits if self._layout is not None else 0
         return SpaceBreakdown(
             payload_bits=payload,
@@ -216,7 +246,9 @@ class AppendableIndex(SecondaryIndex):
             return 0
         canonical, visited = self._tree.canonical_cover(char_lo, char_hi)
         self._layout.touch_nodes(list(visited) + list(canonical))
-        return sum(self._node_weight(v) for v in canonical)
+        return sum(self._node_weight(v) for v in canonical) + sum(
+            c.count for c in self._provisional_in(char_lo, char_hi)
+        )
 
     def range_query(self, char_lo: int, char_hi: int) -> RangeResult:
         self._check_range(char_lo, char_hi)
@@ -261,10 +293,21 @@ class AppendableIndex(SecondaryIndex):
                 slab_nodes.extend(skipped)
         return read_nodes, directory_nodes, slab_nodes
 
+    def _provisional_in(self, char_lo: int, char_hi: int) -> list[BlockChain]:
+        """Provisional leaves of the characters in ``[char_lo, char_hi]``."""
+        return [
+            chain
+            for ch, chain in self._provisional.items()
+            if char_lo <= ch <= char_hi
+        ]
+
     def _query_positions(self, char_lo: int, char_hi: int) -> list[int]:
         read_nodes, directory_nodes, _ = self._collect_read_set(char_lo, char_hi)
         self._layout.touch_nodes(directory_nodes)
         lists = [
             self._chains[v.node_id].read_positions() for v in read_nodes
         ]
+        lists.extend(
+            c.read_positions() for c in self._provisional_in(char_lo, char_hi)
+        )
         return union_disjoint_sorted(lists)

@@ -599,3 +599,133 @@ class TestSnapshotConformance:
                 assert stored == bytes(state.data)
         finally:
             snap.close()
+
+
+# ----------------------------------------------------------------------
+# Never-seen codes: appends of codes the last build did not see
+# ----------------------------------------------------------------------
+
+APPEND_SPECS = [s for s in SPECS if s.serves("semidynamic")]
+NEVER_SEEN_N0 = 128
+NEVER_SEEN_SIGMA = 64
+
+
+def never_seen_stream(seed):
+    """A string over the even codes, then appends that bring odd codes.
+
+    Three phases of appends, returned separately:
+
+    1. every 8th append is a new odd code and every 8th (offset 4) a
+       repeat of one, until ``lg n + 3`` new codes have come: past the
+       appendable backends' cap on provisional leaves, with the last
+       codes still provisional at the end;
+    2. even codes and odd repeats until the string has more than
+       doubled since phase 1 ended, which forces a growth rebuild;
+    3. three more new odd codes with repeats, left pending.
+    """
+    rng = random.Random(seed)
+
+    def even():
+        return 2 * rng.randrange(NEVER_SEEN_SIGMA // 2)
+
+    x0 = [even() for _ in range(NEVER_SEEN_N0)]
+    odd = list(range(1, NEVER_SEEN_SIGMA, 2))
+    rng.shuffle(odd)
+    fresh = iter(odd)
+    seen: list[int] = []
+
+    def new_code():
+        seen.append(next(fresh))
+        return seen[-1]
+
+    phase1 = []
+    for i in range(8 * (NEVER_SEEN_N0.bit_length() + 3)):
+        if i % 8 == 0:
+            phase1.append(new_code())
+        elif i % 8 == 4:
+            phase1.append(rng.choice(seen))
+        else:
+            phase1.append(even())
+    n1 = NEVER_SEEN_N0 + len(phase1)
+    phase2 = [
+        rng.choice(seen) if rng.random() < 0.25 else even()
+        for _ in range(n1 + 1)
+    ]
+    phase3 = []
+    for i in range(24):
+        phase3.append(new_code() if i % 8 == 0 else rng.choice(seen))
+    return x0, phase1, phase2, phase3
+
+
+@pytest.mark.parametrize("spec", APPEND_SPECS, ids=spec_id)
+class TestNeverSeenCodeConformance:
+    """Every append-capable backend vs the oracle on never-seen codes.
+
+    The appendable backends hold such codes in provisional leaves
+    until a rebuild folds them into the tree; the fully dynamic ones
+    rebuild at once.  Either way every answer, count and complement
+    answer must be the oracle's, also after a snapshot round trip
+    taken while provisional leaves are pending.
+    """
+
+    @staticmethod
+    def _check(engine, x, rng):
+        idx = engine.column("c")._index
+        sigma = NEVER_SEEN_SIGMA
+        n = len(x)
+        assert idx.n == n
+        # Complement-threshold ranges (z > n/2), each leaving out some
+        # odd codes and keeping others.
+        majority = [(0, sigma - 2), (1, sigma - 1), (3, sigma - 4)]
+        assert all(len(brute_range(x, lo, hi)) > n // 2 for lo, hi in majority)
+        for lo, hi in random_ranges(rng, sigma, 10) + majority:
+            expected = brute_range(x, lo, hi)
+            result = idx.range_query(lo, hi)
+            assert result.positions() == expected, (lo, hi)
+            assert result.cardinality == len(expected)
+            assert idx.count_range(lo, hi) == len(expected), (lo, hi)
+            assert engine.query("c", lo, hi).positions() == expected
+
+    def test_never_seen_codes_match_oracle(self, tmp_path, spec):
+        from repro.persist import load_shard_engine, write_shard_snapshot
+
+        seed = zlib.crc32(f"never-seen:{spec.name}".encode())
+        x0, phase1, phase2, phase3 = never_seen_stream(seed)
+        rng = random.Random(seed)
+        engine = QueryEngine()
+        engine.add_column(
+            "c", x0, NEVER_SEEN_SIGMA, dynamism="semidynamic",
+            backend=spec.name,
+        )
+        x = list(x0)
+        provisional = hasattr(engine.column("c")._index, "provisional_leaves")
+        for i, ch in enumerate(phase1):
+            engine.append("c", ch)
+            x.append(ch)
+            if i % 16 == 15:
+                self._check(engine, x, rng)
+        idx = engine.column("c")._index
+        if provisional:
+            # The cap folded once; the codes after the fold are pending.
+            assert idx.rebuilds == 1
+            assert idx.provisional_leaves > 0
+        self._check(engine, x, rng)
+
+        path = str(tmp_path / "shard.snap")
+        write_shard_snapshot(path, engine)
+        engine = load_shard_engine(path)
+        if provisional:
+            assert engine.column("c")._index.provisional_leaves > 0
+        self._check(engine, x, rng)
+
+        for phase in (phase2, phase3):
+            for ch in phase:
+                engine.append("c", ch)
+                x.append(ch)
+            self._check(engine, x, rng)
+        if provisional:
+            idx = engine.column("c")._index
+            # Phase 2 doubled the string: one growth rebuild folded the
+            # pending leaves; phase 3's codes stay under the cap.
+            assert idx.rebuilds == 2
+            assert idx.provisional_leaves == 3

@@ -341,6 +341,43 @@ class TestEngineMetrics:
         assert counters["io.read_transfers"] > 0
         assert metrics.histogram("query.latency_s").count == 2
 
+    @pytest.mark.parametrize(
+        "backend, dynamism, require_delete, rebuild",
+        [
+            # Doubling: appends of a code the build saw.
+            ("appendable", "semidynamic", False,
+             lambda e: [e.append("c", 0) for _ in range(200)]),
+            # A never-seen code rebuilds the Theorem-7 index.
+            ("fully-dynamic", "fully_dynamic", False,
+             lambda e: e.append("c", 7)),
+            # Deleting half the rows compacts.
+            ("deletable", "fully_dynamic", True,
+             lambda e: [e.delete("c", p) for p in range(100)]),
+        ],
+        ids=["appendable", "fully-dynamic", "deletable"],
+    )
+    def test_rebuilds_keep_the_metrics_handle(
+        self, backend, dynamism, require_delete, rebuild
+    ):
+        # A global rebuild swaps the device; the replacement must keep
+        # reporting transfers into the engine's registry.
+        metrics = MetricsRegistry()
+        engine = QueryEngine(metrics=metrics)
+        engine.add_column(
+            "c", [0, 1, 2] * 66 + [0, 1], 8, dynamism=dynamism,
+            require_delete=require_delete, backend=backend,
+        )
+        index = engine.column("c").index
+        old_disk = index.disk
+        rebuild(engine)
+        index = engine.column("c").index
+        assert index.disk is not old_disk
+        assert index.disk.metrics is metrics
+        before = metrics.to_dict()["counters"].get("io.read_transfers", 0)
+        index.disk.flush_cache()
+        engine.query("c", 1, 2)
+        assert metrics.to_dict()["counters"]["io.read_transfers"] > before
+
     def test_lru_counters_agree_with_fast_path(self):
         # The instrumented leaf path must charge the LRU's own hit/miss
         # stats exactly as the fast path does.
