@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke bench
+.PHONY: test bench-smoke bench ledger
 
 # The tier-1 suite (ROADMAP.md's verify command).
 test:
@@ -45,3 +45,15 @@ bench-smoke:
 # The full experiment matrix (slow; regenerates benchmarks/results/).
 bench:
 	$(PYTHON) -m pytest benchmarks -q -p no:cacheprovider
+
+# The E21 ledger as an oracle check: each workload once, end to end
+# (FrontEnd, cluster, worker processes, WAL, cold restore).  Only the
+# exit code is gated: 1 is an oracle mismatch.  Timings are not gated;
+# shared runners are too noisy.
+LEDGER_WORKLOADS = dashboard-zipf adhoc-scan ingest-durable
+
+ledger:
+	for w in $(LEDGER_WORKLOADS); do \
+		python3 perfbench/run.py --workload "$$w" --seed 2 --seconds 6 \
+			--trace 0 || exit $$?; \
+	done

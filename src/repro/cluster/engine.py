@@ -54,11 +54,15 @@ executors run scatter tasks against this process's shard engines,
 while the *resident* :class:`~repro.cluster.executor.ProcessExecutor`
 hosts a bit-identical replica of every shard engine in worker
 processes — built once from a shipped snapshot, then kept in sync by
-the same routed update/lifecycle deltas this class applies locally —
-and answers queries with ``(positions, io)`` pairs whose
-:class:`~repro.iomodel.stats.Snapshot` deltas fold into
+the same routed update/lifecycle deltas this class applies locally.
+Either way a shard op runs the same body
+(:func:`~repro.cluster.worker.fetch_range`,
+:func:`~repro.cluster.worker.fold_shard`) and answers with a
+``(value, io, span)`` triple whose
+:class:`~repro.iomodel.stats.Snapshot` delta folds into
 ``scatter_io``, the cluster-total I/O of the query path, identical
-across executors on the same workload.
+across executors on the same workload and whether or not the query
+is traced.
 
 Concurrency contract: scatter tasks may run in parallel (they touch
 disjoint shard engines and the lock-protected shared cache), but the
@@ -84,9 +88,9 @@ import threading
 import time
 import uuid
 from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ..core.interface import RangeResult
 from ..engine.advisor import Advisor, CostModel
@@ -99,7 +103,7 @@ from ..engine.registry import DYNAMISM_LEVELS, IndexSpec, get_spec
 from ..errors import InvalidParameterError, QueryError, UpdateError
 from ..iomodel.stats import IOStats, Snapshot
 from ..obs import CacheTierStats
-from ..obs.tracer import Span
+from ..obs.tracer import NULL_TRACE, ObservedOps
 from ..query import (
     TRUE,
     LeafPlan,
@@ -117,8 +121,13 @@ from ..query import (
 )
 from ..query.planner import ALL, EMPTY
 from .cache import InMemorySharedCache, SharedResultCache, shared_key
-from .executor import CompletedFuture, MappedFuture, SerialExecutor
-from .worker import evaluate_shard_fold
+from .executor import (
+    CompletedFuture,
+    MappedFuture,
+    SerialExecutor,
+    _SliceFuture,
+)
+from .worker import fetch_range, fold_shard
 from .sharding import (
     ShardPlan,
     locate,
@@ -135,10 +144,17 @@ _UID_SOURCE = itertools.count()
 #: Sentinel for "no entry" when re-keying sparse per-shard mappings.
 _ABSENT = object()
 
-#: Sentinel returned by a deferred :meth:`ClusterEngine._submit_fetch`:
-#: the fetch was collected for a grouped per-worker shipment and its
-#: real future arrives when the group is submitted.
-_DEFERRED = object()
+
+class _Deferred(NamedTuple):
+    """A resident cache miss held back for a grouped shipment.
+
+    Returned by :meth:`ClusterEngine._submit_fetch` with ``defer``;
+    the caller ships ``request`` — ``(uid, name, lo, hi)`` — with its
+    siblings and maps the reply through ``absorb``.
+    """
+
+    request: tuple
+    absorb: Callable
 
 
 def _remap_shard_dict(
@@ -352,7 +368,7 @@ class ClusterStats:
         }
 
 
-class ClusterEngine:
+class ClusterEngine(ObservedOps):
     """Shards columns by RID range and serves them scatter-gather."""
 
     def __init__(
@@ -452,17 +468,16 @@ class ClusterEngine:
         #: that counts, not RID lists, crossed the pipes.
         self.gather_rids = 0
         #: Observability hooks (:mod:`repro.obs`): all three default
-        #: to ``None`` and cost one attribute check on the query path
-        #: when absent.  The tracer stitches coordinator and worker
-        #: spans into per-query traces; the metrics registry receives
-        #: counters/histograms from the cluster, its shared cache, its
-        #: executor, and locally built shard disks; the slow-query log
-        #: captures traces and plan reports past its threshold.
+        #: to ``None``; with no enabled tracer every operation emits
+        #: into :data:`~repro.obs.tracer.NULL_TRACE`.  The tracer
+        #: stitches coordinator and worker spans into per-query
+        #: traces; the metrics registry receives counters/histograms
+        #: from the cluster, its shared cache, its executor, and
+        #: locally built shard disks; the slow-query log captures
+        #: traces and plan reports past its threshold.
         self.tracer = tracer
         self.metrics = metrics
         self.slow_log = slow_log
-        self._active_trace = None
-        self._op_depth = 0
         #: The module-docstring concurrency contract, enforced: every
         #: top-level operation holds this while it runs, serializing
         #: concurrent callers (the serve bridge's worker threads)
@@ -651,10 +666,10 @@ class ClusterEngine:
     def _replica_fetch(self, name: str, shard_id: int, lo: int, hi: int):
         """One shard range from a fresh replica, or ``None``.
 
-        Returns ``(positions, io_snapshot)`` exactly like a primary
-        fetch; freshness is fenced by the shard-local column version,
-        so a replica that missed a delta can only ever *miss*, never
-        answer stale.
+        Returns ``(positions, io_snapshot)``, the answer and I/O a
+        primary fetch would have returned; freshness is fenced by the
+        shard-local column version, so a replica that missed a delta
+        can only ever *miss*, never answer stale.
         """
         replicas = self.replicas
         if replicas is None:
@@ -897,89 +912,6 @@ class ClusterEngine:
                 f"alphabet of size {meta.sigma}"
             )
 
-    def _fetch_shard_measured(
-        self, name: str, meta: ColumnMeta, shard_id: int, lo: int, hi: int
-    ) -> tuple[list[int], Snapshot]:
-        """One shard's local-space answer plus its I/O, in-process.
-
-        The local-executor task body: consult the shared cache, then
-        the shard's own engine, measuring the transfer delta.  Keys
-        carry the shard's stable *uid*, not its position, so entries
-        survive lifecycle operations on other shards and a post-split
-        shard can never alias a retired shard's entries.
-        """
-        column = self.shards[shard_id].column(name)
-        key = shared_key(
-            name, meta.epoch, self.shard_uids[shard_id], column.version,
-            lo, hi,
-        )
-        hit = self.shared_cache.get(key)
-        if hit is not None:
-            return hit, Snapshot()
-        replica = self._replica_fetch(name, shard_id, lo, hi)
-        if replica is not None:
-            positions, io = replica
-            self.shared_cache.put(key, positions)
-            return positions, io
-        result, io = self.shards[shard_id].query_measured(name, lo, hi)
-        positions = result.positions()
-        self.shared_cache.put(key, positions)
-        return positions, io
-
-    def _fetch_shard_measured_traced(
-        self,
-        name: str,
-        meta: ColumnMeta,
-        shard_id: int,
-        lo: int,
-        hi: int,
-        trace_id: str,
-    ) -> tuple[list[int], Snapshot, dict]:
-        """Traced twin of :meth:`_fetch_shard_measured`: adds a span.
-
-        The span is built inside the task body (thread-safe — it
-        touches no shared trace state) and grafted by the coordinator
-        at gather time, exactly like a resident worker's shipped span.
-        Its ``bits_read`` tag is taken from the *same* Snapshot the
-        reply carries, so summed span bits always equal the
-        ``scatter_io`` accounting exactly.
-        """
-        clock = self._clock()
-        uid = self.shard_uids[shard_id]
-        column = self.shards[shard_id].column(name)
-        key = shared_key(name, meta.epoch, uid, column.version, lo, hi)
-        t0 = clock()
-        hit = self.shared_cache.get(key)
-        if hit is not None:
-            span = Span("cache_lookup", t0=t0, t1=clock())
-            span.tags.update(
-                trace_id=trace_id, tier="shared", hit=True,
-                column=name, shard_uid=uid, bits_read=0,
-            )
-            return hit, Snapshot(), span.to_dict()
-        replica = self._replica_fetch(name, shard_id, lo, hi)
-        if replica is not None:
-            positions, io = replica
-            self.shared_cache.put(key, positions)
-            span = Span("replica_fetch", t0=t0, t1=clock())
-            span.tags.update(
-                trace_id=trace_id, shard_uid=uid, column=name,
-                char_lo=lo, char_hi=hi, bits_read=io.bits_read,
-                rids=len(positions),
-            )
-            return positions, io, span.to_dict()
-        result, io = self.shards[shard_id].query_measured(name, lo, hi)
-        positions = result.positions()
-        self.shared_cache.put(key, positions)
-        span = Span("leaf_fetch", t0=t0, t1=clock())
-        span.tags.update(
-            trace_id=trace_id, shard_uid=uid, column=name,
-            char_lo=lo, char_hi=hi, backend=column.spec.name,
-            cache="miss", bits_read=io.bits_read, reads=io.reads,
-            rids=len(positions),
-        )
-        return positions, io, span.to_dict()
-
     def _submit_fetch(
         self,
         name: str,
@@ -987,47 +919,35 @@ class ClusterEngine:
         shard_id: int,
         lo: int,
         hi: int,
-        trace=None,
-        defer: "list | None" = None,
+        trace=NULL_TRACE,
+        defer: bool = False,
     ):
-        """Launch one shard fetch; resolves to ``(positions, io)``.
+        """Launch one shard fetch; resolves to ``(positions, io, span)``.
 
-        Local executors run :meth:`_fetch_shard_measured` through
-        their ``submit``; a resident executor is asked through its
-        pipelined query API, with the shared cache consulted here (the
-        coordinator side — workers hold engines, not the cache) and
-        populated when the reply is consumed.
+        The shared cache is consulted first, here at the coordinator,
+        then a hot-shard replica; either hit records a synchronous
+        event and resolves at once, span slot ``None``.  A miss runs
+        :func:`~repro.cluster.worker.fetch_range` — as a local
+        executor task against this process's shard engine, or in the
+        shard's resident worker through the pipelined query API — and
+        its answer enters the shared cache when the gather consumes
+        the reply.  Keys carry the shard's stable *uid*, not its
+        position, so entries survive lifecycle operations on other
+        shards and a post-split shard can never alias a retired
+        shard's entries.
 
-        With ``trace`` (an open :class:`repro.obs.Trace`) every future
-        instead resolves to ``(positions, io, span dict | None)``:
-        local fetches build the span inside the task body, resident
-        workers ship theirs back on the widened pipelined reply, and a
-        coordinator-side shared-cache hit records a synchronous
-        ``cache_lookup`` event (span slot ``None``).
-
-        With ``defer`` (a list) a resident cache *miss* is not sent
-        yet: its ``((uid, name, lo, hi), absorb)`` pair is appended
-        and :data:`_DEFERRED` returned, so the caller can ship the
-        whole scatter grouped per worker
+        With ``defer`` a resident miss is not sent yet: a
+        :class:`_Deferred` comes back instead, so the caller can ship
+        the whole scatter grouped per worker
         (:meth:`~repro.cluster.executor.ProcessExecutor.\
-submit_query_group`) instead of one message per shard.
+submit_query_group`) or per column (``submit_leaves``) instead of
+        one message per shard.
         """
-        if not self._resident:
-            if trace is None:
-                return self.executor.submit(
-                    self._fetch_shard_measured, name, meta, shard_id, lo, hi
-                )
-            return self.executor.submit(
-                self._fetch_shard_measured_traced,
-                name, meta, shard_id, lo, hi, trace.trace_id,
-            )
         uid = self.shard_uids[shard_id]
         column = self.shards[shard_id].column(name)
         key = shared_key(name, meta.epoch, uid, column.version, lo, hi)
         hit = self.shared_cache.get(key)
         if hit is not None:
-            if trace is None:
-                return CompletedFuture((hit, Snapshot()))
             trace.event(
                 "cache_lookup", tier="shared", hit=True,
                 column=name, shard_uid=uid, bits_read=0,
@@ -1037,52 +957,74 @@ submit_query_group`) instead of one message per shard.
         if replica is not None:
             positions, io = replica
             self.shared_cache.put(key, positions)
-            if trace is None:
-                return CompletedFuture((positions, io))
             trace.event(
                 "replica_fetch", column=name, shard_uid=uid,
                 char_lo=lo, char_hi=hi, bits_read=io.bits_read,
             )
             return CompletedFuture((positions, io, None))
-        self._note_flush(trace, uid)
 
-        if trace is None:
+        def absorb(reply: tuple) -> tuple:
+            self.shared_cache.put(key, reply[0])
+            return reply
 
-            def absorb(reply: tuple[list[int], Snapshot]):
-                positions, io = reply
-                self.shared_cache.put(key, positions)
-                return positions, io
-
+        if not self._resident:
+            future = self.executor.submit(
+                fetch_range, self.shards[shard_id], uid, name, lo, hi,
+                trace.trace_id, self._clock(), "leaf_fetch",
+            )
+        elif defer:
+            return _Deferred((uid, name, lo, hi), absorb)
         else:
-
-            def absorb(reply):
-                positions, io, span = reply
-                self.shared_cache.put(key, positions)
-                return positions, io, span
-
-        if defer is not None:
-            defer.append(((uid, name, lo, hi), absorb))
-            return _DEFERRED
-        future = self.executor.submit_query(
-            uid, name, lo, hi,
-            trace=None if trace is None else trace.trace_id,
-        )
+            self._note_flush(trace, uid)
+            future = self.executor.submit_query(
+                uid, name, lo, hi, trace=trace.trace_id
+            )
         return MappedFuture(future, absorb)
 
+    def _collect(self, reply: tuple, trace):
+        """Account one shard reply ``(value, io, span)``; its value.
+
+        Every gather ends here, whatever the op or executor: the span
+        (if the reply carries one) grafts under the open ``scatter``
+        span, and the I/O folds into ``scatter_io`` and the
+        ``query.bits_read`` metric — so summed span bits and both
+        counters always agree.
+        """
+        value, io, span = reply
+        trace.graft((span,))
+        self.scatter_io.add(io)
+        if self.metrics is not None and io.bits_read:
+            self.metrics.inc("query.bits_read", io.bits_read)
+        return value
+
+    def _replies(self, futures: list):
+        """Each future's reply, in order.
+
+        On the first error the futures after it are drained before
+        the error propagates (see :meth:`_drain`).
+        """
+        for i, future in enumerate(futures):
+            try:
+                reply = future.result()
+            except BaseException:
+                self._drain(futures[i + 1 :])
+                raise
+            yield reply
+
     @staticmethod
-    def _drain(futures) -> None:
+    def _drain(futures, late=NULL_TRACE) -> None:
         """Resolve leftover futures, discarding results and errors.
 
         Abandoning a pipelined request would leave its reply in a
         resident worker's FIFO pipe and poison the next query; both
         the materialized scatter's error path and the streaming
-        gather's early-close path drain through here.
+        gather's early-close path drain through here.  Each reply's
+        span is offered to ``late`` — a finished trace drops and
+        counts it.
         """
         for future in futures:
-            if future is None:
-                continue
             try:
-                future.result()
+                late.graft((future.result()[2],))
             except Exception:
                 pass
 
@@ -1092,51 +1034,13 @@ submit_query_group`) instead of one message per shard.
 
     @contextmanager
     def _observed(self, op: str, report_fn=None):
-        """Frame one top-level cluster operation for tracing/metrics.
+        """:meth:`~repro.obs.tracer.ObservedOps._observed`, serialized.
 
-        Mirrors ``QueryEngine._observed``: only the *outermost* entry
-        (depth 0) begins a trace, observes latency metrics, and feeds
-        the slow-query log; nested entries (``topk`` → ``count_by``)
-        yield the already-active trace so their spans stitch into one
-        tree and nothing is double-counted.  ``report_fn`` builds the
-        :class:`~repro.query.PlanReport` lazily — only queries that
-        actually cross the slow threshold pay for it.
+        The serve lock is held for the whole operation, nested
+        entries included (it is reentrant).
         """
-        with self._serve_lock:
-            if self._op_depth:
-                self._op_depth += 1
-                try:
-                    yield self._active_trace
-                finally:
-                    self._op_depth -= 1
-                return
-            tracer = self.tracer
-            trace = (
-                tracer.begin(op)
-                if tracer is not None and tracer.enabled
-                else None
-            )
-            clock = tracer.clock if tracer is not None else time.monotonic
-            self._active_trace = trace
-            self._op_depth = 1
-            t0 = clock()
-            try:
-                yield trace
-            finally:
-                elapsed = clock() - t0
-                self._op_depth = 0
-                self._active_trace = None
-                if trace is not None:
-                    tracer.finish(trace)
-                metrics = self.metrics
-                if metrics is not None:
-                    metrics.inc("query.count")
-                    metrics.observe("query.latency_s", elapsed)
-                slow_log = self.slow_log
-                if slow_log is not None:
-                    slow_log.observe(
-                        op, elapsed, trace=trace, report_fn=report_fn
-                    )
+        with self._serve_lock, super()._observed(op, report_fn) as trace:
+            yield trace
 
     def _clock(self):
         """The span clock: the tracer's when attached, monotonic else."""
@@ -1148,24 +1052,21 @@ submit_query_group`) instead of one message per shard.
 
         Buffered coalescable deltas are shipped lazily, riding ahead
         of the next query on that shard's pipe — so the *query* is the
-        call site that pays the flush.  A traced resident submit calls
-        this first, recording a zero-duration ``delta_flush`` event
-        with the batch size about to go out.
+        call site that pays the flush.  A resident submit calls this
+        first, recording a zero-duration ``delta_flush`` event with
+        the batch size about to go out.
         """
-        if trace is None:
-            return
-        counter = getattr(self.executor, "pending_delta_count", None)
-        if counter is None:
-            return
-        n = counter(uid)
-        if n:
-            trace.event("delta_flush", shard_uid=uid, deltas=n)
+        deltas = self.executor.pending_delta_count(uid)
+        if deltas:
+            trace.event("delta_flush", shard_uid=uid, deltas=deltas)
 
     # ------------------------------------------------------------------
     # Predicate serving (the shared repro.query path)
     # ------------------------------------------------------------------
 
-    def _compile_pred(self, pred: Pred) -> tuple[Plan, int]:
+    def _compile_pred(
+        self, pred: Pred, trace=NULL_TRACE
+    ) -> tuple[Plan, int]:
         """Compile a code-space predicate against the cluster's columns.
 
         Mirrors ``QueryEngine._compile_pred``: eager validation of
@@ -1173,11 +1074,13 @@ submit_query_group`) instead of one message per shard.
         predicate's columns (drifted columns serve positive plans
         against the widest universe, ``Not``/``TRUE`` are rejected).
         """
-        plan = compile_pred(pred, lambda name: self._meta(name).sigma)
-        return plan, resolve_universe(plan, self.total_rows)
+        with trace.span("plan", predicate=pred):
+            plan = compile_pred(pred, lambda name: self._meta(name).sigma)
+            universe = resolve_universe(plan, self.total_rows)
+        return plan, universe
 
     def _fetch_plan_leaves(
-        self, plan: Plan, universe: int, trace=None
+        self, plan: Plan, universe: int, trace=NULL_TRACE
     ) -> list[RangeResult]:
         """Scatter-fetch every unique leaf of a compiled plan.
 
@@ -1194,147 +1097,49 @@ submit_query_group`) instead of one message per shard.
         leaf.  The fetch order is canonical (leaf-table order within
         each shard), so a fixed workload reads identical bits under
         every executor.
-
-        With ``trace`` every fetch carries the trace id: local task
-        bodies build their spans in-task, resident workers ship one
-        span per batched interval on the widened reply, and all of
-        them graft into the open ``scatter`` span at gather time.
         """
-        per_leaf: list[list[list[int] | None]] = [
-            [None] * self.num_shards for _ in plan.leaves
-        ]
+        per_leaf: list[list] = [[()] * self.num_shards for _ in plan.leaves]
         metas = {col: self._meta(col) for col in {l[0] for l in plan.leaves}}
         offsets = {
             col: offsets_of(self.shard_lengths(col)) for col in metas
         }
-        # (entries, future) pairs; entries = [(leaf_idx, shard_id, key)]
-        # with key None for local single fetches (their task body does
-        # its own cache bookkeeping).
-        pending: list[tuple[list[tuple], object]] = []
-        bits = 0
-        scatter_cm = (
-            trace.span("scatter", leaves=len(plan.leaves))
-            if trace is not None
-            else nullcontext()
-        )
-        with scatter_cm:
+        slots: list[tuple[int, int]] = []  # (leaf_idx, shard_id)
+        futures: list = []
+        with trace.span("scatter", leaves=len(plan.leaves)):
             for shard_id in range(self.num_shards):
-                batches: dict[str, list[tuple]] = {}
+                batches: dict[str, list[int]] = {}
                 for leaf_idx, (col, lo, hi) in enumerate(plan.leaves):
-                    meta = metas[col]
-                    local = self._translate_range(meta, shard_id, lo, hi)
+                    local = self._translate_range(metas[col], shard_id, lo, hi)
                     if local is None:
-                        per_leaf[leaf_idx][shard_id] = []
                         continue
-                    if not self._resident:
-                        task = (
-                            (
-                                self._fetch_shard_measured,
-                                col, meta, shard_id, *local,
-                            )
-                            if trace is None
-                            else (
-                                self._fetch_shard_measured_traced,
-                                col, meta, shard_id, *local,
-                                trace.trace_id,
-                            )
-                        )
-                        pending.append(
-                            (
-                                [(leaf_idx, shard_id, None)],
-                                self.executor.submit(*task),
-                            )
-                        )
-                        continue
-                    key = shared_key(
-                        col, meta.epoch, self.shard_uids[shard_id],
-                        self.shards[shard_id].column(col).version, *local,
+                    future = self._submit_fetch(
+                        col, metas[col], shard_id, *local, trace,
+                        defer=True,
                     )
-                    hit = self.shared_cache.get(key)
-                    if hit is not None:
-                        if trace is not None:
-                            trace.event(
-                                "cache_lookup", tier="shared", hit=True,
-                                column=col,
-                                shard_uid=self.shard_uids[shard_id],
-                                bits_read=0,
-                            )
-                        per_leaf[leaf_idx][shard_id] = hit
-                        continue
-                    replica = self._replica_fetch(col, shard_id, *local)
-                    if replica is not None:
-                        positions, io = replica
-                        self.shared_cache.put(key, positions)
-                        self.scatter_io.add(io)
-                        bits += io.bits_read
-                        self.gather_rids += len(positions)
-                        if trace is not None:
-                            trace.event(
-                                "replica_fetch", column=col,
-                                shard_uid=self.shard_uids[shard_id],
-                                bits_read=io.bits_read,
-                            )
-                        per_leaf[leaf_idx][shard_id] = positions
-                    else:
-                        batches.setdefault(col, []).append(
-                            (leaf_idx, key, local)
-                        )
-                for col, entries in batches.items():
+                    if isinstance(future, _Deferred):
+                        batches.setdefault(col, []).append(len(futures))
+                    slots.append((leaf_idx, shard_id))
+                    futures.append(future)
+                for col, batch in batches.items():
                     uid = self.shard_uids[shard_id]
                     self._note_flush(trace, uid)
-                    future = self.executor.submit_leaves(
+                    parent = self.executor.submit_leaves(
                         uid,
                         col,
-                        [local for _, _, local in entries],
-                        trace=None if trace is None else trace.trace_id,
+                        [futures[i].request[2:] for i in batch],
+                        trace=trace.trace_id,
                     )
-                    pending.append(
-                        (
-                            [
-                                (leaf_idx, shard_id, key)
-                                for leaf_idx, key, _ in entries
-                            ],
-                            future,
+                    for j, i in enumerate(batch):
+                        futures[i] = MappedFuture(
+                            _SliceFuture(parent, j), futures[i].absorb
                         )
-                    )
-            for i, (entries, future) in enumerate(pending):
-                try:
-                    reply = future.result()
-                except BaseException:
-                    self._drain(f for _, f in pending[i + 1 :])
-                    raise
-                if entries[0][2] is None:  # local dialect: one (pos, io)
-                    if trace is None:
-                        positions, io = reply
-                    else:
-                        positions, io, span = reply
-                        if span is not None:
-                            trace.graft([span])
-                    self.scatter_io.add(io)
-                    bits += io.bits_read
-                    self.gather_rids += len(positions)
-                    leaf_idx, shard_id, _ = entries[0]
-                    per_leaf[leaf_idx][shard_id] = positions
-                else:  # resident dialect: one reply per batched interval
-                    if trace is None:
-                        pairs = reply
-                    else:
-                        pairs, spans = reply
-                        trace.graft(spans)
-                    for (leaf_idx, shard_id, key), (positions, io) in zip(
-                        entries, pairs
-                    ):
-                        self.scatter_io.add(io)
-                        bits += io.bits_read
-                        self.gather_rids += len(positions)
-                        self.shared_cache.put(key, positions)
-                        per_leaf[leaf_idx][shard_id] = positions
-        if self.metrics is not None and bits:
-            self.metrics.inc("query.bits_read", bits)
-        merge_cm = (
-            trace.span("gather_merge") if trace is not None else nullcontext()
-        )
-        with merge_cm:
+            for (leaf_idx, shard_id), reply in zip(
+                slots, self._replies(futures)
+            ):
+                positions = self._collect(reply, trace)
+                self.gather_rids += len(positions)
+                per_leaf[leaf_idx][shard_id] = positions
+        with trace.span("gather_merge"):
             results: list[RangeResult] = []
             for leaf_idx, (col, _, _) in enumerate(plan.leaves):
                 off = offsets[col]
@@ -1349,53 +1154,13 @@ submit_query_group`) instead of one message per shard.
         with self._observed(
             "query", report_fn=lambda: self._plan_report(pred)
         ) as trace:
-            if trace is not None:
-                with trace.span("plan", predicate=repr(pred)):
-                    plan, universe = self._compile_pred(pred)
-            else:
-                plan, universe = self._compile_pred(pred)
-            leaf_results = self._fetch_plan_leaves(
-                plan, universe, trace=trace
-            )
+            plan, universe = self._compile_pred(pred, trace)
+            leaf_results = self._fetch_plan_leaves(plan, universe, trace)
             return evaluate(plan, leaf_results, universe)
 
     # ------------------------------------------------------------------
     # Aggregates (plan pushdown: counts cross the pipes, never RIDs)
     # ------------------------------------------------------------------
-
-    def _fold_shard_local(
-        self, shard_id: int, payload: tuple
-    ) -> tuple["int | bool | dict[int, int]", Snapshot]:
-        """The local-executor task body of one aggregate fold.
-
-        Runs the *same* :func:`~repro.cluster.worker.\
-evaluate_shard_fold` a resident worker runs — including its deliberate
-        shared-cache bypass — against the coordinator's own shard
-        engine, so value and measured I/O are executor-independent.
-        """
-        return evaluate_shard_fold(self.shards[shard_id], payload)
-
-    def _fold_shard_local_traced(
-        self, shard_id: int, payload: tuple, trace_id: str
-    ) -> tuple:
-        """Traced twin of :meth:`_fold_shard_local`: adds a span dict.
-
-        Mirrors the resident worker's ``worker_fold`` span under the
-        name ``shard_fold`` — the same op running in the coordinator's
-        process; span bits come from the reply's own Snapshot.
-        """
-        clock = self._clock()
-        t0 = clock()
-        value, io = evaluate_shard_fold(self.shards[shard_id], payload)
-        span = Span("shard_fold", t0=t0, t1=clock())
-        span.tags.update(
-            trace_id=trace_id,
-            shard_uid=self.shard_uids[shard_id],
-            mode=payload[0],
-            bits_read=io.bits_read,
-            reads=io.reads,
-        )
-        return value, io, span.to_dict()
 
     def _specialize_shard(
         self, plan: Plan, metas: dict, shard_id: int
@@ -1408,20 +1173,43 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
             ),
         )
 
-    def _fold_metas(self, plan: Plan, group: "str | None") -> dict:
-        metas = {col: self._meta(col) for col in plan.columns}
-        if group is not None and group not in metas:
-            metas[group] = self._meta(group)
-        return metas
+    def _submit_fold(self, shard_id: int, payload: tuple, trace):
+        """Launch one shard's fold; resolves to ``(value, io, span)``.
 
-    def _scatter_fold(
-        self,
-        mode: str,
-        plan: Plan,
-        group: "str | None" = None,
-        trace=None,
-    ) -> list:
-        """Scatter one aggregate plan; gather per-shard fold values.
+        A fresh hot-shard replica answers first, recording a
+        synchronous ``replica_fold`` event.  Otherwise
+        :func:`~repro.cluster.worker.fold_shard` runs — the resident
+        worker's ``fold`` op, or a local executor task against this
+        process's own shard engine — including the fold's deliberate
+        shared-cache bypass, so value and measured I/O are
+        executor-independent.
+        """
+        uid = self.shard_uids[shard_id]
+        if self.replicas is not None:
+            engine = self.shards[shard_id]
+            versions = {col: engine.column(col).version for col in payload[1]}
+            hit = self.replicas.fold(uid, payload, versions)
+            if hit is not None:
+                value, io = hit
+                trace.event(
+                    "replica_fold", mode=payload[0], shard_uid=uid,
+                    bits_read=io.bits_read,
+                )
+                return CompletedFuture((value, io, None))
+        if self._resident:
+            self._note_flush(trace, uid)
+            return self.executor.submit_fold(
+                uid, payload, trace=trace.trace_id
+            )
+        return self.executor.submit(
+            fold_shard, self.shards[shard_id], uid, payload,
+            trace.trace_id, self._clock(), "shard_fold",
+        )
+
+    def _fold_futures(
+        self, mode: str, plan: Plan, group: "str | None", trace
+    ):
+        """One fold future per shard, submitted lazily in shard order.
 
         Shards partition the RID universe and every plan operator acts
         row-wise, so the global aggregate decomposes exactly into
@@ -1432,89 +1220,45 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
         ``count``/``exists`` is answered from the coordinator's own
         row count — ``Not`` over a fully-pruned leaf means *every*
         shard row, no worker needed — and only genuinely mixed shards
-        ship a fold task.  Under a resident executor that task is the
-        ``fold`` pipe op: the whole shard-local plan evaluates in the
-        worker and one number (plus its I/O snapshot) comes back;
-        ``gather_rids`` is untouched because no positions cross.
+        submit a fold (:meth:`_submit_fold`).
         """
-        metas = self._fold_metas(plan, group)
+        names = set(plan.columns) if group is None else {*plan.columns, group}
+        metas = {col: self._meta(col) for col in names}
         columns = tuple(sorted(metas))
-        anchor = columns[0]
-        empty_value = {"count": 0, "exists": False, "count_by": {}}[mode]
-        values: list = [None] * self.num_shards
-        pending: list[tuple[int, object]] = []
-        bits = 0
-        scatter_cm = (
-            trace.span("scatter", mode=mode)
-            if trace is not None
-            else nullcontext()
-        )
-        with scatter_cm:
-            for shard_id in range(self.num_shards):
-                leaves, root = self._specialize_shard(plan, metas, shard_id)
-                if root[0] == EMPTY:
-                    values[shard_id] = empty_value
-                    continue
-                if root[0] == ALL and mode in ("count", "exists"):
-                    rows = self.shards[shard_id].column(anchor).n
-                    values[shard_id] = rows if mode == "count" else rows > 0
-                    continue
+        for shard_id in range(self.num_shards):
+            leaves, root = self._specialize_shard(plan, metas, shard_id)
+            if root[0] == EMPTY:
+                value = {"count": 0, "exists": False, "count_by": {}}[mode]
+            elif root[0] == ALL and mode != "count_by":
+                rows = self.shards[shard_id].column(columns[0]).n
+                value = rows if mode == "count" else rows > 0
+            else:
                 payload = (mode, columns, leaves, root, group)
-                if self.replicas is not None:
-                    versions = {
-                        col: self.shards[shard_id].column(col).version
-                        for col in columns
-                    }
-                    hit = self.replicas.fold(
-                        self.shard_uids[shard_id], payload, versions
-                    )
-                    if hit is not None:
-                        value, io = hit
-                        self.scatter_io.add(io)
-                        bits += io.bits_read
-                        if trace is not None:
-                            trace.event(
-                                "replica_fold", mode=mode,
-                                shard_uid=self.shard_uids[shard_id],
-                                bits_read=io.bits_read,
-                            )
-                        values[shard_id] = value
-                        continue
-                if self._resident:
-                    uid = self.shard_uids[shard_id]
-                    self._note_flush(trace, uid)
-                    future = self.executor.submit_fold(
-                        uid, payload,
-                        trace=None if trace is None else trace.trace_id,
-                    )
-                elif trace is None:
-                    future = self.executor.submit(
-                        self._fold_shard_local, shard_id, payload
-                    )
-                else:
-                    future = self.executor.submit(
-                        self._fold_shard_local_traced,
-                        shard_id, payload, trace.trace_id,
-                    )
-                pending.append((shard_id, future))
-            for i, (shard_id, future) in enumerate(pending):
-                try:
-                    reply = future.result()
-                except BaseException:
-                    self._drain(f for _, f in pending[i + 1 :])
-                    raise
-                if trace is None:
-                    value, io = reply
-                else:
-                    value, io, span = reply
-                    if span is not None:
-                        trace.graft([span])
-                self.scatter_io.add(io)
-                bits += io.bits_read
-                values[shard_id] = value
-        if self.metrics is not None and bits:
-            self.metrics.inc("query.bits_read", bits)
-        return values
+                yield self._submit_fold(shard_id, payload, trace)
+                continue
+            yield CompletedFuture((value, Snapshot(), None))
+
+    def _scatter_fold(
+        self,
+        mode: str,
+        plan: Plan,
+        group: "str | None" = None,
+        trace=NULL_TRACE,
+    ) -> list:
+        """Scatter one aggregate plan; gather per-shard fold values.
+
+        Every shard's fold is launched before the first is collected.
+        Under a resident executor a fold is the ``fold`` pipe op: the
+        whole shard-local plan evaluates in the worker and one number
+        (plus its I/O snapshot) comes back; ``gather_rids`` is
+        untouched because no positions cross.
+        """
+        with trace.span("scatter", mode=mode):
+            futures = list(self._fold_futures(mode, plan, group, trace))
+            return [
+                self._collect(reply, trace)
+                for reply in self._replies(futures)
+            ]
 
     def count(self, pred: "Pred | Mapping[str, tuple[int, int]]") -> int:
         """How many rows match — the coordinator only sums.
@@ -1531,11 +1275,7 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
         with self._observed(
             "count", report_fn=lambda: self._plan_report(pred)
         ) as trace:
-            if trace is not None:
-                with trace.span("plan", predicate=repr(pred)):
-                    plan, _ = self._compile_pred(pred)
-            else:
-                plan, _ = self._compile_pred(pred)
+            plan, _ = self._compile_pred(pred, trace)
             return sum(self._scatter_fold("count", plan, trace=trace))
 
     def exists(self, pred: "Pred | Mapping[str, tuple[int, int]]") -> bool:
@@ -1553,74 +1293,14 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
         with self._observed(
             "exists", report_fn=lambda: self._plan_report(pred)
         ) as trace:
-            if trace is not None:
-                with trace.span("plan", predicate=repr(pred)):
-                    plan, _ = self._compile_pred(pred)
-            else:
-                plan, _ = self._compile_pred(pred)
-            metas = self._fold_metas(plan, None)
-            columns = tuple(sorted(metas))
-            anchor = columns[0]
-            scatter_cm = (
-                trace.span("scatter", mode="exists")
-                if trace is not None
-                else nullcontext()
-            )
-            with scatter_cm:
-                for shard_id in range(self.num_shards):
-                    leaves, root = self._specialize_shard(
-                        plan, metas, shard_id
+            plan, _ = self._compile_pred(pred, trace)
+            with trace.span("scatter", mode="exists"):
+                return any(
+                    self._collect(future.result(), trace)
+                    for future in self._fold_futures(
+                        "exists", plan, None, trace
                     )
-                    if root[0] == EMPTY:
-                        continue
-                    if root[0] == ALL:
-                        if self.shards[shard_id].column(anchor).n > 0:
-                            return True
-                        continue
-                    payload = ("exists", columns, leaves, root, None)
-                    if self.replicas is not None:
-                        versions = {
-                            col: self.shards[shard_id].column(col).version
-                            for col in columns
-                        }
-                        hit = self.replicas.fold(
-                            self.shard_uids[shard_id], payload, versions
-                        )
-                        if hit is not None:
-                            value, io = hit
-                            self.scatter_io.add(io)
-                            if value:
-                                return True
-                            continue
-                    if self._resident:
-                        uid = self.shard_uids[shard_id]
-                        self._note_flush(trace, uid)
-                        future = self.executor.submit_fold(
-                            uid, payload,
-                            trace=(
-                                None if trace is None else trace.trace_id
-                            ),
-                        )
-                    elif trace is None:
-                        future = self.executor.submit(
-                            self._fold_shard_local, shard_id, payload
-                        )
-                    else:
-                        future = self.executor.submit(
-                            self._fold_shard_local_traced,
-                            shard_id, payload, trace.trace_id,
-                        )
-                    reply = future.result()
-                    if trace is None:
-                        value, io = reply
-                    else:
-                        value, io, span = reply
-                        if span is not None:
-                            trace.graft([span])
-                    self.scatter_io.add(io)
-                    if value:
-                        return True
-                return False
+                )
 
     def count_by(
         self, group: str, pred: "Pred | None" = None
@@ -1650,12 +1330,7 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
                     columns=(group,),
                 )
             else:
-                plan_cm = (
-                    trace.span("plan", predicate=repr(pred))
-                    if trace is not None
-                    else nullcontext()
-                )
-                with plan_cm:
+                with trace.span("plan", predicate=pred):
                     plan = compile_pred(
                         pred, lambda name: self._meta(name).sigma
                     )
@@ -1672,12 +1347,7 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
                         self.total_rows,
                     )
             folds = self._scatter_fold("count_by", plan, group, trace=trace)
-            merge_cm = (
-                trace.span("gather_merge")
-                if trace is not None
-                else nullcontext()
-            )
-            with merge_cm:
+            with trace.span("gather_merge"):
                 merged: dict[int, int] = {}
                 for shard_id, shard_counts in enumerate(folds):
                     domain = meta.domains.get(shard_id)
@@ -1787,76 +1457,53 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
         with self._observed("query") as trace:
             lengths = self.shard_lengths(name)
             offsets = offsets_of(lengths)
-            bits = 0
-            scatter_cm = (
-                trace.span(
-                    "scatter", column=name,
-                    char_lo=char_lo, char_hi=char_hi,
-                )
-                if trace is not None
-                else nullcontext()
-            )
-            with scatter_cm:
+            with trace.span(
+                "scatter", column=name, char_lo=char_lo, char_hi=char_hi
+            ):
                 # Scatter: every shard fetch is launched before the
                 # first is collected, so per-shard work overlaps under
                 # any executor that buys overlap.  Static shards carry
                 # a dense local alphabet; translating into it
                 # canonicalizes the cache key and prunes shards the
                 # range cannot touch at all.
-                futures = []
-                deferred: list = [] if self._resident else None
-                deferred_slots: list[int] = []
+                shard_ids: list[int] = []
+                futures: list = []
                 for shard_id in range(self.num_shards):
                     local = self._translate_range(
                         meta, shard_id, char_lo, char_hi
                     )
-                    fetched = (
-                        None
-                        if local is None
-                        else self._submit_fetch(
-                            name, meta, shard_id, *local,
-                            trace=trace, defer=deferred,
+                    if local is not None:
+                        shard_ids.append(shard_id)
+                        futures.append(
+                            self._submit_fetch(
+                                name, meta, shard_id, *local, trace,
+                                defer=True,
+                            )
                         )
-                    )
-                    if fetched is _DEFERRED:
-                        deferred_slots.append(shard_id)
-                    futures.append(fetched)
-                if deferred_slots:
+                deferred = [
+                    i for i, f in enumerate(futures)
+                    if isinstance(f, _Deferred)
+                ]
+                if deferred:
                     # Ship the resident misses grouped per worker: a
                     # 16-shard scatter costs one round-trip per worker.
+                    requests = [futures[i].request for i in deferred]
+                    for request in requests:
+                        self._note_flush(trace, request[0])
                     group = self.executor.submit_query_group(
-                        [request for request, _ in deferred],
-                        trace=None if trace is None else trace.trace_id,
+                        requests, trace=trace.trace_id
                     )
-                    for slot, (_, absorb), future in zip(
-                        deferred_slots, deferred, group
-                    ):
-                        futures[slot] = MappedFuture(future, absorb)
+                    for i, future in zip(deferred, group):
+                        futures[i] = MappedFuture(future, futures[i].absorb)
                 # Gather: shard i's global RIDs all precede shard
                 # i+1's, so the k-way merge of these sorted disjoint
                 # runs is a concatenation.
                 merged: list[int] = []
-                for shard_id, future in enumerate(futures):
-                    if future is None:
-                        continue
-                    try:
-                        reply = future.result()
-                    except BaseException:
-                        self._drain(futures[shard_id + 1 :])
-                        raise
-                    if trace is None:
-                        positions, io = reply
-                    else:
-                        positions, io, span = reply
-                        if span is not None:
-                            trace.graft([span])
-                    self.scatter_io.add(io)
-                    bits += io.bits_read
+                for shard_id, reply in zip(shard_ids, self._replies(futures)):
+                    positions = self._collect(reply, trace)
                     self.gather_rids += len(positions)
                     offset = offsets[shard_id]
                     merged.extend(offset + p for p in positions)
-            if self.metrics is not None and bits:
-                self.metrics.inc("query.bits_read", bits)
             return RangeResult(merged, sum(lengths))
 
     def query_iter(self, name: str, char_lo: int, char_hi: int):
@@ -1888,23 +1535,19 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
         (``Tracer.dropped_spans``) — abandoned pipelined replies can
         never leak spans into a later query's trace.  Called inside an
         observed op (a materialized ``select``), the fetch spans graft
-        into that op's active trace instead.
+        into that op's active trace instead; abandoned replies' spans
+        are dropped there too, as their bits never reach
+        ``scatter_io``.
         """
         meta = self._meta(name)
         self._check_range(meta, char_lo, char_hi)
         tracer = self.tracer
         trace = self._active_trace
-        owned = None
-        if (
-            trace is None
-            and self._op_depth == 0
-            and tracer is not None
-            and tracer.enabled
-        ):
-            owned = tracer.begin(
+        owned = NULL_TRACE
+        if self._op_depth == 0 and tracer is not None and tracer.enabled:
+            trace = owned = tracer.begin(
                 "query_iter", column=name, char_lo=char_lo, char_hi=char_hi
             )
-            trace = owned
 
         def gen():
             lengths = self.shard_lengths(name)
@@ -1931,7 +1574,7 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
                         (
                             shard_id,
                             self._submit_fetch(
-                                name, meta, shard_id, lo, hi, trace=trace
+                                name, meta, shard_id, lo, hi, trace
                             ),
                         )
                     )
@@ -1951,14 +1594,7 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
             try:
                 while in_flight:
                     shard_id, future = in_flight.popleft()
-                    reply = future.result()
-                    if trace is None:
-                        positions, io = reply
-                    else:
-                        positions, io, span = reply
-                        if span is not None:
-                            trace.graft([span])
-                    self.scatter_io.add(io)
+                    positions = self._collect(future.result(), trace)
                     self.gather_rids += len(positions)
                     self.gather_stats.acquire(len(positions))
                     if held:
@@ -1978,26 +1614,13 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
             finally:
                 if held:
                     self.gather_stats.release(held)
-                if owned is not None:
+                if owned is not NULL_TRACE:
                     # The stream is over (exhausted or closed early):
-                    # finish the owned trace *first*, then resolve any
-                    # abandoned pipelined replies — offering their
-                    # spans to the finished trace drops and counts
-                    # them, so they cannot leak into a later trace.
+                    # finish the owned trace *first*, so the spans of
+                    # abandoned replies drained below are dropped and
+                    # counted, never leaked into a later trace.
                     tracer.finish(owned)
-                    for _, future in in_flight:
-                        try:
-                            reply = future.result()
-                        except Exception:
-                            continue
-                        if (
-                            isinstance(reply, tuple)
-                            and len(reply) == 3
-                            and reply[2] is not None
-                        ):
-                            owned.graft([reply[2]])
-                else:
-                    self._drain(future for _, future in in_flight)
+                self._drain((future for _, future in in_flight), owned)
 
         return gen()
 
@@ -2022,11 +1645,7 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
         with self._observed(
             "select", report_fn=lambda: self._plan_report(conditions)
         ) as trace:
-            if trace is not None:
-                with trace.span("plan", predicate=repr(conditions)):
-                    plan, universe = self._compile_pred(conditions)
-            else:
-                plan, universe = self._compile_pred(conditions)
+            plan, universe = self._compile_pred(conditions, trace)
             return list(evaluate_iter(plan, self.query_iter, universe))
 
     def select_iter(

@@ -26,9 +26,10 @@ shard's build snapshot once (codes + the locally chosen backend, all
 picklable), then keeps the replicas in sync by shipping routed
 update/lifecycle *deltas* — never re-pickling engines per call — and
 scatters queries as pipelined requests that return
-``(positions, io Snapshot)`` so per-worker I/O counters aggregate
-back into cluster totals.  Workers answer requests in FIFO order per
-pipe, which is what makes the cheap pipelined future
+``(positions, io Snapshot, span)`` triples, so per-worker I/O counters
+aggregate back into cluster totals (the span slot is ``None`` unless
+the request carried a trace id).  Workers answer requests in FIFO
+order per pipe, which is what makes the cheap pipelined future
 (:class:`_PipeFuture`) correct.
 
 Pipes carry control messages and replies only.  Bulk request
@@ -455,11 +456,13 @@ class ProcessExecutor:
     with :meth:`apply_delta` as updates and lifecycle operations are
     routed, and scatters queries with :meth:`submit_query`, which
     pipelines on the worker's pipe and resolves to
-    ``(positions, io Snapshot)``.  :meth:`submit_leaves` is the
-    compiled-leaf fetch op: one pipelined message carrying every leaf
-    interval a predicate plan needs from one shard's column, answered
-    by a list of ``(positions, Snapshot)`` pairs — a wide IN-list
-    costs one round-trip, not one per member.  Shards are assigned to
+    ``(positions, io Snapshot, span dict | None)``.
+    :meth:`submit_leaves` is the compiled-leaf fetch op: one pipelined
+    message carrying every leaf interval a predicate plan needs from
+    one shard's column, answered by a list of such triples — a wide
+    IN-list costs one round-trip, not one per member.  Every
+    ``submit_*`` message carries a trace-id slot; a worker builds its
+    span only when the slot holds an id.  Shards are assigned to
     the least loaded worker at build time and stay there — residency
     is the point: no engine state crosses a process boundary after
     the build.
@@ -821,22 +824,19 @@ class ProcessExecutor:
         char_hi: int,
         trace: str | None = None,
     ) -> _PipeFuture:
-        """Pipeline one range query; resolves to (positions, Snapshot).
+        """Pipeline one range query; resolves to a reply triple.
 
-        Any buffered deltas for the shard are flushed ahead of the
-        query on the same FIFO pipe, so the reply reflects them.
-        ``trace`` is an optional trace id: when set, the worker times
-        its shard-local execution and the reply widens to
-        ``(positions, Snapshot, [span dict])`` so the coordinator can
-        stitch the worker-side span into the query's trace.
+        The triple is ``(positions, Snapshot, span dict | None)``.  Any
+        buffered deltas for the shard are flushed ahead of the query
+        on the same FIFO pipe, so the reply reflects them.  With a
+        ``trace`` id the worker times its shard-local execution and
+        fills the span slot, so the coordinator can stitch the
+        worker-side span into the query's trace.
         """
         worker = self._worker_of(uid)
         self._flush_uid(uid)
         self.op_counts["query"] += 1
-        message = ("query", uid, name, char_lo, char_hi)
-        if trace is not None:
-            message += (trace,)
-        return worker.request(message)
+        return worker.request(("query", uid, name, char_lo, char_hi, trace))
 
     def submit_query_group(
         self,
@@ -847,7 +847,7 @@ class ProcessExecutor:
 
         ``requests`` is ``[(uid, name, char_lo, char_hi), ...]``; the
         return value is a list of futures aligned with it, each
-        resolving to the same shape :meth:`submit_query` produces.
+        resolving to the reply triple :meth:`submit_query` produces.
         Requests for shards resident in the same worker ride a single
         ``query_multi`` pipe message (answered as a list, fanned back
         out through per-request views), so a 16-shard scatter over 4
@@ -865,19 +865,14 @@ class ProcessExecutor:
             worker = self._workers[index]
             if len(slots) == 1:
                 i = slots[0]
-                uid, name, lo, hi = requests[i]
                 self.op_counts["query"] += 1
-                message = ("query", uid, name, lo, hi)
-                if trace is not None:
-                    message += (trace,)
-                futures[i] = worker.request(message)
+                futures[i] = worker.request(("query", *requests[i], trace))
                 continue
             batch = [requests[i] for i in slots]
             self.op_counts["query"] += 1
-            message = ("query_multi", batch[0][0], batch)
-            if trace is not None:
-                message += (trace,)
-            parent = worker.request(message)
+            parent = worker.request(
+                ("query_multi", batch[0][0], batch, trace)
+            )
             for pos, i in enumerate(slots):
                 futures[i] = _SliceFuture(parent, pos)
         return futures
@@ -891,42 +886,36 @@ class ProcessExecutor:
     ) -> _PipeFuture:
         """Pipeline one compiled-leaf fetch: many intervals, one message.
 
-        Resolves to a list of ``(positions, Snapshot)`` pairs, one per
-        interval in order — the worker half of a predicate plan's
-        batched scatter.  With a ``trace`` id the reply widens to
-        ``(pairs, [span dicts])``, one span per interval.
+        Resolves to a list of reply triples, one per interval in order
+        — the worker half of a predicate plan's batched scatter.
         """
         worker = self._worker_of(uid)
         self._flush_uid(uid)
         self.op_counts["leaves"] += 1
-        message = ("leaves", uid, name, list(intervals))
-        if trace is not None:
-            message += (trace,)
-        return worker.request(message)
+        return worker.request(("leaves", uid, name, list(intervals), trace))
 
     def submit_fold(
         self, uid: int, payload: tuple, trace: str | None = None
     ) -> _PipeFuture:
         """Pipeline one aggregate fold: a shard-local plan, one number.
 
-        Resolves to ``(value, Snapshot)`` where ``value`` is the
-        shard's count, existence bit, or ``{group code: count}`` dict
-        — the pushdown op that keeps RID lists off the pipe entirely.
-        With a ``trace`` id the reply widens to
-        ``(value, Snapshot, [span dict])``.
+        Resolves to ``(value, Snapshot, span dict | None)`` where
+        ``value`` is the shard's count, existence bit, or
+        ``{group code: count}`` dict — the pushdown op that keeps RID
+        lists off the pipe entirely.
         """
         worker = self._worker_of(uid)
         self._flush_uid(uid)
         self.op_counts["fold"] += 1
-        message = ("fold", uid, payload)
-        if trace is not None:
-            message += (trace,)
-        return worker.request(message)
+        return worker.request(("fold", uid, payload, trace))
 
     def query_shard(
         self, uid: int, name: str, char_lo: int, char_hi: int
     ) -> tuple[list[int], Snapshot]:
-        return self.submit_query(uid, name, char_lo, char_hi).result()
+        """One untraced range query, waited for: ``(positions, io)``."""
+        future = self.submit_query(uid, name, char_lo, char_hi)
+        positions, io, _ = future.result()
+        return positions, io
 
     def io_totals(self) -> Snapshot:
         """Aggregate every worker's resident-engine I/O counters."""

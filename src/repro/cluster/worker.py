@@ -41,13 +41,18 @@ by the request round-trip.  The query side speaks four ops: ``query`` (one range
 from this worker's shards in one message, answered as a list of
 per-request replies in order),
 ``leaves`` (the compiled-leaf fetch op: every interval a predicate
-plan needs from one column, answered as a list of
-``(positions, Snapshot)`` pairs in order — one round-trip per shard
-per column however wide the IN-list), and ``fold`` (the
-aggregate-pushdown op: a whole shard-local compiled plan evaluated
-resident-side in cardinality space, answered as one
-``(count | exists-bit | {group code: count}, Snapshot)`` — positions
-never cross the pipe).
+plan needs from one column, answered as a list of per-interval
+replies in order — one round-trip per shard per column however wide
+the IN-list), and ``fold`` (the aggregate-pushdown op: a whole
+shard-local compiled plan evaluated resident-side in cardinality
+space, answered with a count, exists-bit or ``{group code: count}``
+— positions never cross the pipe).
+
+One wire shape serves traced and untraced queries alike: every
+query-side message ends in a trace-id slot (``None`` when untraced),
+and every per-shard reply is a triple ``(value, Snapshot, span dict
+| None)`` — positions or a fold value, the I/O it cost, and the
+shard op's span when a trace id rode the message.
 
 Because the coordinator applies the *same* operations to its own
 replica in the same order, and every build pins the backend the
@@ -72,7 +77,6 @@ from ..engine.engine import QueryEngine
 from ..engine.registry import get_spec
 from ..errors import InvalidParameterError
 from ..iomodel.stats import Snapshot
-from ..obs.tracer import Span
 from ..query import (
     Plan,
     evaluate_count,
@@ -84,9 +88,9 @@ from .cache import shared_key
 
 #: Fold payload: (mode, columns, leaves, root, group) — a shard-local
 #: compiled plan (leaves already translated onto this shard's
-#: alphabets) plus the aggregate mode to fold it in.  The reply is
-#: ``(value, Snapshot)``: an int (count), bool (exists) or
-#: ``{local group code: count}`` dict — never a RID list.
+#: alphabets) plus the aggregate mode to fold it in.  The fold value
+#: is an int (count), bool (exists) or ``{local group code: count}``
+#: dict — never a RID list.
 
 
 def evaluate_shard_fold(
@@ -94,12 +98,12 @@ def evaluate_shard_fold(
 ) -> tuple["int | bool | dict[int, int]", Snapshot]:
     """Fold one shard-local plan in cardinality space, resident-side.
 
-    Shared verbatim by the worker's ``fold`` op and the coordinator's
-    serial/threaded path (:meth:`~repro.cluster.engine.ClusterEngine.\
-_fold_shard_local`), so the aggregate a shard reports — value *and*
-    measured I/O — is executor-independent.  Deliberately bypasses the
-    shared result cache (workers do not hold it); only the engine's
-    own LRU serves repeats, keeping the two paths' I/O identical.
+    Shared verbatim by every fold — :func:`fold_shard` under any
+    executor, and hot-shard replicas — so the aggregate a shard
+    reports, value *and* measured I/O, is executor-independent.
+    Deliberately bypasses the shared result cache (workers do not hold
+    it); only the engine's own LRU serves repeats, keeping the two
+    paths' I/O identical.
     """
     mode, columns, leaves, root, group = payload
     plan = Plan(
@@ -139,6 +143,92 @@ _fold_shard_local`), so the aggregate a shard reports — value *and*
     else:
         raise InvalidParameterError(f"unknown fold mode {mode!r}")
     return value, total
+
+
+# ----------------------------------------------------------------------
+# The shard-op bodies
+# ----------------------------------------------------------------------
+#
+# One body per shard op, shared by the worker's ops and the cluster's
+# local-executor tasks, so a read costs the same bits wherever it runs
+# and whether or not it is traced.  Each returns the reply triple
+# ``(value, Snapshot, span dict | None)``; ``trace`` is the trace id
+# (``None`` untraced) and is tested only to decide whether to build
+# the span, so an untraced op reads no clock and formats no tag.
+
+
+def shard_span(
+    name: str, trace: str, t0: float, t1: float, uid: int,
+    io: Snapshot, **tags,
+) -> dict:
+    """One shard op's span, as the plain dict its reply carries.
+
+    The ``bits_read`` tag is taken from the *same* :class:`Snapshot`
+    the reply ships back — the one the coordinator folds into
+    ``scatter_io`` — so summed span bits always equal the scatter
+    accounting exactly.
+    """
+    tags.update(
+        trace_id=trace, shard_uid=uid, bits_read=io.bits_read,
+        reads=io.reads,
+    )
+    return {"name": name, "t0": t0, "t1": t1, "tags": tags, "children": []}
+
+
+def fetch_range(
+    engine: QueryEngine, uid: int, name: str, lo: int, hi: int,
+    trace: str | None, clock, kind: str, store=None, key=None,
+) -> tuple[list[int], Snapshot, "dict | None"]:
+    """One measured range read of a shard: positions, I/O, span.
+
+    The body of a worker's ``query``/``leaves`` ops (span
+    ``worker_query``) and of a local executor's fetch task
+    (``leaf_fetch``).  With a durable ``store`` and its ``key``, a
+    stored answer is served for zero bits and a decoded one feeds the
+    store.  The span's ``cache`` tag says where the answer came from:
+    ``store``, the engine LRU (``hit``), or the index (``miss``).
+    """
+    if trace is not None:
+        t0 = clock()
+        col = engine.column(name)
+        # Peek: __contains__ skips the LRU counters, so tagging the
+        # verdict never perturbs the stats the real lookup records.
+        hit = (name, col.version, lo, hi) in engine.cache
+        cache = "hit" if hit else "miss"
+    stored = store.get(key) if key is not None else None
+    if stored is not None:
+        positions, io, cache = list(stored), Snapshot(), "store"
+    else:
+        result, io = engine.query_measured(name, lo, hi)
+        positions = result.positions()
+        if key is not None:
+            store.put(key, positions)
+    if trace is None:
+        return positions, io, None
+    return positions, io, shard_span(
+        kind, trace, t0, clock(), uid, io, column=name, char_lo=lo,
+        char_hi=hi, backend=col.spec.name, cache=cache,
+        rids=len(positions),
+    )
+
+
+def fold_shard(
+    engine: QueryEngine, uid: int, payload: tuple, trace: str | None,
+    clock, kind: str,
+) -> tuple["int | bool | dict[int, int]", Snapshot, "dict | None"]:
+    """One shard's aggregate fold: value, I/O, span.
+
+    The body of a worker's ``fold`` op (span ``worker_fold``) and of a
+    local executor's fold task (``shard_fold``).
+    """
+    if trace is not None:
+        t0 = clock()
+    value, io = evaluate_shard_fold(engine, payload)
+    if trace is None:
+        return value, io, None
+    return value, io, shard_span(
+        kind, trace, t0, clock(), uid, io, mode=payload[0]
+    )
 
 #: Build payload: (cache_size, io_latency_s, [column payload, ...]).
 #: Column payload: (name, codes, sigma, dynamism, expected_selectivity,
@@ -184,6 +274,8 @@ class ShardHost:
 
     ``clock`` times worker-side spans when a request carries a trace
     id; injectable so in-process tests get deterministic durations.
+    Every query op answers with the reply triple(s) of
+    :func:`fetch_range` / :func:`fold_shard`.
     """
 
     def __init__(self, clock=None, cache_store=None) -> None:
@@ -195,8 +287,8 @@ class ShardHost:
         self.epochs: dict[int, dict[str, str]] = {}
         #: Optional durable result store
         #: (:class:`repro.persist.FileCacheStore` or any
-        #: :class:`~repro.cluster.cache.CacheStore`): consulted on the
-        #: untraced query path *before* decoding index pages, fed on
+        #: :class:`~repro.cluster.cache.CacheStore`): consulted on
+        #: every range read *before* decoding index pages, fed on
         #: every miss.  Version-stamped keys make staleness impossible
         #: — a mutated column's old entries simply stop matching.
         self.cache_store = cache_store
@@ -324,50 +416,16 @@ class ShardHost:
             for column in engine.columns.values():
                 column.index.disk.flush_cache()
 
-    def _worker_span(
-        self, kind: str, trace: str, uid: int, engine: QueryEngine, fn
-    ) -> tuple[object, Snapshot, dict]:
-        """Run one traced shard op; returns (value, io, span dict).
-
-        The span's ``bits_read`` tag is taken from the *same*
-        :class:`Snapshot` the reply ships back — the one the
-        coordinator folds into ``scatter_io`` — so summed span bits
-        always equal the scatter accounting exactly.
-        """
-        t0 = self.clock()
-        value, io = fn()
-        span = Span(kind, t0=t0, t1=self.clock())
-        span.tags.update(
-            trace_id=trace,
-            shard_uid=uid,
-            bits_read=io.bits_read,
-            reads=io.reads,
-        )
-        return value, io, span.to_dict()
-
     def _store_key(self, uid: int, engine: QueryEngine, name, lo, hi):
+        """The durable store key of one range, or ``None`` for none."""
+        if self.cache_store is None:
+            return None
         epoch = self.epochs.get(uid, {}).get(name)
         if not epoch:
             # No incarnation stamp means no safe durable key: the
             # payload predates epochs, or the column is local-only.
             return None
         return shared_key(name, epoch, uid, engine.column(name).version, lo, hi)
-
-    def _store_get(self, uid, engine, name, lo, hi):
-        if self.cache_store is None:
-            return None
-        key = self._store_key(uid, engine, name, lo, hi)
-        if key is None:
-            return None
-        cached = self.cache_store.get(key)
-        return list(cached) if cached is not None else None
-
-    def _store_put(self, uid, engine, name, lo, hi, positions) -> None:
-        if self.cache_store is None:
-            return
-        key = self._store_key(uid, engine, name, lo, hi)
-        if key is not None:
-            self.cache_store.put(key, positions)
 
     def query(
         self,
@@ -377,45 +435,13 @@ class ShardHost:
         char_hi: int,
         trace: str | None = None,
     ) -> tuple:
-        """One measured range query; traced replies carry a span dict.
-
-        The untraced reply shape ``(positions, Snapshot)`` is
-        unchanged; a request carrying a trace id (the optional sixth
-        message element) widens it to
-        ``(positions, Snapshot, span dict)``.
-        """
+        """One measured range query: ``(positions, Snapshot, span)``."""
         engine = self._engine(uid)
-        if trace is None:
-            cached = self._store_get(uid, engine, name, char_lo, char_hi)
-            if cached is not None:
-                return cached, Snapshot()
-            result, io = engine.query_measured(name, char_lo, char_hi)
-            positions = result.positions()
-            self._store_put(uid, engine, name, char_lo, char_hi, positions)
-            return positions, io
-        col = engine.column(name)
-        # Peek before the query: __contains__ skips the LRU counters,
-        # so tagging the verdict never perturbs the stats the real
-        # lookup records.
-        hit = (name, col.version, char_lo, char_hi) in engine.cache
-        positions, io, span = self._worker_span(
-            "worker_query",
-            trace,
-            uid,
-            engine,
-            lambda: (
-                lambda r, s: (r.positions(), s)
-            )(*engine.query_measured(name, char_lo, char_hi)),
+        return fetch_range(
+            engine, uid, name, char_lo, char_hi, trace, self.clock,
+            "worker_query", self.cache_store,
+            self._store_key(uid, engine, name, char_lo, char_hi),
         )
-        span["tags"].update(
-            column=name,
-            char_lo=char_lo,
-            char_hi=char_hi,
-            backend=col.spec.name,
-            cache="hit" if hit else "miss",
-            rids=len(positions),
-        )
-        return positions, io, span
 
     def leaves(
         self,
@@ -423,55 +449,14 @@ class ShardHost:
         name: str,
         intervals: list[tuple[int, int]],
         trace: str | None = None,
-    ) -> "list | tuple":
+    ) -> list[tuple]:
         """The compiled-leaf fetch op: many measured queries, one reply.
 
-        Untraced: a list of ``(positions, Snapshot)`` pairs, one per
-        interval in order.  Traced: ``(pairs, [span dicts])`` with one
-        ``worker_query`` span per interval.
+        One :meth:`query` reply triple per interval, in order.
         """
-        engine = self._engine(uid)
-        if trace is None:
-            out = []
-            for char_lo, char_hi in intervals:
-                cached = self._store_get(
-                    uid, engine, name, char_lo, char_hi
-                )
-                if cached is not None:
-                    out.append((cached, Snapshot()))
-                    continue
-                result, io = engine.query_measured(name, char_lo, char_hi)
-                positions = result.positions()
-                self._store_put(
-                    uid, engine, name, char_lo, char_hi, positions
-                )
-                out.append((positions, io))
-            return out
-        col = engine.column(name)
-        pairs = []
-        spans = []
-        for char_lo, char_hi in intervals:
-            hit = (name, col.version, char_lo, char_hi) in engine.cache
-            positions, io, span = self._worker_span(
-                "worker_query",
-                trace,
-                uid,
-                engine,
-                lambda lo=char_lo, hi=char_hi: (
-                    lambda r, s: (r.positions(), s)
-                )(*engine.query_measured(name, lo, hi)),
-            )
-            span["tags"].update(
-                column=name,
-                char_lo=char_lo,
-                char_hi=char_hi,
-                backend=col.spec.name,
-                cache="hit" if hit else "miss",
-                rids=len(positions),
-            )
-            pairs.append((positions, io))
-            spans.append(span)
-        return pairs, spans
+        return [
+            self.query(uid, name, lo, hi, trace) for lo, hi in intervals
+        ]
 
     def fold(
         self, uid: int, payload: tuple, trace: str | None = None
@@ -480,22 +465,13 @@ class ShardHost:
 
         The whole shard-local plan executes against the resident
         engine and only the fold — count, existence bit, or per-group
-        counts — crosses the pipe with its I/O snapshot; positions
-        never do.  Traced replies widen to
-        ``(value, Snapshot, span dict)``.
+        counts — crosses the pipe with its I/O snapshot and span;
+        positions never do.
         """
-        engine = self._engine(uid)
-        if trace is None:
-            return evaluate_shard_fold(engine, payload)
-        value, io, span = self._worker_span(
+        return fold_shard(
+            self._engine(uid), uid, payload, trace, self.clock,
             "worker_fold",
-            trace,
-            uid,
-            engine,
-            lambda: evaluate_shard_fold(engine, payload),
         )
-        span["tags"]["mode"] = payload[0]
-        return value, io, span
 
     def io_totals(self) -> Snapshot:
         total = Snapshot()
@@ -642,12 +618,11 @@ def shard_worker_main(conn) -> None:
             elif op == "query":
                 reply = host.query(*message[1:])
             elif op == "query_multi":
-                # message: (op, first_uid, [(uid, name, lo, hi), ...])
-                # with an optional trailing trace id; one reply per
-                # request, in order.
-                trace = message[3:4]
+                # message: (op, first_uid, [(uid, name, lo, hi), ...],
+                # trace id); one reply per request, in order.
                 reply = [
-                    host.query(*request, *trace) for request in message[2]
+                    host.query(*request, message[3])
+                    for request in message[2]
                 ]
             elif op == "leaves":
                 reply = host.leaves(*message[1:])

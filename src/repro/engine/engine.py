@@ -25,8 +25,6 @@ deprecated adapter.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -42,6 +40,7 @@ from ..obs import (
     SlowQueryLog,
     Tracer,
 )
+from ..obs.tracer import NULL_TRACE, ObservedOps
 from ..query import (
     LeafPlan,
     Plan,
@@ -353,7 +352,7 @@ class EngineColumn:
         self._bump()
 
 
-class QueryEngine:
+class QueryEngine(ObservedOps):
     """Builds, serves, and caches every column's secondary index."""
 
     def __init__(
@@ -375,13 +374,11 @@ class QueryEngine:
         self.cache = LRUCache(cache_size)
         self.columns: dict[str, EngineColumn] = {}
         # Observability hooks (repro.obs).  All three default off; the
-        # serving hot path guards on them with attribute checks only,
-        # so an engine without observers runs today's exact code.
+        # leaf-query fast path guards on them with attribute checks
+        # only, so an engine without observers runs the plain code.
         self.tracer = tracer
         self.metrics = metrics
         self.slow_log = slow_log
-        self._active_trace = None
-        self._op_depth = 0
 
     # ------------------------------------------------------------------
     # Column management
@@ -479,118 +476,49 @@ class QueryEngine:
     # Observability (repro.obs)
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def _observed(self, op: str, report_fn=None):
-        """Frame one top-level operation for tracing/metrics/slow-log.
-
-        Only the *outermost* entry (depth 0) begins a trace, observes
-        latency metrics, and feeds the slow-query log; nested entries
-        (``topk`` → ``count_by``, predicate folds → leaf ``query``)
-        yield the already-active trace so their spans stitch into one
-        tree and nothing is double-counted.  ``report_fn`` builds the
-        :class:`~repro.query.PlanReport` lazily — only queries that
-        actually cross the slow threshold pay for it.
-        """
-        if self._op_depth:
-            self._op_depth += 1
-            try:
-                yield self._active_trace
-            finally:
-                self._op_depth -= 1
-            return
-        tracer = self.tracer
-        trace = (
-            tracer.begin(op)
-            if tracer is not None and tracer.enabled
-            else None
-        )
-        clock = tracer.clock if tracer is not None else time.monotonic
-        self._active_trace = trace
-        self._op_depth = 1
-        t0 = clock()
-        try:
-            yield trace
-        finally:
-            elapsed = clock() - t0
-            self._op_depth = 0
-            self._active_trace = None
-            if trace is not None:
-                tracer.finish(trace)
-            metrics = self.metrics
-            if metrics is not None:
-                metrics.inc("query.count")
-                metrics.observe("query.latency_s", elapsed)
-            slow_log = self.slow_log
-            if slow_log is not None:
-                slow_log.observe(
-                    op, elapsed, trace=trace, report_fn=report_fn
-                )
-
     def _query_leaf_observed(
         self, name: str, col: EngineColumn, char_lo: int, char_hi: int
     ) -> RangeResult:
-        """The instrumented twin of the leaf-query hot path.
+        """The leaf query with an observer attached.
 
-        Identical cache/index behavior (one ``cache.get`` per call, so
-        the LRU's own hit/miss counters match the fast path exactly),
-        plus a ``leaf_fetch`` span with a nested ``cache_lookup``, the
-        per-tier cache counters, and bits-read attribution.
+        The fast path's cache/index behavior (one ``cache.get`` per
+        call, so the LRU's own hit/miss counters match it exactly),
+        plus a ``leaf_fetch`` span holding a ``cache_lookup`` event,
+        the per-tier cache counters, and bits-read attribution.
         """
-        with self._observed("query") as trace:
+        with self._observed("query") as trace, trace.span(
+            "leaf_fetch",
+            column=name,
+            char_lo=char_lo,
+            char_hi=char_hi,
+            backend=col.spec.name,
+        ) as span:
             key = (name, col.version, char_lo, char_hi)
+            cached = self.cache.get(key)
+            hit = cached is not None
+            trace.event("cache_lookup", tier="engine", hit=hit)
             metrics = self.metrics
-            if trace is None:
-                cached = self.cache.get(key)
-                if metrics is not None:
-                    metrics.inc(
-                        "cache.engine.hits"
-                        if cached is not None
-                        else "cache.engine.misses"
-                    )
-                if cached is not None:
-                    return cached
-                io_stats = col.index.stats
-                before = io_stats.snapshot()
-                result = col.index.range_query(char_lo, char_hi)
-                if metrics is not None:
-                    io = io_stats.snapshot() - before
-                    metrics.inc("query.bits_read", io.bits_read)
-                self.cache.put(key, result)
-                return result
-            with trace.span(
-                "leaf_fetch",
-                column=name,
-                char_lo=char_lo,
-                char_hi=char_hi,
-                backend=col.spec.name,
-            ) as span:
-                # Peek first (__contains__ skips the counters), so the
-                # span can tag the verdict while the real get() below
-                # still charges the LRU's hit/miss stats exactly once.
-                hit = key in self.cache
-                with trace.span("cache_lookup", tier="engine", hit=hit):
-                    cached = self.cache.get(key)
-                if metrics is not None:
-                    metrics.inc(
-                        "cache.engine.hits" if hit else "cache.engine.misses"
-                    )
-                if cached is not None:
-                    span.tags.update(cache="hit", bits_read=0)
-                    return cached
-                io_stats = col.index.stats
-                before = io_stats.snapshot()
-                result = col.index.range_query(char_lo, char_hi)
-                io = io_stats.snapshot() - before
-                span.tags.update(
-                    cache="miss",
-                    bits_read=io.bits_read,
-                    reads=io.reads,
-                    rids=result.cardinality,
+            if metrics is not None:
+                metrics.inc(
+                    "cache.engine.hits" if hit else "cache.engine.misses"
                 )
-                if metrics is not None:
-                    metrics.inc("query.bits_read", io.bits_read)
-                self.cache.put(key, result)
-                return result
+            if hit:
+                span.tag(cache="hit", bits_read=0)
+                return cached
+            io_stats = col.index.stats
+            before = io_stats.snapshot()
+            result = col.index.range_query(char_lo, char_hi)
+            io = io_stats.snapshot() - before
+            span.tag(
+                cache="miss",
+                bits_read=io.bits_read,
+                reads=io.reads,
+                rids=result.cardinality,
+            )
+            if metrics is not None:
+                metrics.inc("query.bits_read", io.bits_read)
+            self.cache.put(key, result)
+            return result
 
     def stats(self) -> EngineStats:
         """One typed, JSON-serializable snapshot of the whole engine.
@@ -637,7 +565,9 @@ class QueryEngine:
     # Predicate compilation (the shared repro.query path)
     # ------------------------------------------------------------------
 
-    def _compile_pred(self, pred: Pred) -> tuple[Plan, int]:
+    def _compile_pred(
+        self, pred: Pred, trace=NULL_TRACE
+    ) -> tuple[Plan, int]:
         """Compile a code-space predicate against this engine's columns.
 
         Raises eagerly for unknown columns (every leaf is resolved,
@@ -648,10 +578,12 @@ class QueryEngine:
         universe but reject ``Not``/``TRUE`` (see
         :func:`repro.query.planner.resolve_universe`).
         """
-        plan = compile_pred(pred, lambda name: self.column(name).sigma)
-        return plan, resolve_universe(
-            plan, lambda name: self.column(name).n
-        )
+        with trace.span("plan", predicate=pred):
+            plan = compile_pred(pred, lambda name: self.column(name).sigma)
+            universe = resolve_universe(
+                plan, lambda name: self.column(name).n
+            )
+        return plan, universe
 
     def _leaf_costs(self, plan: Plan) -> list[float]:
         """The advisor's predicted bits per unique leaf, zero if cached.
@@ -676,11 +608,7 @@ class QueryEngine:
         with self._observed(
             op, report_fn=lambda: self._plan_report(pred)
         ) as trace:
-            if trace is None:
-                plan, universe = self._compile_pred(pred)
-            else:
-                with trace.span("plan", predicate=repr(pred)):
-                    plan, universe = self._compile_pred(pred)
+            plan, universe = self._compile_pred(pred, trace)
             return evaluate_fetch(
                 plan, self.query, universe, self._leaf_costs(plan)
             )
@@ -706,11 +634,7 @@ class QueryEngine:
         with self._observed(
             "count", report_fn=lambda: self._plan_report(pred)
         ) as trace:
-            if trace is None:
-                plan, universe = self._compile_pred(pred)
-            else:
-                with trace.span("plan", predicate=repr(pred)):
-                    plan, universe = self._compile_pred(pred)
+            plan, universe = self._compile_pred(pred, trace)
             return evaluate_count(
                 plan, self.query, universe, self._leaf_costs(plan)
             )
@@ -728,11 +652,7 @@ class QueryEngine:
         with self._observed(
             "exists", report_fn=lambda: self._plan_report(pred)
         ) as trace:
-            if trace is None:
-                plan, universe = self._compile_pred(pred)
-            else:
-                with trace.span("plan", predicate=repr(pred)):
-                    plan, universe = self._compile_pred(pred)
+            plan, universe = self._compile_pred(pred, trace)
             return evaluate_exists(
                 plan, self.query, universe, self._leaf_costs(plan)
             )
@@ -762,15 +682,10 @@ class QueryEngine:
                 return evaluate_count_by(
                     None, self.query, group_col.n, group_codes, group_fetch
                 )
-            if trace is None:
+            with trace.span("plan", predicate=pred):
                 plan = compile_pred(
                     pred, lambda name: self.column(name).sigma
                 )
-            else:
-                with trace.span("plan", predicate=repr(pred)):
-                    plan = compile_pred(
-                        pred, lambda name: self.column(name).sigma
-                    )
             # The group column joins the universe resolution: its
             # equality leaves execute in the same position space as the
             # predicate.
@@ -899,7 +814,7 @@ class QueryEngine:
         col = self.column(name)
         tracer = self.tracer
         if (
-            self._active_trace is None
+            self._active_trace is NULL_TRACE
             and (tracer is None or not tracer.enabled)
             and self.metrics is None
             and self.slow_log is None
@@ -986,11 +901,7 @@ class QueryEngine:
             "select_iter",
             report_fn=lambda: self._plan_report(conditions),
         ) as trace:
-            if trace is None:
-                plan, universe = self._compile_pred(conditions)
-            else:
-                with trace.span("plan", predicate=repr(conditions)):
-                    plan, universe = self._compile_pred(conditions)
+            plan, universe = self._compile_pred(conditions, trace)
             return evaluate_iter(plan, self.query_iter, universe)
 
     def explain(

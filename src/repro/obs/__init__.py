@@ -15,9 +15,10 @@ from .stats import (
     ReplicaSetStats,
     TableStats,
 )
-from .tracer import ManualClock, Span, Trace, Tracer
+from .tracer import NULL_TRACE, ManualClock, Span, Trace, Tracer
 
 __all__ = [
+    "NULL_TRACE",
     "CacheTierStats",
     "ColumnStats",
     "Counter",

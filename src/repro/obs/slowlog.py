@@ -60,7 +60,8 @@ class SlowQueryLog:
     ) -> SlowQuery | None:
         """Record the query if it crossed the threshold.
 
-        ``trace`` may be a :class:`~repro.obs.tracer.Trace`, an
+        ``trace`` may be a :class:`~repro.obs.tracer.Trace`,
+        :data:`~repro.obs.tracer.NULL_TRACE` (recorded as ``None``), an
         already-serialized dict, or ``None``.  Returns the captured
         record, or ``None`` for fast queries.
         """

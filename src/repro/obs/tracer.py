@@ -12,10 +12,13 @@ gather time, so one stitched tree tells the whole story.
 
 The design constraints, in order:
 
-* **Zero cost disabled.**  A ``Tracer(enabled=False)`` (or no tracer
-  at all) must cost the serving hot paths nothing beyond one
-  attribute check — the engine/cluster fast paths guard on it before
-  touching any of this module.
+* **Zero cost disabled.**  With a ``Tracer(enabled=False)`` (or no
+  tracer at all) an operation holds :data:`NULL_TRACE`, which has the
+  :class:`Trace` surface but records nothing, allocates nothing and
+  reads no clock.  Serving code is written once and emits into
+  whatever trace it holds; only a shard-op body tests the trace id,
+  to decide whether to build its span dict.  The engine's leaf-query
+  fast path skips even that, guarding on the observer attributes.
 * **Deterministic under test.**  The clock is injected
   (``time.monotonic`` by default); :class:`ManualClock` makes span
   durations and slow-query thresholds exact in tests.
@@ -34,12 +37,24 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
-__all__ = ["Span", "Trace", "Tracer", "ManualClock"]
+__all__ = [
+    "NULL_TRACE",
+    "ManualClock",
+    "ObservedOps",
+    "Span",
+    "Trace",
+    "Tracer",
+]
 
 #: Process-global trace-id source.  Ids are strings ("t0", "t1", ...)
 #: so they pickle through the worker pipe protocol unchanged and tag
 #: worker spans unambiguously even across tracer instances.
 _trace_ids = itertools.count()
+
+#: Tag value types :meth:`Span.to_dict` keeps as they are; any other
+#: value (a predicate, say) is serialized by its ``repr``, so call
+#: sites pass objects and pay for formatting only when tracing is on.
+_PLAIN = (str, int, float, bool, type(None))
 
 
 class ManualClock:
@@ -83,6 +98,10 @@ class Span:
     def duration_s(self) -> float:
         return (self.t1 - self.t0) if self.t1 is not None else 0.0
 
+    def tag(self, **tags) -> None:
+        """Add tags discovered mid-flight (bits read, cache verdicts)."""
+        self.tags.update(tags)
+
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, pre-order."""
         yield self
@@ -95,7 +114,10 @@ class Span:
             "name": self.name,
             "t0": self.t0,
             "t1": self.t1,
-            "tags": dict(self.tags),
+            "tags": {
+                k: v if isinstance(v, _PLAIN) else repr(v)
+                for k, v in self.tags.items()
+            },
             "children": [c.to_dict() for c in self.children],
         }
 
@@ -137,7 +159,7 @@ class Trace:
     def span(self, name: str, **tags):
         """Open a child span under the innermost open span.
 
-        Yields the :class:`Span` so the body can add tags discovered
+        Yields the :class:`Span` so the body can :meth:`~Span.tag` it
         mid-flight (bits read, cache verdicts).  Timing comes from the
         tracer's injected clock.
         """
@@ -162,16 +184,17 @@ class Trace:
     def graft(
         self, span_dicts, parent: Span | None = None
     ) -> list[Span]:
-        """Attach serialized spans (worker replies) under ``parent``.
+        """Attach serialized spans (shard replies) under ``parent``.
 
-        ``span_dicts`` is a list of :meth:`Span.to_dict` trees —
-        exactly what resident workers piggyback on their reply tuples.
-        After the trace is finished (an early-closed streaming gather
-        drained its abandoned replies), the spans are dropped and
-        counted in :attr:`Tracer.dropped_spans` instead: stale replies
-        must never stitch into a later query's trace.
+        ``span_dicts`` holds :meth:`Span.to_dict` trees — exactly what
+        a shard reply carries in its span slot.  ``None`` entries
+        (replies that built no span) are skipped.  After the trace is
+        finished (an early-closed streaming gather drained its
+        abandoned replies), the spans are dropped and counted in
+        :attr:`Tracer.dropped_spans` instead: stale replies must never
+        stitch into a later query's trace.
         """
-        spans = [Span.from_dict(d) for d in span_dicts]
+        spans = [Span.from_dict(d) for d in span_dicts if d is not None]
         if self.finished:
             self.tracer.dropped_spans += len(spans)
             return []
@@ -201,15 +224,58 @@ class Trace:
         return f"Trace({self.trace_id!r}, {n} span(s))"
 
 
+class _NullTrace:
+    """The trace an operation holds while tracing is off.
+
+    It has the :class:`Trace` surface serving code emits into —
+    ``trace_id`` (``None``, so no shard op builds a span), ``span()``,
+    ``event()`` and ``graft()`` — and records nothing, allocates
+    nothing and reads no clock.  ``span()`` returns the null trace
+    itself, a context manager whose ``tag()`` discards; ``to_dict()``
+    is ``None``, so a slow-query record carries no trace.
+    """
+
+    __slots__ = ()
+    trace_id = None
+
+    def span(self, name: str, **tags) -> "_NullTrace":
+        return self
+
+    def __enter__(self) -> "_NullTrace":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def tag(self, **tags) -> None:
+        return None
+
+    def event(self, name: str, **tags) -> None:
+        return None
+
+    def graft(self, span_dicts, parent: Span | None = None) -> list:
+        return []
+
+    def to_dict(self) -> None:
+        return None
+
+    def __repr__(self) -> str:
+        return "NULL_TRACE"
+
+
+#: The one null trace (see :class:`_NullTrace`).
+NULL_TRACE = _NullTrace()
+
+
 class Tracer:
     """Produces, finishes, and retains per-query traces.
 
-    ``enabled=False`` makes :meth:`begin` answer ``None`` — and the
-    serving layers guard their instrumentation on exactly that, so a
-    disabled tracer costs one attribute read on the hot path.  The
-    ``clock`` is injected for deterministic tests and shared with the
-    engines' latency measurement.  Finished traces are kept in a
-    bounded ring (``keep``), newest last.
+    ``enabled=False`` makes :meth:`begin` answer ``None``; the serving
+    layers then hold :data:`NULL_TRACE` instead, so a disabled tracer
+    records nothing.  The ``clock`` is injected for deterministic
+    tests and shared with the engines' per-operation latency
+    measurement.  Finished traces are kept in a bounded ring
+    (``keep``), newest last.
     """
 
     def __init__(
@@ -247,3 +313,63 @@ class Tracer:
     def last(self) -> Trace | None:
         """The most recently finished trace, if any."""
         return self.traces[-1] if self.traces else None
+
+
+class ObservedOps:
+    """Mixin framing a serving object's top-level operations.
+
+    The host sets ``tracer``, ``metrics`` and ``slow_log`` (each may
+    be ``None``); :meth:`_observed` then traces, meters and slow-logs
+    every operation body it wraps.
+    """
+
+    _active_trace = NULL_TRACE
+    _op_depth = 0
+
+    @contextmanager
+    def _observed(self, op: str, report_fn=None):
+        """Frame one top-level operation; yields the trace to emit into.
+
+        Only the *outermost* entry (depth 0) begins a trace, observes
+        latency metrics, and feeds the slow-query log; nested entries
+        (``topk`` → ``count_by``, predicate folds → leaf ``query``)
+        yield the already-active trace so their spans stitch into one
+        tree and nothing is double-counted.  With tracing off the
+        trace is :data:`NULL_TRACE`.  ``report_fn`` builds the
+        :class:`~repro.query.PlanReport` lazily — only queries that
+        actually cross the slow threshold pay for it.
+        """
+        if self._op_depth:
+            self._op_depth += 1
+            try:
+                yield self._active_trace
+            finally:
+                self._op_depth -= 1
+            return
+        tracer = self.tracer
+        trace = NULL_TRACE
+        clock = time.monotonic
+        if tracer is not None:
+            clock = tracer.clock
+            if tracer.enabled:
+                trace = tracer.begin(op)
+        self._active_trace = trace
+        self._op_depth = 1
+        t0 = clock()
+        try:
+            yield trace
+        finally:
+            elapsed = clock() - t0
+            self._op_depth = 0
+            self._active_trace = NULL_TRACE
+            if trace is not NULL_TRACE:
+                tracer.finish(trace)
+            metrics = self.metrics
+            if metrics is not None:
+                metrics.inc("query.count")
+                metrics.observe("query.latency_s", elapsed)
+            slow_log = self.slow_log
+            if slow_log is not None:
+                slow_log.observe(
+                    op, elapsed, trace=trace, report_fn=report_fn
+                )

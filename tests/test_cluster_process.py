@@ -317,8 +317,9 @@ class TestPrefetchingGather:
                 for lo in range(8)
             ]  # 320 requests down one pipe
             for i, future in enumerate(futures):
-                positions, _ = future.result()
+                positions, _, span = future.result()
                 assert positions == brute_range(x, i % 8, i % 8)
+                assert span is None  # untraced: the span slot is empty
         finally:
             proc.close()
 
@@ -396,9 +397,10 @@ class TestShardHost:
                                   0.1, True, False, "fully-dynamic")]))
         with pytest.raises(InvalidParameterError):
             host.delta(0, ("warp", "c"))
-        positions, io = host.query(0, "c", 1, 2)
+        positions, io, span = host.query(0, "c", 1, 2)
         assert positions == [1, 2]
         assert io.total >= 0
+        assert span is None
         host.retire(0)
         with pytest.raises(InvalidParameterError):
             host.query(0, "c", 1, 2)
@@ -534,7 +536,7 @@ class TestDeltaBatching:
             0,
             [("append", "c", 5), ("change", "c", 4, 6), ("append", "c", 5)],
         )
-        positions, _ = host.query(0, "c", 5, 6)
+        positions, _, _ = host.query(0, "c", 5, 6)
         assert positions == [4, 5]
 
     def test_batched_cluster_updates_match_serial(self, process_pool):

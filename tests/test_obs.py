@@ -8,6 +8,10 @@ The tentpole claims, proved here end to end:
   the existing reply tuples) in a single tree whose per-span
   ``bits_read`` tags sum to exactly the cluster's ``scatter_io``
   accounting;
+* tracing never changes what a query reads: traced and untraced runs
+  of every read op answer alike and read the same bits under every
+  executor, with or without a durable result store, and with tracing
+  off no shard op reads a clock or builds a span;
 * abandoned pipelined replies from an early-closed streaming gather
   are dropped and counted, never grafted into a later query's trace;
 * delta-batch flushes are attributed to the query that triggered them;
@@ -21,15 +25,20 @@ import random
 
 import pytest
 
+import repro.obs.tracer as tracer_module
 from repro.cluster import (
     ClusterEngine,
     GatherStats,
     ProcessExecutor,
+    SerialExecutor,
     ShardedTable,
+    ThreadedExecutor,
 )
+from repro.cluster.worker import ShardHost
 from repro.engine import QueryEngine
 from repro.iomodel.stats import Snapshot
 from repro.obs import (
+    NULL_TRACE,
     ManualClock,
     MetricsRegistry,
     SlowQueryLog,
@@ -37,8 +46,10 @@ from repro.obs import (
     Trace,
     Tracer,
 )
+from repro.persist import FileCacheStore
 from repro.queries import Table
-from repro.query import And, PlanReport, Range
+from repro.query import And, Or, PlanReport, Range
+from repro.serve import ReplicaSet
 
 from tests.conftest import pred_oracle
 
@@ -151,6 +162,36 @@ class TestTracer:
         a, b = tracer.begin("query"), tracer.begin("query")
         assert a.trace_id != b.trace_id
         assert a.root.tags["trace_id"] == a.trace_id
+
+    def test_non_plain_tags_serialize_by_repr(self):
+        tracer = Tracer(clock=ManualClock())
+        trace = tracer.begin("query")
+        pred = Range("a", 2, 9)
+        with trace.span("plan", predicate=pred) as span:
+            span.tag(leaves=1)
+        (plan,) = trace.find("plan")
+        assert plan.tags["predicate"] is pred  # formatted only on export
+        data = json.loads(json.dumps(trace.to_dict()))
+        tags = data["root"]["children"][0]["tags"]
+        assert tags == {"predicate": repr(pred), "leaves": 1}
+
+
+class TestNullTrace:
+    def test_records_nothing(self):
+        assert NULL_TRACE.trace_id is None
+        with NULL_TRACE.span("scatter", leaves=2) as span:
+            span.tag(bits_read=5)
+            assert NULL_TRACE.event("delta_flush", deltas=1) is None
+        assert NULL_TRACE.graft([{"name": "worker_query"}]) == []
+        assert NULL_TRACE.to_dict() is None
+
+    def test_graft_skips_empty_span_slots(self):
+        tracer = Tracer(clock=ManualClock())
+        trace = tracer.begin("query")
+        assert trace.graft([None]) == []
+        tracer.finish(trace)
+        trace.graft([None, Span("late").to_dict()])
+        assert tracer.dropped_spans == 1
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +535,39 @@ def make_cluster(num_shards=3, rows=600, **kwargs):
     return cluster
 
 
+PRED = Or(And(Range("a", 3, 12), Range("b", 0, 4)), Range("a", 15, 15))
+
+#: Every cluster read op, as a callable returning a comparable answer.
+READ_OPS = {
+    "query_leaf": lambda c: c.query("a", 2, 9).positions(),
+    "query_pred": lambda c: c.query(PRED).positions(),
+    "select": lambda c: c.select(PRED),
+    "select_iter": lambda c: list(c.select_iter(PRED)),
+    "count": lambda c: c.count(PRED),
+    "exists": lambda c: c.exists(PRED),
+    "count_by": lambda c: c.count_by("b", PRED),
+    "topk": lambda c: c.topk("b", PRED, k=3),
+}
+
+
+@pytest.fixture
+def executor_of(request):
+    """Build a fresh executor by kind; threaded pools close at teardown."""
+    pools = []
+
+    def make(kind):
+        if kind == "process":
+            return request.getfixturevalue("obs_pool")
+        if kind == "threaded":
+            pools.append(ThreadedExecutor(max_workers=2))
+            return pools[-1]
+        return SerialExecutor()
+
+    yield make
+    for pool in pools:
+        pool.close()
+
+
 class TestClusterTracingSerial:
     def test_predicate_query_trace_shape_and_bits(self):
         tracer = Tracer(clock=ManualClock())
@@ -572,23 +646,146 @@ class TestClusterTracingSerial:
             stats.scatter_io.bits_read
         )
 
-    def test_traced_cluster_answers_match_untraced(self):
-        plain = make_cluster()
+    @pytest.mark.parametrize("op", sorted(READ_OPS))
+    @pytest.mark.parametrize("kind", ["serial", "threaded", "process"])
+    def test_traced_cluster_answers_match_untraced(
+        self, executor_of, kind, op
+    ):
+        plain = make_cluster(executor=executor_of(kind))
         traced = make_cluster(
+            executor=executor_of(kind),
             tracer=Tracer(clock=ManualClock()),
             metrics=MetricsRegistry(),
             slow_log=SlowQueryLog(threshold_s=0.0),
         )
-        pred = And(Range("a", 3, 12), Range("b", 0, 4))
-        assert traced.select(pred) == plain.select(pred)
-        assert traced.count(pred) == plain.count(pred)
-        assert traced.query("a", 2, 9).positions() == (
-            plain.query("a", 2, 9).positions()
-        )
+        run = READ_OPS[op]
+        answers, deltas = [], []
+        for cluster in (plain, traced):
+            before = cluster.scatter_io.snapshot()
+            answers.append(run(cluster))
+            deltas.append(cluster.scatter_io.snapshot() - before)
+        assert answers[0] == answers[1]
         # The I/O accounting itself is unchanged by instrumentation.
-        assert (
-            traced.scatter_io.snapshot() == plain.scatter_io.snapshot()
+        assert deltas[0] == deltas[1]
+        assert deltas[0].bits_read > 0
+
+    def test_tracing_off_reads_no_clock_and_builds_no_span(
+        self, monkeypatch
+    ):
+        reads = []
+
+        def clock():
+            reads.append(1)
+            return 0.0
+
+        built = []
+
+        class CountingSpan(Span):
+            __slots__ = ()
+
+            def __init__(self, name, *args, **kwargs):
+                built.append(name)
+                super().__init__(name, *args, **kwargs)
+
+        monkeypatch.setattr(tracer_module, "Span", CountingSpan)
+        cluster = make_cluster(tracer=Tracer(enabled=False, clock=clock))
+        for op, run in READ_OPS.items():
+            reads.clear()
+            run(cluster)
+            # Only the op's own latency timing: no fetch or fold reads
+            # the clock while tracing is off.
+            assert len(reads) <= 2, op
+        assert built == []
+        assert cluster.tracer.last() is None
+
+    @pytest.mark.parametrize("kind", ["serial", "threaded", "process"])
+    def test_engine_lru_hits_are_tagged(self, executor_of, kind):
+        # The shared cache misses but each shard's engine LRU answers:
+        # the local leaf_fetch span says so, as worker_query does.
+        tracer = Tracer(clock=ManualClock())
+        cluster = make_cluster(executor=executor_of(kind), tracer=tracer)
+        cluster.query("a", 2, 9)
+        cluster.shared_cache.invalidate()
+        before = cluster.scatter_io.snapshot()
+        cluster.query("a", 2, 9)
+        assert (cluster.scatter_io.snapshot() - before).bits_read == 0
+        name = "worker_query" if kind == "process" else "leaf_fetch"
+        fetches = tracer.last().find(name)
+        assert len(fetches) == cluster.num_shards
+        assert all(
+            s.tags["cache"] == "hit" and s.tags["bits_read"] == 0
+            for s in fetches
         )
+
+    def test_exists_accounts_like_count(self):
+        # exists walks shards through the same fold submission count
+        # uses: its bits reach query.bits_read, exactly its scatter_io
+        # delta, and a replica hit is a replica_fold event.
+        pred = And(Range("a", 3, 12), Range("b", 0, 4))
+        for op in ("count", "exists"):
+            metrics = MetricsRegistry()
+            cluster = make_cluster(metrics=metrics)
+            before = cluster.scatter_io.snapshot()
+            getattr(cluster, op)(pred)
+            delta = cluster.scatter_io.snapshot() - before
+            counted = metrics.to_dict()["counters"]["query.bits_read"]
+            assert counted == delta.bits_read > 0, op
+
+            tracer = Tracer(clock=ManualClock())
+            cluster = make_cluster(tracer=tracer)
+            cluster.attach_replicas(ReplicaSet(capacity=cluster.num_shards))
+            before = cluster.scatter_io.snapshot()
+            getattr(cluster, op)(pred)
+            delta = cluster.scatter_io.snapshot() - before
+            trace = tracer.last()
+            folds = trace.find("replica_fold")
+            assert folds and all(e.tags["mode"] == op for e in folds), op
+            assert all_bits(trace) == delta.bits_read > 0, op
+
+
+# ---------------------------------------------------------------------------
+# Worker-side runtime, in-process: tracing reads the same bits
+# ---------------------------------------------------------------------------
+
+
+def store_host(directory):
+    host = ShardHost(
+        clock=ManualClock(), cache_store=FileCacheStore(str(directory))
+    )
+    rng = random.Random(5)
+    codes = [rng.randrange(16) for _ in range(400)]
+    host.build(0, (16, 0.0, [("c", codes, 16, "static", 0.1, True,
+                              False, "pagh-rao", "epoch-1")]))
+    return host
+
+
+class TestShardHostStore:
+    @pytest.mark.parametrize("op", ["query", "leaves"])
+    def test_traced_and_untraced_read_the_same_bits(self, tmp_path, op):
+        def read(host, lo, hi, trace):
+            if op == "query":
+                return host.query(0, "c", lo, hi, trace)
+            (reply,) = host.leaves(0, "c", [(lo, hi)], trace)
+            return reply
+
+        plain = store_host(tmp_path / "plain")
+        traced = store_host(tmp_path / "traced")
+        # A miss decodes and feeds the store; after the engine LRU is
+        # dropped, the repeat is a store hit.  Then the traced host's
+        # store answers what it was fed by a traced miss.
+        for lo, hi, cache in [(2, 9, "miss"), (2, 9, "store"),
+                              (3, 5, "miss"), (3, 5, "store")]:
+            positions, io, span = read(plain, lo, hi, None)
+            t_positions, t_io, t_span = read(traced, lo, hi, "t-store")
+            assert span is None
+            assert t_positions == positions
+            assert t_io == io
+            assert (io.bits_read > 0) == (cache == "miss")
+            assert t_span["name"] == "worker_query"
+            assert t_span["tags"]["cache"] == cache
+            assert t_span["tags"]["bits_read"] == io.bits_read
+            plain.drop_caches_all()
+            traced.drop_caches_all()
 
 
 # ---------------------------------------------------------------------------
