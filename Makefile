@@ -3,11 +3,16 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke bench ledger
+.PHONY: test bench-smoke bench ledger loc
 
 # The tier-1 suite (ROADMAP.md's verify command).
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Code lines of the library: blank, comment and docstring lines are
+# not counted.  Informational; nothing gates on it.
+loc:
+	$(PYTHON) tools/loc.py src/repro
 
 # A fast benchmark smoke run: proves the advisor/caching claims (E11),
 # the sharded scatter-gather/shared-cache/migration claims (E12), the

@@ -22,6 +22,7 @@ from repro.engine import (
     specs,
 )
 from repro.model.entropy import h0
+from repro.query import Range
 
 N = 1 << 12
 
@@ -277,7 +278,7 @@ def test_e11e_calibration_table_fits_family_weights(
     from repro.queries import Table
 
     table = Table({"v": [3, 1, 4, 1, 5, 9, 2, 6]}, cost_model=loaded)
-    assert table.select({"v": (1, 4)}) == [0, 1, 2, 3, 6]
+    assert table.select(Range("v", 1, 4)) == [0, 1, 2, 3, 6]
     benchmark(lambda: CostModel.load_calibrated(weights_path))
 
 

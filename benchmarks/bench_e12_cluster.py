@@ -25,6 +25,7 @@ from repro.cluster import (
     ThreadedExecutor,
 )
 from repro.engine import CostModel
+from repro.query import And, Range
 
 N = 1 << 12
 SIGMA = 32
@@ -63,9 +64,8 @@ def build_cluster(columns, num_shards, executor, shared_capacity, cache_size):
 def run_batch(cluster, query_batch):
     out = []
     for (a_lo, a_hi), (b_lo, b_hi) in query_batch:
-        out.append(
-            cluster.select({"a": (a_lo, a_hi), "b": (b_lo, b_hi)})
-        )
+        pred = And(Range("a", a_lo, a_hi), Range("b", b_lo, b_hi))
+        out.append(cluster.select(pred))
     return out
 
 

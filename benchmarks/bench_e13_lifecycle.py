@@ -20,6 +20,7 @@ import pytest
 from repro.bench import best_of, standard_string
 from repro.bench.workloads import random_ranges
 from repro.cluster import ClusterEngine
+from repro.query import And, Range
 
 N = 1 << 12
 SIGMA = 32
@@ -160,7 +161,8 @@ def test_e13c_streaming_gather_bounds_memory(report, benchmark):
     cluster = ClusterEngine(num_shards=16, drift_window=None)
     cluster.add_column("a", a, 8)
     cluster.add_column("b", b, 8)
-    conditions = {"a": (0, 6), "b": (0, 6)}  # low selectivity: huge answer
+    # Low selectivity: a huge answer.
+    conditions = And(Range("a", 0, 6), Range("b", 0, 6))
 
     def streamed():
         cluster.gather_stats.reset()

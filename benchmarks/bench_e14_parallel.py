@@ -28,6 +28,7 @@ import pytest
 from repro.bench import best_of, standard_string
 from repro.bench.workloads import random_ranges
 from repro.cluster import ClusterEngine, ProcessExecutor, ThreadedExecutor
+from repro.query import And, Range
 
 N = 1 << 15
 SIGMA = 32
@@ -185,7 +186,7 @@ def test_e14b_parallelism_buys_no_accounting_slack(
         for lo, hi in query_batch:
             cluster.drop_caches()  # pay the transfers, don't hide them
             answers.append(cluster.query("c", lo, hi).positions())
-        answers.append(cluster.select({"c": (1, SIGMA // 2)}))
+        answers.append(cluster.select(Range("c", 1, SIGMA // 2)))
         results[label] = (answers, cluster.scatter_io.snapshot())
         cluster.close()
     base_answers, base_io = results["serial"]
@@ -212,7 +213,7 @@ def test_e14c_prefetching_gather_overlaps_the_stream(
     data, process_pool, report, benchmark
 ):
     second = standard_string("uniform", N, 8, seed=83)
-    conditions = {"c": (0, SIGMA - 2), "d": (0, 6)}
+    conditions = And(Range("c", 0, SIGMA - 2), Range("d", 0, 6))
 
     def build(executor, prefetch_depth=None):
         cluster = ClusterEngine(

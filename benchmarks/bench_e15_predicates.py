@@ -232,7 +232,7 @@ def test_e15d_not_sparse_beats_materialized_complement(
 def test_e15e_cluster_parity_serial_vs_process(data, report):
     """A fixed predicate workload is bit-identical — results and
     aggregated I/O — under the serial and worker-resident executors,
-    leaf fetches batched per shard into one pipe message."""
+    leaf fetches batched into one pipe message per worker."""
     preds = [
         And(Range("c", 4, 20), Or(In("c", [2, 3, 40]), Not(Eq("c", 7)))),
         Or(*(Range("c", 3 * k, 3 * k + 1) for k in range(6))),
@@ -249,7 +249,7 @@ def test_e15e_cluster_parity_serial_vs_process(data, report):
                 want = serial.select(pred)
                 got = resident.select(pred)
                 assert got == want
-                # Batch-scatter form: one 'leaves' message per shard.
+                # Batch-scatter form: one grouped message per worker.
                 assert (
                     resident.query(pred).positions()
                     == serial.query(pred).positions()
@@ -270,6 +270,5 @@ def test_e15e_cluster_parity_serial_vs_process(data, report):
         ["#", "predicate", "matches", "unique leaves"],
         rows,
         note="identical RIDs and identical aggregated scatter I/O; "
-        "resident leaf fetches ship one batched message per shard "
-        "per column.",
+        "resident leaf fetches ship one grouped message per worker.",
     )

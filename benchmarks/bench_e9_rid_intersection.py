@@ -12,6 +12,7 @@ import pytest
 
 from repro.bench import ratio
 from repro.queries import Table, approximate_factory
+from repro.query import And, Range
 
 ROWS = 4000
 
@@ -45,11 +46,16 @@ CONDITIONS = {
 }
 
 
+def conjunction(conds):
+    """The exact-select predicate of one approximate-API mapping."""
+    return And(*(Range(c, lo, hi) for c, (lo, hi) in conds.items()))
+
+
 def test_e9_exact_intersection(people, report, benchmark):
     columns, exact, _ = people
     rows = []
     for label, conds in CONDITIONS.items():
-        got = exact.select(conds)
+        got = exact.select(conjunction(conds))
         brute = [
             rid
             for rid in range(ROWS)
@@ -61,7 +67,7 @@ def test_e9_exact_intersection(people, report, benchmark):
         ["query", "dims", "matches", "equals brute force"],
         rows,
     )
-    benchmark(lambda: exact.select(CONDITIONS["d=3"]))
+    benchmark(lambda: exact.select(conjunction(CONDITIONS["d=3"])))
 
 
 def test_e9_approximate_filtering(people, report, benchmark):
@@ -69,7 +75,7 @@ def test_e9_approximate_filtering(people, report, benchmark):
     eps = 1 / 16
     rows = []
     for label, conds in CONDITIONS.items():
-        truth = set(exact.select(conds))
+        truth = set(exact.select(conjunction(conds)))
         candidates = approx.select_approximate(conds, eps=eps, verify=False)
         verified = approx.select_approximate(conds, eps=eps, verify=True)
         false_cands = len(candidates) - len(truth & set(candidates))

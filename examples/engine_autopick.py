@@ -12,6 +12,7 @@ Run:  python examples/engine_autopick.py
 import random
 
 from repro import QueryEngine
+from repro.query import And, Range
 
 rng = random.Random(7)
 N = 2000
@@ -41,11 +42,12 @@ plan = engine.plan("user_id", 50, 150)
 print("plan:", plan.describe())
 
 # 3. Batched conjunctive select: status=2 AND user_id in [50, 150].
-rids = engine.select({"status": (2, 2), "user_id": (50, 150)})
+pred = And(Range("status", 2, 2), Range("user_id", 50, 150))
+rids = engine.select(pred)
 print(f"matching rows: {len(rids)} (first five: {rids[:5]})")
 
 # 4. Ask again: every dimension now comes from the LRU result cache.
-engine.select({"status": (2, 2), "user_id": (50, 150)})
+engine.select(pred)
 print(f"cache after repeat: {engine.cache.hits} hits, "
       f"{engine.cache.misses} misses")
 print("plan now:", engine.plan("user_id", 50, 150).describe())

@@ -90,7 +90,7 @@ import uuid
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..core.interface import RangeResult
 from ..engine.advisor import Advisor, CostModel
@@ -110,23 +110,17 @@ from ..query import (
     Plan,
     PlanReport,
     Pred,
+    Range,
     ShardLeafPlan,
     compile_pred,
     evaluate,
     evaluate_iter,
-    mapping_to_pred,
     resolve_universe,
     specialize,
-    warn_mapping_adapter,
 )
-from ..query.planner import ALL, EMPTY
+from ..query.planner import ALL, EMPTY, LEAF
 from .cache import InMemorySharedCache, SharedResultCache, shared_key
-from .executor import (
-    CompletedFuture,
-    MappedFuture,
-    SerialExecutor,
-    _SliceFuture,
-)
+from .executor import CompletedFuture, MappedFuture, SerialExecutor
 from .worker import fetch_range, fold_shard
 from .sharding import (
     ShardPlan,
@@ -940,8 +934,7 @@ class ClusterEngine(ObservedOps):
         :class:`_Deferred` comes back instead, so the caller can ship
         the whole scatter grouped per worker
         (:meth:`~repro.cluster.executor.ProcessExecutor.\
-submit_query_group`) or per column (``submit_leaves``) instead of
-        one message per shard.
+submit_query_group`) instead of one message per shard.
         """
         uid = self.shard_uids[shard_id]
         column = self.shards[shard_id].column(name)
@@ -1087,12 +1080,11 @@ submit_query_group`) or per column (``submit_leaves``) instead of
         Every (leaf, shard) fetch is launched before the first is
         collected, so per-shard work overlaps under any executor that
         buys overlap.  Under a *resident* executor the fetches are
-        additionally *batched*: all of one column's leaf intervals
-        missing from the shared cache go to a shard's worker as one
-        pipelined ``leaves`` message (the compiled-leaf fetch op), so
-        a wide IN-list costs one round-trip per shard, not one per
-        member.  Per-shard answers consult and populate the shared
-        result cache exactly like single-leaf scatters, then
+        additionally *batched*: every (leaf, shard) interval missing
+        from the shared cache ships in one grouped request, one
+        pipelined message per worker, so a wide IN-list over many
+        shards costs one round-trip per worker.  Per-shard answers
+        consult and populate the shared result cache, then
         offset-translate into one global :class:`RangeResult` per
         leaf.  The fetch order is canonical (leaf-table order within
         each shard), so a fixed workload reads identical bits under
@@ -1107,32 +1099,28 @@ submit_query_group`) or per column (``submit_leaves``) instead of
         futures: list = []
         with trace.span("scatter", leaves=len(plan.leaves)):
             for shard_id in range(self.num_shards):
-                batches: dict[str, list[int]] = {}
                 for leaf_idx, (col, lo, hi) in enumerate(plan.leaves):
                     local = self._translate_range(metas[col], shard_id, lo, hi)
-                    if local is None:
-                        continue
-                    future = self._submit_fetch(
-                        col, metas[col], shard_id, *local, trace,
-                        defer=True,
-                    )
-                    if isinstance(future, _Deferred):
-                        batches.setdefault(col, []).append(len(futures))
-                    slots.append((leaf_idx, shard_id))
-                    futures.append(future)
-                for col, batch in batches.items():
-                    uid = self.shard_uids[shard_id]
-                    self._note_flush(trace, uid)
-                    parent = self.executor.submit_leaves(
-                        uid,
-                        col,
-                        [futures[i].request[2:] for i in batch],
-                        trace=trace.trace_id,
-                    )
-                    for j, i in enumerate(batch):
-                        futures[i] = MappedFuture(
-                            _SliceFuture(parent, j), futures[i].absorb
+                    if local is not None:
+                        slots.append((leaf_idx, shard_id))
+                        futures.append(
+                            self._submit_fetch(
+                                col, metas[col], shard_id, *local, trace,
+                                defer=True,
+                            )
                         )
+            deferred = [
+                i for i, f in enumerate(futures) if isinstance(f, _Deferred)
+            ]
+            if deferred:
+                requests = [futures[i].request for i in deferred]
+                for uid in dict.fromkeys(request[0] for request in requests):
+                    self._note_flush(trace, uid)
+                group = self.executor.submit_query_group(
+                    requests, trace=trace.trace_id
+                )
+                for i, future in zip(deferred, group):
+                    futures[i] = MappedFuture(future, futures[i].absorb)
             for (leaf_idx, shard_id), reply in zip(
                 slots, self._replies(futures)
             ):
@@ -1260,7 +1248,7 @@ submit_query_group`) or per column (``submit_leaves``) instead of
                 for reply in self._replies(futures)
             ]
 
-    def count(self, pred: "Pred | Mapping[str, tuple[int, int]]") -> int:
+    def count(self, pred: Pred) -> int:
         """How many rows match — the coordinator only sums.
 
         Each shard folds its localized plan in cardinality space
@@ -1269,16 +1257,13 @@ submit_query_group`) or per column (``submit_leaves``) instead of
         covers are answered without any round trip.  No RID list is
         materialized anywhere — not per shard, not globally.
         """
-        if not isinstance(pred, Pred):
-            warn_mapping_adapter("ClusterEngine.count")
-            pred = mapping_to_pred(pred)
         with self._observed(
             "count", report_fn=lambda: self._plan_report(pred)
         ) as trace:
             plan, _ = self._compile_pred(pred, trace)
             return sum(self._scatter_fold("count", plan, trace=trace))
 
-    def exists(self, pred: "Pred | Mapping[str, tuple[int, int]]") -> bool:
+    def exists(self, pred: Pred) -> bool:
         """Does any row match?  Walks shards and stops at first evidence.
 
         Shards are probed one at a time in shard order — each fold
@@ -1287,9 +1272,6 @@ submit_query_group`) or per column (``submit_leaves``) instead of
         The walk order is deterministic, making the bits read
         identical under every executor.
         """
-        if not isinstance(pred, Pred):
-            warn_mapping_adapter("ClusterEngine.exists")
-            pred = mapping_to_pred(pred)
         with self._observed(
             "exists", report_fn=lambda: self._plan_report(pred)
         ) as trace:
@@ -1315,9 +1297,6 @@ submit_query_group`) or per column (``submit_leaves``) instead of
         positions never do.  ``pred=None`` counts all rows by group.
         """
         meta = self._meta(group)
-        if pred is not None and not isinstance(pred, Pred):
-            warn_mapping_adapter("ClusterEngine.count_by")
-            pred = mapping_to_pred(pred)
         report_fn = (
             (lambda: self._plan_report(pred)) if pred is not None else None
         )
@@ -1435,11 +1414,12 @@ submit_query_group`) or per column (``submit_leaves``) instead of
         """One query: a leaf scatter-gather, or a whole predicate.
 
         With a predicate, every unique leaf of the compiled plan is
-        scatter-fetched (batched per shard under a resident executor)
+        scatter-fetched (batched per worker under a resident executor)
         and the answers fold through the same
         :func:`repro.query.evaluate` path the single-process engine
         uses — the two serving layers execute the identical plan
-        object.
+        object.  A leaf range runs as a one-leaf plan through the same
+        scatter.
         """
         if isinstance(name, Pred):
             if char_lo is not None or char_hi is not None:
@@ -1454,57 +1434,20 @@ submit_query_group`) or per column (``submit_leaves``) instead of
             )
         meta = self._meta(name)
         self._check_range(meta, char_lo, char_hi)
+        # Built directly, not compiled: normalization folds a
+        # full-alphabet range to TRUE, whose answer would count the
+        # holes of pending deletes as rows.
+        plan = Plan(
+            normalized=Range(name, char_lo, char_hi),
+            leaves=((name, char_lo, char_hi),),
+            root=(LEAF, 0),
+            columns=(name,),
+        )
         with self._observed("query") as trace:
-            lengths = self.shard_lengths(name)
-            offsets = offsets_of(lengths)
-            with trace.span(
-                "scatter", column=name, char_lo=char_lo, char_hi=char_hi
-            ):
-                # Scatter: every shard fetch is launched before the
-                # first is collected, so per-shard work overlaps under
-                # any executor that buys overlap.  Static shards carry
-                # a dense local alphabet; translating into it
-                # canonicalizes the cache key and prunes shards the
-                # range cannot touch at all.
-                shard_ids: list[int] = []
-                futures: list = []
-                for shard_id in range(self.num_shards):
-                    local = self._translate_range(
-                        meta, shard_id, char_lo, char_hi
-                    )
-                    if local is not None:
-                        shard_ids.append(shard_id)
-                        futures.append(
-                            self._submit_fetch(
-                                name, meta, shard_id, *local, trace,
-                                defer=True,
-                            )
-                        )
-                deferred = [
-                    i for i, f in enumerate(futures)
-                    if isinstance(f, _Deferred)
-                ]
-                if deferred:
-                    # Ship the resident misses grouped per worker: a
-                    # 16-shard scatter costs one round-trip per worker.
-                    requests = [futures[i].request for i in deferred]
-                    for request in requests:
-                        self._note_flush(trace, request[0])
-                    group = self.executor.submit_query_group(
-                        requests, trace=trace.trace_id
-                    )
-                    for i, future in zip(deferred, group):
-                        futures[i] = MappedFuture(future, futures[i].absorb)
-                # Gather: shard i's global RIDs all precede shard
-                # i+1's, so the k-way merge of these sorted disjoint
-                # runs is a concatenation.
-                merged: list[int] = []
-                for shard_id, reply in zip(shard_ids, self._replies(futures)):
-                    positions = self._collect(reply, trace)
-                    self.gather_rids += len(positions)
-                    offset = offsets[shard_id]
-                    merged.extend(offset + p for p in positions)
-            return RangeResult(merged, sum(lengths))
+            (result,) = self._fetch_plan_leaves(
+                plan, self.total_rows(name), trace
+            )
+            return result
 
     def query_iter(self, name: str, char_lo: int, char_hi: int):
         """One global range query as a lazily gathered RID stream.
@@ -1624,10 +1567,8 @@ submit_query_group`) or per column (``submit_leaves``) instead of
 
         return gen()
 
-    def select(
-        self, conditions: "Pred | Mapping[str, tuple[int, int]]"
-    ) -> list[int]:
-        """Global RIDs matching a predicate (or a legacy mapping).
+    def select(self, conditions: Pred) -> list[int]:
+        """Global RIDs matching a predicate.
 
         The materialized form of :meth:`select_iter` — only the final
         answer is built as a list; every intermediate stays inside the
@@ -1635,22 +1576,16 @@ submit_query_group`) or per column (``submit_leaves``) instead of
         keeps the O(max shard answer per leaf) bound however large
         the per-leaf answers are.  (:meth:`query` over a predicate is
         the batch-scatter alternative: all leaves fetched upfront
-        with per-shard batching and a complement-aware
-        :class:`RangeResult` out.)  The ``{column: (lo, hi)}``
-        conjunction mapping still works as a deprecated adapter.
+        with per-worker batching and a complement-aware
+        :class:`RangeResult` out.)
         """
-        if not isinstance(conditions, Pred):
-            warn_mapping_adapter("ClusterEngine.select")
-            conditions = mapping_to_pred(conditions)
         with self._observed(
             "select", report_fn=lambda: self._plan_report(conditions)
         ) as trace:
             plan, universe = self._compile_pred(conditions, trace)
             return list(evaluate_iter(plan, self.query_iter, universe))
 
-    def select_iter(
-        self, conditions: "Pred | Mapping[str, tuple[int, int]]"
-    ):
+    def select_iter(self, conditions: Pred):
         """Streaming select over global RIDs.
 
         One lazy gather per plan leaf (each per-shard sub-answer
@@ -1673,9 +1608,6 @@ submit_query_group`) or per column (``submit_leaves``) instead of
         stitched trace for a streaming select.  Use :meth:`select`
         (same plan, materialized) for one trace per query.
         """
-        if not isinstance(conditions, Pred):
-            warn_mapping_adapter("ClusterEngine.select_iter")
-            conditions = mapping_to_pred(conditions)
         plan, universe = self._compile_pred(conditions)
         if self.metrics is not None and self._op_depth == 0:
             self.metrics.inc("query.count")

@@ -456,13 +456,13 @@ class ProcessExecutor:
     with :meth:`apply_delta` as updates and lifecycle operations are
     routed, and scatters queries with :meth:`submit_query`, which
     pipelines on the worker's pipe and resolves to
-    ``(positions, io Snapshot, span dict | None)``.
-    :meth:`submit_leaves` is the compiled-leaf fetch op: one pipelined
-    message carrying every leaf interval a predicate plan needs from
-    one shard's column, answered by a list of such triples — a wide
-    IN-list costs one round-trip, not one per member.  Every
-    ``submit_*`` message carries a trace-id slot; a worker builds its
-    span only when the slot holds an id.  Shards are assigned to
+    ``(positions, io Snapshot, span dict | None)``.  A cluster
+    scatter ships all its misses through :meth:`submit_query_group`:
+    one pipelined message per worker however many shards and plan
+    leaves it covers.  (:meth:`submit_leaves`, one message per shard
+    per column, has no caller in the library.)  Every ``submit_*``
+    message carries a trace-id slot; a worker builds its span only
+    when the slot holds an id.  Shards are assigned to
     the least loaded worker at build time and stay there — residency
     is the point: no engine state crosses a process boundary after
     the build.
@@ -884,10 +884,9 @@ class ProcessExecutor:
         intervals: list[tuple[int, int]],
         trace: str | None = None,
     ) -> _PipeFuture:
-        """Pipeline one compiled-leaf fetch: many intervals, one message.
+        """Pipeline many intervals of one shard's column, one message.
 
-        Resolves to a list of reply triples, one per interval in order
-        — the worker half of a predicate plan's batched scatter.
+        Resolves to a list of reply triples, one per interval in order.
         """
         worker = self._worker_of(uid)
         self._flush_uid(uid)

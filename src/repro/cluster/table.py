@@ -2,7 +2,7 @@
 
 :class:`ShardedTable` presents the same value-space interface as
 :class:`repro.queries.table.Table` — named columns over arbitrary
-ordered values, conjunctive ``select`` over ``(lo, hi)`` value ranges,
+ordered values, predicate ``select`` over column values,
 ``row()`` for the associated data — but builds and serves through a
 :class:`~repro.cluster.engine.ClusterEngine`, so each column is split
 into RID-range shards with per-shard advisor decisions, scatter-gather
@@ -19,13 +19,7 @@ from typing import Any, Mapping, Sequence
 
 from ..errors import InvalidParameterError, QueryError, UpdateError
 from ..model.alphabet import Alphabet
-from ..query import (
-    PlanReport,
-    Pred,
-    mapping_to_pred,
-    translate,
-    warn_mapping_adapter,
-)
+from ..query import PlanReport, Pred, translate
 from .engine import ClusterEngine
 
 
@@ -208,24 +202,16 @@ class ShardedTable:
 
         return translate(pred, alphabet_of)
 
-    def select(
-        self, conditions: "Pred | Mapping[str, tuple[Any, Any]]"
-    ) -> list[int]:
+    def select(self, conditions: Pred) -> list[int]:
         """Global row ids matching a predicate over column *values*.
 
         Any ``Range``/``Eq``/``In``/``And``/``Or``/``Not`` tree from
         :mod:`repro.query` — bounds and members are values, either
-        range bound may be open.  The legacy ``{column: (lo, hi)}``
-        conjunction mapping still works as a deprecated adapter.
+        range bound may be open.
         """
-        if not isinstance(conditions, Pred):
-            warn_mapping_adapter("ShardedTable.select")
-            conditions = mapping_to_pred(conditions)
         return self.cluster.select(self._translate(conditions))
 
-    def select_iter(
-        self, conditions: "Pred | Mapping[str, tuple[Any, Any]]"
-    ):
+    def select_iter(self, conditions: Pred):
         """Streaming :meth:`select`: matching row ids, one at a time.
 
         Same answers in the same order, but produced by the cluster's
@@ -235,18 +221,13 @@ class ShardedTable:
         validated and value-translated eagerly, before the first row
         id is drawn.
         """
-        if not isinstance(conditions, Pred):
-            warn_mapping_adapter("ShardedTable.select_iter")
-            conditions = mapping_to_pred(conditions)
         return self.cluster.select_iter(self._translate(conditions))
 
     # ------------------------------------------------------------------
     # Aggregates (value space, pushed down to the shards)
     # ------------------------------------------------------------------
 
-    def count(
-        self, conditions: "Pred | Mapping[str, tuple[Any, Any]]"
-    ) -> int:
+    def count(self, conditions: Pred) -> int:
         """How many rows match — each shard reports one integer.
 
         The predicate is translated once through the global alphabets
@@ -254,18 +235,10 @@ class ShardedTable:
         (worker-resident under a process executor) and only counts
         come back; no global row-id list exists at any point.
         """
-        if not isinstance(conditions, Pred):
-            warn_mapping_adapter("ShardedTable.count")
-            conditions = mapping_to_pred(conditions)
         return self.cluster.count(self._translate(conditions))
 
-    def exists(
-        self, conditions: "Pred | Mapping[str, tuple[Any, Any]]"
-    ) -> bool:
+    def exists(self, conditions: Pred) -> bool:
         """Does any row match?  Shards are probed until first evidence."""
-        if not isinstance(conditions, Pred):
-            warn_mapping_adapter("ShardedTable.exists")
-            conditions = mapping_to_pred(conditions)
         return self.cluster.exists(self._translate(conditions))
 
     def count_by(
@@ -315,8 +288,7 @@ class ShardedTable:
         return self.cluster.plan(self._translate(conditions))
 
     def explain(
-        self,
-        target: "str | Pred | Mapping[str, tuple[Any, Any]] | None" = None,
+        self, target: "str | Pred | None" = None
     ) -> "str | PlanReport":
         """Cluster report: everything, one column, or one query.
 
@@ -327,18 +299,13 @@ class ShardedTable:
           :class:`~repro.query.PlanReport` of a value-space predicate:
           the operator tree with every unique leaf's per-shard
           backend verdict, predicted bits, shared-cache state and
-          pruning.  A ``{col: (lo, hi)}`` mapping is accepted as the
-          conjunction it abbreviates and answers with the same report.
+          pruning.
         """
         if target is None:
             return self.cluster.explain()
         if isinstance(target, str):
             self.column(target)  # raise on unknown, like select does
             return self.cluster.explain(target)
-        if not isinstance(target, Pred):
-            if not target:
-                raise QueryError("explain requires at least one condition")
-            target = mapping_to_pred(target)
         return self.cluster.explain(self._translate(target))
 
     # ------------------------------------------------------------------

@@ -38,15 +38,14 @@ replies — the coordinator owns the unlink, tied to the resolution of
 the request that shipped the segment, so segment lifetime is bounded
 by the request round-trip.  The query side speaks four ops: ``query`` (one range),
 ``query_multi`` (a grouped scatter: every range the coordinator wants
-from this worker's shards in one message, answered as a list of
-per-request replies in order),
-``leaves`` (the compiled-leaf fetch op: every interval a predicate
-plan needs from one column, answered as a list of per-interval
-replies in order — one round-trip per shard per column however wide
-the IN-list), and ``fold`` (the aggregate-pushdown op: a whole
-shard-local compiled plan evaluated resident-side in cardinality
-space, answered with a count, exists-bit or ``{group code: count}``
-— positions never cross the pipe).
+from this worker's shards in one message — every leaf of every shard
+a plan scatter reaches here — answered as a list of per-request
+replies in order),
+``leaves`` (every interval of one shard's column, answered as a list
+of per-interval replies in order), and ``fold`` (the
+aggregate-pushdown op: a whole shard-local compiled plan evaluated
+resident-side in cardinality space, answered with a count, exists-bit
+or ``{group code: count}`` — positions never cross the pipe).
 
 One wire shape serves traced and untraced queries alike: every
 query-side message ends in a trace-id slot (``None`` when untraced),
@@ -450,7 +449,7 @@ class ShardHost:
         intervals: list[tuple[int, int]],
         trace: str | None = None,
     ) -> list[tuple]:
-        """The compiled-leaf fetch op: many measured queries, one reply.
+        """Many measured queries of one column, one reply.
 
         One :meth:`query` reply triple per interval, in order.
         """

@@ -18,18 +18,15 @@ entry — and fold the answers with complement-aware set algebra (a
 materializing).  :meth:`QueryEngine.plan` / :meth:`QueryEngine.explain`
 answer predicates with the typed, JSON-serializable
 :class:`~repro.query.PlanReport`; the single-leaf ``(name, lo, hi)``
-forms keep returning :class:`QueryPlan` / strings.  The legacy
-``{column: (lo, hi)}`` conjunction mapping still works everywhere as a
-deprecated adapter.
+forms keep returning :class:`QueryPlan` / strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..core.interface import RangeResult, SecondaryIndex
-from ..bits.ops import intersect_many
 from ..errors import InvalidParameterError, QueryError, UpdateError
 from ..iomodel.stats import Snapshot
 from ..obs import (
@@ -52,65 +49,11 @@ from ..query import (
     evaluate_exists,
     evaluate_fetch,
     evaluate_iter,
-    mapping_to_pred,
     resolve_universe,
-    warn_mapping_adapter,
 )
-from ..query.stream import intersect_iters
 from .advisor import Advisor, CostModel, WorkloadStats
 from .cache import LRUCache
 from .registry import IndexSpec, get_spec
-
-
-def conjunctive_select(
-    query, conditions: Mapping[str, tuple[int, int]]
-) -> list[int]:
-    """The §1 conjunctive plan over any range-query callable.
-
-    One range query per dimension through ``query(name, lo, hi)`` —
-    each individually cacheable by whatever serves it — short-circuits
-    as soon as one dimension comes back empty, then intersects the
-    sorted RID lists.  Shared by the single-process engine and the
-    cluster's scatter-gather path so the two can never diverge.
-    """
-    if not conditions:
-        raise QueryError("select requires at least one condition")
-    per_dim: list[list[int]] = []
-    for name, (lo, hi) in conditions.items():
-        result = query(name, lo, hi)
-        if result.cardinality == 0:
-            return []
-        per_dim.append(result.positions())
-    return intersect_many(per_dim)
-
-
-def conjunctive_select_iter(query_iter, conditions):
-    """The streaming §1 conjunctive plan over sorted RID iterators.
-
-    ``query_iter(name, lo, hi)`` must return an iterator of strictly
-    increasing global RIDs.  The returned generator performs the k-way
-    intersection in lockstep — every dimension holds one cursor, the
-    laggards are advanced to the current frontier, and a RID is emitted
-    only when all cursors agree — so the answer is produced one RID at
-    a time and nothing is materialized beyond what the per-dimension
-    iterators themselves buffer.  Exhausting any dimension ends the
-    whole select (the streaming form of the empty-dimension
-    short-circuit); abandoned iterators are closed so producers can
-    release their buffers deterministically.
-
-    Conditions are validated eagerly — the per-dimension iterators are
-    constructed (and their producers validate columns and ranges)
-    before the generator is ever advanced, mirroring
-    :func:`conjunctive_select`'s fail-fast behavior.  The merge itself
-    is :func:`repro.query.stream.intersect_iters`, the same combinator
-    every ``And`` plan node compiles into.
-    """
-    if not conditions:
-        raise QueryError("select requires at least one condition")
-    iters = [
-        query_iter(name, lo, hi) for name, (lo, hi) in conditions.items()
-    ]
-    return intersect_iters(iters)
 
 
 @dataclass(frozen=True)
@@ -617,7 +560,7 @@ class QueryEngine(ObservedOps):
     # Aggregates (cardinality-space execution; no RID materialization)
     # ------------------------------------------------------------------
 
-    def count(self, pred: "Pred | Mapping[str, tuple[int, int]]") -> int:
+    def count(self, pred: Pred) -> int:
         """How many rows match, folded in cardinality space.
 
         Same compiled plan, same lazy cached leaf fetches as
@@ -628,9 +571,6 @@ class QueryEngine(ObservedOps):
         ``Or`` stops fetching the moment its union saturates the
         universe.
         """
-        if not isinstance(pred, Pred):
-            warn_mapping_adapter("QueryEngine.count")
-            pred = mapping_to_pred(pred)
         with self._observed(
             "count", report_fn=lambda: self._plan_report(pred)
         ) as trace:
@@ -639,16 +579,13 @@ class QueryEngine(ObservedOps):
                 plan, self.query, universe, self._leaf_costs(plan)
             )
 
-    def exists(self, pred: "Pred | Mapping[str, tuple[int, int]]") -> bool:
+    def exists(self, pred: Pred) -> bool:
         """Does at least one row match?  Stops at the first evidence.
 
         ``Or`` disjuncts are probed cheapest-predicted-first and the
         scan ends at the first non-empty fold; other shapes reduce to
         a short-circuiting count.
         """
-        if not isinstance(pred, Pred):
-            warn_mapping_adapter("QueryEngine.exists")
-            pred = mapping_to_pred(pred)
         with self._observed(
             "exists", report_fn=lambda: self._plan_report(pred)
         ) as trace:
@@ -862,26 +799,17 @@ class QueryEngine(ObservedOps):
         """
         return self.query(name, char_lo, char_hi).iter_positions()
 
-    def select(
-        self, conditions: "Pred | Mapping[str, tuple[int, int]]"
-    ) -> list[int]:
-        """RIDs matching a predicate (or a legacy conjunction mapping).
+    def select(self, conditions: Pred) -> list[int]:
+        """RIDs matching a predicate.
 
         The materialized form of :meth:`query` over a predicate:
         every unique leaf runs (or is served from cache) once, the
         plan folds with complement-aware set algebra, and the final
-        answer materializes as a sorted RID list.  A
-        ``{column: (char_lo, char_hi)}`` mapping still works as a
-        deprecated adapter for the old conjunctive signature.
+        answer materializes as a sorted RID list.
         """
-        if not isinstance(conditions, Pred):
-            warn_mapping_adapter("QueryEngine.select")
-            conditions = mapping_to_pred(conditions)
         return self._query_pred(conditions).positions()
 
-    def select_iter(
-        self, conditions: "Pred | Mapping[str, tuple[int, int]]"
-    ):
+    def select_iter(self, conditions: Pred):
         """Streaming select: matching RIDs yielded one at a time.
 
         The iterator form of :meth:`select` — same answers, but the
@@ -891,9 +819,6 @@ class QueryEngine(ObservedOps):
         memory instead of being materialized per leaf.  Predicates are
         validated and compiled eagerly, before the first RID is drawn.
         """
-        if not isinstance(conditions, Pred):
-            warn_mapping_adapter("QueryEngine.select_iter")
-            conditions = mapping_to_pred(conditions)
         # Engine-level streaming fetches leaves eagerly (query_iter
         # serves from the LRU), so the observed window closes here and
         # the returned iterator only re-orders already-fetched bits.

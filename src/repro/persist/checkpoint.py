@@ -193,12 +193,11 @@ def checkpoint_cluster(
         shutil.rmtree(ckpt_dir, ignore_errors=True)  # a torn predecessor
         os.makedirs(ckpt_dir)
         resident = cluster._resident
-        snap_via_worker = resident and hasattr(cluster.executor, "snap_shard")
-        if resident and hasattr(cluster.executor, "flush_deltas"):
+        if resident:
             cluster.executor.flush_deltas()
         for shard_id in range(cluster.num_shards):
             path = os.path.join(ckpt_dir, _shard_snap_name(shard_id))
-            if snap_via_worker:
+            if resident:
                 cluster.executor.snap_shard(
                     cluster.shard_uids[shard_id], path
                 )
@@ -371,12 +370,9 @@ def restore_cluster(
     }
     if cluster.columns:
         cluster._refresh_plan()
-    rehydrate_via_worker = resident and hasattr(
-        cluster.executor, "rehydrate_shard"
-    )
     for shard_id, path in enumerate(snap_paths):
         uid = cluster.shard_uids[shard_id]
-        if rehydrate_via_worker:
+        if resident:
             epochs = {
                 col_name: meta.epoch
                 for col_name, meta in cluster.columns.items()
@@ -384,8 +380,6 @@ def restore_cluster(
             cluster.executor.rehydrate_shard(
                 uid, path, cluster.cache_size, cluster.io_latency_s, epochs
             )
-        elif resident:
-            cluster._ship_build(shard_id)
         # Replicas can rehydrate from the same snapshot — until the
         # first delta or retirement touches the shard, at which point
         # the source goes stale and is dropped (see _ship_delta).

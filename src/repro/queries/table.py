@@ -36,9 +36,7 @@ from ..query import (
     evaluate_exists,
     evaluate_fetch,
     evaluate_iter,
-    mapping_to_pred,
     translate,
-    warn_mapping_adapter,
 )
 
 IndexFactory = Callable[[Sequence[int], int], SecondaryIndex]
@@ -223,21 +221,15 @@ class Table:
 
         return compile_pred(pred, sigma_of), self.num_rows
 
-    def select(
-        self, conditions: "Pred | Mapping[str, tuple[Any, Any]]"
-    ) -> list[int]:
+    def select(self, conditions: Pred) -> list[int]:
         """Row ids matching a predicate over column *values*.
 
         Any ``Range``/``Eq``/``In``/``And``/``Or``/``Not`` tree from
         :mod:`repro.query`; bounds and members are values, translated
         through each column's alphabet before planning (a range
         covers every occurring value inside it, either bound may be
-        open).  The legacy ``{column: (lo, hi)}`` conjunction mapping
-        still works as a deprecated adapter.
+        open).
         """
-        if not isinstance(conditions, Pred):
-            warn_mapping_adapter("Table.select")
-            conditions = mapping_to_pred(conditions)
         code_pred = self._translate(conditions)
         if self.engine is not None:
             # Per-leaf results are cached by the engine; identical
@@ -250,13 +242,8 @@ class Table:
 
         return evaluate_fetch(plan, fetch, universe).positions()
 
-    def select_iter(
-        self, conditions: "Pred | Mapping[str, tuple[Any, Any]]"
-    ):
+    def select_iter(self, conditions: Pred):
         """Streaming :meth:`select`: matching row ids, one at a time."""
-        if not isinstance(conditions, Pred):
-            warn_mapping_adapter("Table.select_iter")
-            conditions = mapping_to_pred(conditions)
         code_pred = self._translate(conditions)
         if self.engine is not None:
             return self.engine.select_iter(code_pred)
@@ -271,30 +258,20 @@ class Table:
     # Aggregates (value space; answers, not row ids)
     # ------------------------------------------------------------------
 
-    def count(
-        self, conditions: "Pred | Mapping[str, tuple[Any, Any]]"
-    ) -> int:
+    def count(self, conditions: Pred) -> int:
         """How many rows match a value-space predicate.
 
         Folds in cardinality space — the matching row-id list is
         never materialized, under either build path.
         """
-        if not isinstance(conditions, Pred):
-            warn_mapping_adapter("Table.count")
-            conditions = mapping_to_pred(conditions)
         code_pred = self._translate(conditions)
         if self.engine is not None:
             return self.engine.count(code_pred)
         plan, universe = self._compile_factory(code_pred)
         return evaluate_count(plan, self._factory_fetch, universe)
 
-    def exists(
-        self, conditions: "Pred | Mapping[str, tuple[Any, Any]]"
-    ) -> bool:
+    def exists(self, conditions: Pred) -> bool:
         """Does at least one row match?  Stops at the first evidence."""
-        if not isinstance(conditions, Pred):
-            warn_mapping_adapter("Table.exists")
-            conditions = mapping_to_pred(conditions)
         code_pred = self._translate(conditions)
         if self.engine is not None:
             return self.engine.exists(code_pred)

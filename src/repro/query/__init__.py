@@ -50,7 +50,6 @@ from .predicates import (
     normalize,
     translate,
 )
-from ._compat import mapping_to_pred, warn_mapping_adapter
 
 __all__ = [
     "And",
@@ -76,11 +75,9 @@ __all__ = [
     "evaluate_fetch",
     "evaluate_iter",
     "fingerprint_pred",
-    "mapping_to_pred",
     "normalize",
     "order_children",
     "resolve_universe",
     "specialize",
     "translate",
-    "warn_mapping_adapter",
 ]

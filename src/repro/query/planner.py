@@ -89,11 +89,6 @@ class Plan:
     columns: tuple[str, ...]
 
     @property
-    def is_trivial(self) -> bool:
-        """True when no index bits are needed (TRUE/FALSE predicates)."""
-        return not self.leaves
-
-    @property
     def needs_universe(self) -> bool:
         """True when execution must know the exact row universe.
 
@@ -308,40 +303,12 @@ def evaluate(
             f"plan has {len(plan.leaves)} leaves, got "
             f"{len(leaf_results)} results"
         )
-    needs_universe = plan.needs_universe
-    aligned = [
-        align_leaf(result, universe, needs_universe)
-        for result in leaf_results
-    ]
-
-    def fold(node: tuple) -> tuple[list[int], bool]:
-        tag = node[0]
-        if tag == ALL:
-            return [], True
-        if tag == EMPTY:
-            return [], False
-        if tag == LEAF:
-            return aligned[node[1]]
-        if tag == NOT:
-            stored, comp = fold(node[1])
-            return stored, not comp
-        if tag == AND:
-            stored, comp = fold(node[1][0])
-            for child in node[1][1:]:
-                c_stored, c_comp = fold(child)
-                stored, comp = intersect_aware(
-                    stored, comp, c_stored, c_comp
-                )
-            return stored, comp
-        if tag == OR:
-            stored, comp = fold(node[1][0])
-            for child in node[1][1:]:
-                c_stored, c_comp = fold(child)
-                stored, comp = union_aware(stored, comp, c_stored, c_comp)
-            return stored, comp
-        raise QueryError(f"unknown plan node {tag!r}")
-
-    stored, comp = fold(plan.root)
+    folder = _CardinalityFold(plan, None, universe, None)
+    folder.memo = {
+        i: align_leaf(result, universe, folder.needs_universe)
+        for i, result in enumerate(leaf_results)
+    }
+    stored, comp = folder.fold(plan.root)
     return RangeResult(stored, universe, complemented=comp)
 
 
@@ -356,61 +323,21 @@ def evaluate_fetch(
     Leaves are fetched on demand as the fold reaches them (each unique
     leaf at most once — the DAG's sharing): an ``And`` that goes empty
     skips its remaining children's fetches entirely (the §1
-    empty-dimension short-circuit, generalized), and an ``Or`` that
-    reaches the full universe stops likewise.  With ``leaf_costs``
-    (the advisor's predicted bits per leaf, zero when cached), ``And``
-    legs run cheapest-first so a cheap selective leg can empty the
-    conjunction before the expensive legs are ever fetched.  The
-    demanded-leaf sequence is a deterministic function of the
-    canonical plan, the cost vector, and the data.  Single-process
-    serving uses this; the cluster prefers :func:`evaluate` over a
-    prefetched batch, trading the short-circuit for overlapped,
-    per-shard-batched scatter I/O that is identical under every
-    executor.
+    empty-dimension short-circuit, generalized), and an ``Or`` whose
+    union saturates the universe stops likewise (:func:`_is_full`).
+    With ``leaf_costs`` (the advisor's predicted bits per leaf, zero
+    when cached), ``And`` legs run cheapest-first so a cheap selective
+    leg can empty the conjunction before the expensive legs are ever
+    fetched.  The demanded-leaf sequence is a deterministic function
+    of the canonical plan, the cost vector, and the data.
+    Single-process serving uses this; the cluster prefers
+    :func:`evaluate` over a prefetched batch, trading the
+    short-circuit for overlapped, per-worker-batched scatter I/O that
+    is identical under every executor.
     """
-    memo: dict[int, tuple[list[int], bool]] = {}
-    needs_universe = plan.needs_universe
-
-    def leaf(index: int) -> tuple[list[int], bool]:
-        if index not in memo:
-            memo[index] = align_leaf(
-                fetch(*plan.leaves[index]), universe, needs_universe
-            )
-        return memo[index]
-
-    def fold(node: tuple) -> tuple[list[int], bool]:
-        tag = node[0]
-        if tag == ALL:
-            return [], True
-        if tag == EMPTY:
-            return [], False
-        if tag == LEAF:
-            return leaf(node[1])
-        if tag == NOT:
-            stored, comp = fold(node[1])
-            return stored, not comp
-        if tag == AND:
-            children = order_children(node[1], leaf_costs)
-            stored, comp = fold(children[0])
-            for child in children[1:]:
-                if not stored and not comp:  # empty: nothing can revive
-                    break
-                c_stored, c_comp = fold(child)
-                stored, comp = intersect_aware(
-                    stored, comp, c_stored, c_comp
-                )
-            return stored, comp
-        if tag == OR:
-            stored, comp = fold(node[1][0])
-            for child in node[1][1:]:
-                if not stored and comp:  # full: nothing can add
-                    break
-                c_stored, c_comp = fold(child)
-                stored, comp = union_aware(stored, comp, c_stored, c_comp)
-            return stored, comp
-        raise QueryError(f"unknown plan node {tag!r}")
-
-    stored, comp = fold(plan.root)
+    stored, comp = _CardinalityFold(plan, fetch, universe, leaf_costs).fold(
+        plan.root
+    )
     return RangeResult(stored, universe, complemented=comp)
 
 
@@ -422,33 +349,32 @@ def evaluate_fetch(
 def _is_full(stored: list[int], comp: bool, universe: int) -> bool:
     """Does this aware pair denote all of ``[0, universe)``?
 
-    Two shapes mean "full": a complemented empty list, and — unlike the
-    select path, which only recognizes the first — a *plain* list that
-    has reached ``universe`` elements (positions are strictly
+    Two shapes mean "full": a complemented empty list, and a *plain*
+    list that has reached ``universe`` elements (positions are strictly
     increasing in ``[0, universe)``, so length is membership-complete).
-    Counting folds check both, which is what lets a wide positive
-    disjunction stop fetching the moment its union saturates.
+    Checking both is what lets a wide positive disjunction stop
+    fetching the moment its union saturates.
     """
     return (not stored and comp) or (not comp and len(stored) == universe)
 
 
 class _CardinalityFold:
-    """Shared machinery of the counting executors.
+    """The one fold over ``(stored, complemented)`` pairs.
 
-    Folds interior subtrees with the aware *set* algebra (intermediates
-    genuinely need elements) but combines at counting boundaries with
-    the cardinality twins of :mod:`repro.bits.ops`, so the root-level
-    result list — the one ``evaluate`` would hand back — is never
-    built.  ``Not`` stays a flag flip (count = ``universe - child``),
-    and the same lazy memoized fetch + ``And`` cost ordering as
-    :func:`evaluate_fetch` applies, plus the stronger
-    :func:`_is_full` saturation check on ``Or``.
+    :meth:`fold` materializes a subtree with the aware *set* algebra:
+    a lazy memoized fetch per unique leaf, ``And`` legs cost-ordered
+    and cut short once empty, ``Or`` cut short once :func:`_is_full`.
+    It is the whole of :func:`evaluate` and :func:`evaluate_fetch`.
+    The counting executors fold interior subtrees the same way but
+    combine at counting boundaries with the cardinality twins of
+    :mod:`repro.bits.ops`, so the root-level result list is never
+    built; ``Not`` stays a flag flip (count = ``universe - child``).
     """
 
     def __init__(
         self,
         plan: Plan,
-        fetch: Callable[[str, int, int], RangeResult],
+        fetch: Callable[[str, int, int], RangeResult] | None,
         universe: int,
         leaf_costs: Sequence[float] | None,
     ) -> None:
@@ -574,10 +500,9 @@ def evaluate_count(
 ) -> int:
     """Cardinality of a plan's answer, folded in counting space.
 
-    Same fetch contract and short-circuits as :func:`evaluate_fetch`
-    (plus :func:`_is_full` saturation on ``Or``), but the root-level
-    combination uses the counting twins of the aware algebra, so the
-    global answer list is never materialized.
+    Same fetch contract and short-circuits as :func:`evaluate_fetch`,
+    but the root-level combination uses the counting twins of the
+    aware algebra, so the global answer list is never materialized.
     """
     return _CardinalityFold(plan, fetch, universe, leaf_costs).count(
         plan.root

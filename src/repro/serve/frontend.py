@@ -48,7 +48,12 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from ..errors import InvalidParameterError, Overloaded, RequestTimeout
+from ..errors import (
+    InvalidParameterError,
+    Overloaded,
+    QueryError,
+    RequestTimeout,
+)
 from ..obs.stats import FrontEndStats
 from ..query import Pred
 
@@ -210,6 +215,12 @@ class FrontEnd:
     async def _request(self, op, pred, extra, call, timeout_s):
         if self._closed:
             raise InvalidParameterError("this FrontEnd is closed")
+        if pred is not None and not isinstance(pred, Pred):
+            # Before the coalescing key, which fingerprints the pred.
+            raise QueryError(
+                f"expected a predicate, got {type(pred).__name__}; build "
+                "one from repro.query (Range/Eq/In/And/Or/Not)"
+            )
         self.requests += 1
         self._count("serve.requests")
         loop = asyncio.get_running_loop()

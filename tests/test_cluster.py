@@ -17,6 +17,7 @@ from repro.engine import Advisor, CostModel, WorkloadStats, get_spec
 from repro.errors import InvalidParameterError, QueryError, UpdateError
 from repro.model.distributions import uniform, zipf
 from repro.queries import Table
+from repro.query import And, Range
 
 from tests.conftest import brute_range
 
@@ -183,12 +184,13 @@ class TestClusterEngine:
         want = [
             i for i in range(400) if 2 <= a[i] <= 6 and 0 <= b[i] <= 2
         ]
-        assert cluster.select({"a": (2, 6), "b": (0, 2)}) == want
+        pred = And(Range("a", 2, 6), Range("b", 0, 2))
+        assert cluster.select(pred) == want
 
     def test_select_short_circuits_and_requires_conditions(self):
         cluster = ClusterEngine(num_shards=2)
         cluster.add_column("c", [1, 1, 1, 1], 3)
-        assert cluster.select({"c": (0, 0)}) == []
+        assert cluster.select(Range("c", 0, 0)) == []
         with pytest.raises(QueryError):
             cluster.select({})
 
@@ -623,13 +625,13 @@ class TestShardedTable:
         }
         sharded = ShardedTable(rows, num_shards=4)
         single = Table(rows)
-        conds = {"age": (30, 45), "city": ("a", "b")}
+        conds = And(Range("age", 30, 45), Range("city", "a", "b"))
         assert sharded.select(conds) == single.select(conds)
         assert sharded.row(0) == single.row(0) == {"age": 33, "city": "a"}
 
     def test_out_of_domain_range_returns_empty(self):
         sharded = ShardedTable({"v": [1, 2, 3, 4]}, num_shards=2)
-        assert sharded.select({"v": (100, 200)}) == []
+        assert sharded.select(Range("v", 100, 200)) == []
 
     def test_backend_pinning_per_column(self):
         rows = {"a": [1, 2, 3, 4, 5, 6], "b": [6, 5, 4, 3, 2, 1]}
@@ -640,12 +642,13 @@ class TestShardedTable:
         assert sharded.cluster.backends("b") == [
             "bitmap-gamma", "bitmap-gamma"
         ]
-        assert sharded.select({"a": (2, 5), "b": (3, 6)}) == [1, 2, 3]
+        pred = And(Range("a", 2, 5), Range("b", 3, 6))
+        assert sharded.select(pred) == [1, 2, 3]
 
     def test_table_sharded_constructor_path(self):
         table = Table.sharded({"v": [5, 1, 5, 2, 5]}, num_shards=2)
         assert isinstance(table, ShardedTable)
-        assert table.select({"v": (5, 5)}) == [0, 2, 4]
+        assert table.select(Range("v", 5, 5)) == [0, 2, 4]
         assert table.cluster.num_shards == 2
 
     def test_sizing_conflicts_and_validation(self):
@@ -673,13 +676,13 @@ class TestShardedTable:
         table = ShardedTable(rows, num_shards=2, dynamism="semidynamic")
         rid = table.append_row({"v": 5, "w": 2})
         assert rid == 4 and table.num_rows == 5
-        assert table.select({"v": (5, 5)}) == [0, 2, 4]
+        assert table.select(Range("v", 5, 5)) == [0, 2, 4]
         assert table.row(4) == {"v": 5, "w": 2}
         table2 = ShardedTable(
             {"v": [5, 1, 5, 2]}, num_shards=2, dynamism="fully_dynamic"
         )
         table2.change("v", 1, 5)
-        assert table2.select({"v": (5, 5)}) == [0, 1, 2]
+        assert table2.select(Range("v", 5, 5)) == [0, 1, 2]
         assert table2.row(1) == {"v": 5}
 
     def test_append_row_validates_before_mutating(self):
@@ -695,7 +698,7 @@ class TestShardedTable:
             static.append_row({"v": 5})
         # Nothing leaked into any mirror or index.
         assert table.num_rows == 2 and static.num_rows == 2
-        assert table.select({"v": (5, 5)}) == [0]
+        assert table.select(Range("v", 5, 5)) == [0]
         with pytest.raises(QueryError):
             table.change("v", 5, 1)
 

@@ -33,6 +33,7 @@ from repro.engine import QueryEngine
 from repro.errors import InvalidParameterError
 from repro.model.distributions import uniform
 from repro.queries import Table
+from repro.query import And, Range
 
 from tests.conftest import brute_range
 
@@ -254,7 +255,7 @@ class ClusterLifecycleMachine(RuleBasedStateMachine):
         a = set(self._expected(self.a_shards, lo, lo + 1))
         b = set(self._expected(self.b_shards, 0, 3))
         want = sorted(a & b)
-        conditions = {"a": (lo, lo + 1), "b": (0, 3)}
+        conditions = And(Range("a", lo, lo + 1), Range("b", 0, 3))
         assert self.cluster.select(conditions) == want
         assert list(self.cluster.select_iter(conditions)) == want
 
@@ -414,7 +415,7 @@ def test_streaming_gather_memory_is_block_bounded():
     cluster = ClusterEngine(num_shards=shards, drift_window=None)
     cluster.add_column("a", a, sigma)
     cluster.add_column("b", b, sigma)
-    conditions = {"a": (0, 6), "b": (0, 6)}
+    conditions = And(Range("a", 0, 6), Range("b", 0, 6))
     cluster.gather_stats.reset()
     count = 0
     last = -1
@@ -587,7 +588,7 @@ def test_sharded_table_grows_through_auto_splits():
     assert table.cluster.splits, "growth must have split shards"
     assert max(table.cluster.shard_lengths("v")) <= 10
     single = Table({"v": model_v, "w": model_w})
-    conds = {"v": (2, 5), "w": (1, 3)}
+    conds = And(Range("v", 2, 5), Range("w", 1, 3))
     assert table.select(conds) == single.select(conds)
     assert list(table.select_iter(conds)) == single.select(conds)
 
@@ -612,8 +613,10 @@ def test_sharded_table_explain_is_typed():
 
     from repro.query import PlanReport
 
-    table.select({"age": (30, 45)})
-    report = table.explain({"age": (30, 45), "city": ("a", "a")})
+    table.select(Range("age", 30, 45))
+    report = table.explain(
+        And(Range("age", 30, 45), Range("city", "a", "a"))
+    )
     assert isinstance(report, PlanReport)
     assert report.kind == "cluster" and report.num_shards == 2
     assert {leaf.column for leaf in report.leaves} == {"age", "city"}
@@ -624,7 +627,7 @@ def test_sharded_table_explain_is_typed():
     assert "and" in str(report)
     # A dimension with no value in range compiles to the empty plan —
     # reported as such, not crashed on.
-    empty = table.explain({"age": (100, 200)})
+    empty = table.explain(Range("age", 100, 200))
     assert empty.predicate == "FALSE" and empty.leaves == ()
     assert "empty" in str(empty)
     with pytest.raises(QueryError):
@@ -709,7 +712,7 @@ def test_streaming_gather_prefetch_bound_under_threads():
         )
         cluster.add_column("a", a, sigma)
         cluster.add_column("b", b, sigma)
-        conditions = {"a": (0, 6), "b": (0, 6)}
+        conditions = And(Range("a", 0, 6), Range("b", 0, 6))
         cluster.gather_stats.reset()
         got = list(cluster.select_iter(conditions))
         want = [i for i in range(n) if a[i] <= 6 and b[i] <= 6]

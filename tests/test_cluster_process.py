@@ -22,6 +22,8 @@ from repro.cluster.worker import ShardHost
 from repro.engine import Advisor, WorkloadStats, get_spec
 from repro.errors import InvalidParameterError, QueryError, UpdateError
 from repro.model.distributions import uniform, zipf
+from repro.obs import Tracer
+from repro.query import And, Range
 
 from tests.conftest import brute_range
 
@@ -67,8 +69,14 @@ def drive_fixed_workload(cluster: ClusterEngine) -> dict:
                 "tag": tag,
                 "q_c": cluster.query("c", 2, 11).positions(),
                 "q_d": cluster.query("d", 1, 5).positions(),
-                "select": cluster.select({"c": (0, 9), "d": (2, 7)}),
-                "stream": list(cluster.select_iter({"c": (2, 13), "d": (0, 6)})),
+                "select": cluster.select(
+                    And(Range("c", 0, 9), Range("d", 2, 7))
+                ),
+                "stream": list(
+                    cluster.select_iter(
+                        And(Range("c", 2, 13), Range("d", 0, 6))
+                    )
+                ),
                 "explain": cluster.explain("c", 2, 11),
                 "backends_c": cluster.backends("c"),
                 "backends_d": cluster.backends("d"),
@@ -178,6 +186,66 @@ class TestProcessMatchesSerial:
             proc.close()
 
 
+class TestPlanScatter:
+    """Leaf ranges and predicates share one scatter: a compiled plan."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_full_range_leaf_query_skips_pending_deletes(
+        self, process_pool, executor
+    ):
+        tracer = Tracer()
+        cluster = ClusterEngine(
+            num_shards=2,
+            executor=process_pool if executor == "process" else None,
+            tracer=tracer,
+        )
+        try:
+            cluster.add_column(
+                "d", [i % 4 for i in range(40)], 4,
+                dynamism="fully_dynamic", require_delete=True,
+            )
+            cluster.delete("d", 3)
+            cluster.delete("d", 30)
+            # The deletes leave holes, not compactions: 40 positions,
+            # 38 live rows.  A full-alphabet Range normalizes to TRUE,
+            # which would answer all 40.
+            assert cluster.shard_lengths("d") == [20, 20]
+            result = cluster.query("d", 0, 3)
+            live = [p for p in range(40) if p not in (3, 30)]
+            assert result.positions() == live
+            assert result.universe == 40
+            (scatter,) = tracer.last().find("scatter")
+            assert scatter.tags["leaves"] == 1
+        finally:
+            cluster.close()
+
+    def test_pred_query_ships_one_message_per_worker(self):
+        a = uniform(400, 8, seed=41)
+        b = zipf(400, 8, theta=1.2, seed=42)
+        pred = And(Range("a", 1, 5), Range("b", 0, 3))
+        want = [i for i in range(400) if 1 <= a[i] <= 5 and b[i] <= 3]
+        serial = ClusterEngine(num_shards=8)
+        with ProcessExecutor(max_workers=2) as pool:
+            resident = ClusterEngine(num_shards=8, executor=pool)
+            try:
+                for cluster in (serial, resident):
+                    cluster.add_column("a", a, 8)
+                    cluster.add_column("b", b, 8)
+                pool.reset_op_counts()
+                got = resident.query(pred).positions()
+                # 16 (leaf, shard) fetches, one grouped message per
+                # worker; no per-shard-per-column "leaves" messages.
+                assert pool.op_counts["query"] == 2
+                assert pool.op_counts["leaves"] == 0
+                assert got == serial.query(pred).positions() == want
+                assert (
+                    resident.scatter_io.snapshot()
+                    == serial.scatter_io.snapshot()
+                )
+            finally:
+                resident.close()
+
+
 class TestProcessLifecycle:
     def test_auto_split_and_merge_stay_in_sync(self, process_pool):
         def grow(executor):
@@ -212,7 +280,8 @@ class TestProcessLifecycle:
                     proc.query("c", lo, hi).positions()
                     == serial.query("c", lo, hi).positions()
                 )
-            assert proc.select({"c": (1, 6)}) == serial.select({"c": (1, 6)})
+            pred = Range("c", 1, 6)
+            assert proc.select(pred) == serial.select(pred)
             assert proc.scatter_io.snapshot() == serial.scatter_io.snapshot()
         finally:
             proc.close()
@@ -227,7 +296,7 @@ class TestProcessLifecycle:
             ops = proc.rebalance(target_shard_rows=40)
             assert ops > 0 and max(proc.shard_lengths("c")) <= 40
             assert proc.query("c", 0, 7).positions() == list(range(200))
-            assert proc.select({"c": (2, 5)}) == brute_range(x, 2, 5)
+            assert proc.select(Range("c", 2, 5)) == brute_range(x, 2, 5)
         finally:
             proc.close()
 
@@ -248,7 +317,9 @@ class TestPrefetchingGather:
         proc.add_column("b", b, 8)
         try:
             proc.gather_stats.reset()
-            got = list(proc.select_iter({"a": (0, 6), "b": (0, 6)}))
+            got = list(
+                proc.select_iter(And(Range("a", 0, 6), Range("b", 0, 6)))
+            )
             want = [i for i in range(n) if a[i] <= 6 and b[i] <= 6]
             assert got == want and len(want) > n // 2
             max_shard = max(proc.shard_lengths("a"))
@@ -337,7 +408,7 @@ class TestPrefetchingGather:
             threaded.add_column("a", a, 8)
             threaded.add_column("b", b, 8)
             assert threaded.prefetch_depth == 1  # auto: threads overlap
-            conds = {"a": (0, 5), "b": (1, 6)}
+            conds = And(Range("a", 0, 5), Range("b", 1, 6))
             assert list(threaded.select_iter(conds)) == list(
                 serial.select_iter(conds)
             )

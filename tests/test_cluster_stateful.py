@@ -31,6 +31,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster import ClusterEngine
+from repro.query import And, Range
 
 SIGMA = 8
 NUM_SHARDS = 3
@@ -179,7 +180,9 @@ class ClusterCacheMachine(RuleBasedStateMachine):
         dyn = set(self._expected(self.dyn_shards, lo, lo + 1))
         dele = set(self._expected(self.del_shards, 0, 3))
         want = sorted(dyn & dele)
-        got = self.cluster.select({"dyn": (lo, lo + 1), "del": (0, 3)})
+        got = self.cluster.select(
+            And(Range("dyn", lo, lo + 1), Range("del", 0, 3))
+        )
         assert got == want
 
     # ------------------------------------------------------------------

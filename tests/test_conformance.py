@@ -33,7 +33,7 @@ from repro.engine import QueryEngine, all_specs
 from repro.model.alphabet import Alphabet
 from repro.model.distributions import markov_runs, uniform, zipf
 from repro.queries import Table
-from repro.query import translate
+from repro.query import Range, translate
 
 from tests.conftest import (
     brute_range,
@@ -170,11 +170,11 @@ class TestShardedConformance:
         )
         for lo, hi in random_ranges(rng, sigma, 6):
             expected = brute_range(x, lo, hi)
-            got = table.select({"c": (lo, hi)})
+            got = table.select(Range("c", lo, hi))
             assert got == expected, (
                 f"{spec.name} on {wname} at {num_shards} shards: [{lo},{hi}]"
             )
-            assert got == single.select({"c": (lo, hi)})
+            assert got == single.select(Range("c", lo, hi))
 
     def test_sharded_majority_answers(
         self, sharded_tables, spec, wname, num_shards
@@ -193,7 +193,7 @@ class TestShardedConformance:
         if not hits:
             pytest.skip("no strict majority range in this workload")
         for lo, hi in hits[:8]:
-            assert table.select({"c": (lo, hi)}) == brute_range(x, lo, hi)
+            assert table.select(Range("c", lo, hi)) == brute_range(x, lo, hi)
 
     def test_random_predicate_asts_match_oracle(
         self, sharded_tables, spec, wname, num_shards
@@ -325,12 +325,12 @@ class TestLifecycleConformance:
         )
         for lo, hi in random_ranges(rng, sigma, 6):
             expected = brute_range(model, lo, hi)
-            got = table.select({"c": (lo, hi)})
+            got = table.select(Range("c", lo, hi))
             assert got == expected, (
                 f"{spec.name} on {wname} post-lifecycle: [{lo},{hi}]"
             )
-            assert got == single.select({"c": (lo, hi)})
-            assert list(table.select_iter({"c": (lo, hi)})) == expected
+            assert got == single.select(Range("c", lo, hi))
+            assert list(table.select_iter(Range("c", lo, hi))) == expected
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
@@ -410,11 +410,11 @@ class TestProcessConformance:
         )
         for lo, hi in random_ranges(rng, sigma, 6):
             expected = brute_range(x, lo, hi)
-            got = resident.select({"c": (lo, hi)})
+            got = resident.select(Range("c", lo, hi))
             assert got == expected, (
                 f"{spec.name} on {wname} resident: [{lo},{hi}]"
             )
-            assert got == serial.select({"c": (lo, hi)})
+            assert got == serial.select(Range("c", lo, hi))
             # Code-space comparison goes through the shared alphabet
             # (cluster queries speak dense codes, not raw values).
             code_range = serial.column("c").code_range(lo, hi)
@@ -437,8 +437,8 @@ class TestProcessConformance:
     ):
         x, sigma, serial, resident = process_tables[(spec.name, wname)]
         lo, hi = 0, sigma - 1
-        assert list(resident.select_iter({"c": (lo, hi)})) == list(
-            serial.select_iter({"c": (lo, hi)})
+        assert list(resident.select_iter(Range("c", lo, hi))) == list(
+            serial.select_iter(Range("c", lo, hi))
         ) == list(range(len(x)))
 
     def test_random_predicate_asts_match_serial(

@@ -20,6 +20,7 @@ from repro.engine import registry as registry_mod
 from repro.errors import InvalidParameterError, QueryError, UpdateError
 from repro.model.distributions import uniform, zipf
 from repro.queries import Table
+from repro.query import And, Range
 
 from tests.conftest import brute_range
 
@@ -448,7 +449,7 @@ class TestQueryEngine:
         b = uniform(600, 8, seed=12)
         engine.add_column("a", a, 8)
         engine.add_column("b", b, 8)
-        got = engine.select({"a": (2, 5), "b": (0, 3)})
+        got = engine.select(And(Range("a", 2, 5), Range("b", 0, 3)))
         want = [
             i for i in range(600) if 2 <= a[i] <= 5 and 0 <= b[i] <= 3
         ]
@@ -460,7 +461,7 @@ class TestQueryEngine:
         b = uniform(600, 8, seed=12)
         engine.add_column("a", a, 8)
         engine.add_column("b", b, 8)
-        conditions = {"a": (2, 5), "b": (0, 3)}
+        conditions = And(Range("a", 2, 5), Range("b", 0, 3))
         want = engine.select(conditions)
         assert list(engine.select_iter(conditions)) == want
         # query_iter flows through the same cache as query().
@@ -481,12 +482,12 @@ class TestQueryEngine:
         with pytest.raises(QueryError):
             engine.select_iter({})
         with pytest.raises(QueryError):
-            engine.select_iter({"missing": (0, 1)})  # eager validation
+            engine.select_iter(Range("missing", 0, 1))  # eager validation
 
     def test_select_short_circuits_empty_dimension(self):
         engine = QueryEngine()
         engine.add_column("c", [1, 1, 1, 3], 4)
-        assert engine.select({"c": (0, 0)}) == []
+        assert engine.select(Range("c", 0, 0)) == []
 
     def test_updates_invalidate_cache(self):
         engine = QueryEngine()
@@ -637,13 +638,13 @@ class TestTableIntegration:
         table = Table({"age": [33, 41, 33, 27], "city": list("abca")})
         assert table.engine is not None
         assert set(table.engine.columns) == {"age", "city"}
-        assert table.select({"age": (30, 40)}) == [0, 2]
+        assert table.select(Range("age", 30, 40)) == [0, 2]
 
     def test_repeated_selects_hit_cache(self):
         table = Table({"v": [5, 1, 5, 2, 5]})
-        table.select({"v": (5, 5)})
+        table.select(Range("v", 5, 5))
         hits_before = table.engine.cache.hits
-        table.select({"v": (5, 5)})
+        table.select(Range("v", 5, 5))
         assert table.engine.cache.hits == hits_before + 1
 
     def test_explicit_factory_bypasses_engine(self):
@@ -653,7 +654,7 @@ class TestTableIntegration:
         )
         assert table.engine is None
         assert isinstance(table.columns["v"].index, CompressedBitmapIndex)
-        assert table.select({"v": (2, 3)}) == [1, 2]
+        assert table.select(Range("v", 2, 3)) == [1, 2]
 
     def test_factory_and_engine_conflict(self):
         with pytest.raises(InvalidParameterError):
@@ -720,7 +721,8 @@ class TestCalibrationFeedback:
             {"v": list(range(16)) * 4}, num_shards=2, cost_model=model
         )
         assert sharded.cluster.backends("v") == ["btree", "btree"]
-        assert sharded.select({"v": (3, 7)}) == table.select({"v": (3, 7)})
+        pred = Range("v", 3, 7)
+        assert sharded.select(pred) == table.select(pred)
         with pytest.raises(InvalidParameterError):
             Table({"v": [1, 2]}, cost_model=model, factory=lambda c, s: None)
         with pytest.raises(InvalidParameterError):

@@ -3,13 +3,13 @@
 Differential end-to-end coverage lives in ``test_conformance.py``
 (random ASTs over every registry backend); this file pins the pieces:
 normalization rewrites, the complement-aware set algebra, the
-streaming combinators, plan compilation/dedup, the typed PlanReport,
-and the deprecated mapping adapters.
+streaming combinators, plan compilation/dedup and the typed
+PlanReport.
 """
 
+import asyncio
 import json
 import random
-import warnings
 
 import pytest
 
@@ -20,9 +20,11 @@ from repro.bits.ops import (
     union_aware,
     union_many,
 )
+from repro.cluster import ClusterEngine, ShardedTable
 from repro.core.interface import RangeResult
 from repro.engine import QueryEngine
 from repro.errors import InvalidParameterError, QueryError
+from repro.queries import Table
 from repro.query import (
     FALSE,
     TRUE,
@@ -41,12 +43,10 @@ from repro.query import (
     evaluate_count_by,
     evaluate_exists,
     evaluate_fetch,
-    mapping_to_pred,
     normalize,
     order_children,
     specialize,
 )
-from repro.query._compat import reset_warned_call_sites
 from repro.query.stream import (
     complement_iter,
     count_iter,
@@ -55,6 +55,7 @@ from repro.query.stream import (
     intersect_iters,
     union_iters,
 )
+from repro.serve import FrontEnd
 
 from tests.conftest import pred_oracle, random_pred
 
@@ -405,42 +406,6 @@ class TestEnginePredicates:
         assert served.estimated_total_bits == 0.0
 
 
-class TestMappingAdapter:
-    def test_mapping_to_pred_shapes(self):
-        pred = mapping_to_pred({"a": (1, 3), "b": (0, 2)})
-        assert pred == And(Range("a", 1, 3), Range("b", 0, 2))
-        assert mapping_to_pred({"a": (1, 3)}) == Range("a", 1, 3)
-        with pytest.raises(QueryError):
-            mapping_to_pred({})
-        with pytest.raises(QueryError):
-            mapping_to_pred({"a": 7})
-
-    def test_adapter_warns_once_per_call_site(self):
-        engine = QueryEngine()
-        engine.add_column("a", [0, 1, 2, 3], 4)
-        reset_warned_call_sites()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(4):
-                engine.select({"a": (0, 1)})  # one call site: one warning
-            engine.select({"a": (0, 1)})  # a second call site
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2
-        assert "predicate" in str(deprecations[0].message)
-
-    def test_pred_inputs_do_not_warn(self):
-        engine = QueryEngine()
-        engine.add_column("a", [0, 1, 2, 3], 4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine.select(Range("a", 0, 1))
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-
 # ----------------------------------------------------------------------
 # Leaf alignment (the symmetric universe check)
 # ----------------------------------------------------------------------
@@ -606,10 +571,9 @@ class TestCountingExecution:
 
     def test_wide_positive_disjunction_saturates_early(self):
         # Rows 0-4 match the first leg, rows 5-9 the second; the third
-        # leg exists in the plan but the counting fold stops the
-        # moment the union's *length* reaches the universe — a
-        # saturation the select path cannot see (it only recognizes
-        # complemented-empty as full) and therefore pays for.
+        # leg exists in the plan but the fold stops the moment the
+        # union's *length* reaches the universe — on the counting and
+        # the select path alike.
         cols = {
             "a": [0] * 5 + [5] * 5,
             "b": [1] * 5 + [0] * 5,
@@ -631,7 +595,7 @@ class TestCountingExecution:
         assert fetched == ["a", "b"]  # "c" never fetched
         fetched.clear()
         assert evaluate_fetch(plan, fetch, 10).cardinality == 10
-        assert fetched == ["a", "b", "c"]  # the select path reads more
+        assert fetched == ["a", "b"]
 
     def test_exists_stops_at_first_nonempty_disjunct(self):
         _, fetch = self._data()
@@ -815,3 +779,73 @@ class TestFingerprint:
         value = self.fp(Range("a", 0, 9))
         assert isinstance(value, str) and len(value) == 32
         int(value, 16)  # raises if not hex
+
+
+# ----------------------------------------------------------------------
+# A {column: (lo, hi)} mapping is not a predicate, on any surface
+# ----------------------------------------------------------------------
+
+MAPPING = {"a": (0, 1)}
+
+_SURFACE_READS = {
+    "select": lambda s: s.select(MAPPING),
+    "select_iter": lambda s: s.select_iter(MAPPING),
+    "count": lambda s: s.count(MAPPING),
+    "exists": lambda s: s.exists(MAPPING),
+    "count_by": lambda s: s.count_by("a", MAPPING),
+}
+
+_FRONTEND_READS = {
+    "query": lambda fe: fe.query(MAPPING),
+    "select": lambda fe: fe.select(MAPPING),
+    "count": lambda fe: fe.count(MAPPING),
+    "exists": lambda fe: fe.exists(MAPPING),
+    "count_by": lambda fe: fe.count_by("a", MAPPING),
+    "topk": lambda fe: fe.topk("a", MAPPING),
+}
+
+
+def _surface(kind: str):
+    codes = [0, 1, 2, 3] * 4
+    if kind == "QueryEngine":
+        engine = QueryEngine()
+        engine.add_column("a", codes, 4)
+        return engine
+    if kind in ("ClusterEngine", "FrontEnd"):
+        cluster = ClusterEngine(num_shards=2)
+        cluster.add_column("a", codes, 4)
+        return cluster if kind == "ClusterEngine" else FrontEnd(cluster)
+    if kind == "Table":
+        return Table({"a": codes})
+    return ShardedTable({"a": codes}, num_shards=2)
+
+
+@pytest.mark.parametrize(
+    "kind, op",
+    [
+        (kind, op)
+        for kind in ("QueryEngine", "ClusterEngine", "Table", "ShardedTable")
+        for op in _SURFACE_READS
+    ]
+    + [("ShardedTable", "explain")]
+    + [("FrontEnd", op) for op in _FRONTEND_READS],
+)
+def test_a_mapping_is_rejected_as_a_non_predicate(kind, op):
+    surface = _surface(kind)
+    if kind != "FrontEnd":
+        read = _SURFACE_READS.get(op, lambda s: s.explain(MAPPING))
+        with pytest.raises(QueryError):
+            read(surface)
+        return
+
+    async def main():
+        try:
+            with pytest.raises(QueryError):
+                await _FRONTEND_READS[op](surface)
+        finally:
+            await surface.close()
+
+    asyncio.run(main())
+    # Rejected before coalescing (which fingerprints the predicate)
+    # and before admission.
+    assert surface.admitted == 0 and surface.coalesced == 0

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import InvalidParameterError, QueryError
 from repro.queries import Table, approximate_factory
+from repro.query import And, Range
 
 
 def people_table(rows=600, seed=0, factory=None):
@@ -32,6 +33,11 @@ def oracle(columns, conditions):
     return out
 
 
+def conjunction(conditions):
+    """The predicate an oracle's ``{column: (lo, hi)}`` conditions mean."""
+    return And(*(Range(c, lo, hi) for c, (lo, hi) in conditions.items()))
+
+
 class TestExactSelect:
     def test_married_men_of_33(self):
         # The paper's §1 example query.
@@ -41,28 +47,28 @@ class TestExactSelect:
             "sex": ("m", "m"),
             "status": ("married", "married"),
         }
-        assert table.select(conds) == oracle(columns, conds)
+        assert table.select(conjunction(conds)) == oracle(columns, conds)
 
     def test_range_conditions(self):
         columns, table = people_table(seed=1)
         conds = {"age": (30, 45), "status": ("married", "single")}
-        assert table.select(conds) == oracle(columns, conds)
+        assert table.select(conjunction(conds)) == oracle(columns, conds)
 
     def test_single_condition(self):
         columns, table = people_table(seed=2)
         conds = {"age": (50, 60)}
-        assert table.select(conds) == oracle(columns, conds)
+        assert table.select(conjunction(conds)) == oracle(columns, conds)
 
     def test_unmatched_value_range_empty(self):
         columns, table = people_table(seed=3)
-        assert table.select({"age": (200, 300)}) == []
+        assert table.select(Range("age", 200, 300)) == []
 
     def test_value_range_snapping(self):
         # Bounds need not be occurring values.
         columns, table = people_table(seed=4)
         conds = {"age": (32.5, 45.5)}
         want = oracle(columns, {"age": (33, 45)})
-        assert table.select(conds) == want
+        assert table.select(conjunction(conds)) == want
 
     def test_row_access(self):
         columns, table = people_table(seed=5)
@@ -76,7 +82,7 @@ class TestExactSelect:
         with pytest.raises(QueryError):
             table.select({})
         with pytest.raises(QueryError):
-            table.select({"nope": (0, 1)})
+            table.select(Range("nope", 0, 1))
         with pytest.raises(InvalidParameterError):
             Table({"a": [1, 2], "b": [1]})
         with pytest.raises(InvalidParameterError):
@@ -122,7 +128,7 @@ class TestApproximateSelect:
 
 
 class TestPredicateAlgebra:
-    """The value-space algebra on Table, and the deprecated adapter."""
+    """The value-space algebra on Table."""
 
     def test_star_style_query_matches_oracle(self):
         from repro.query import And, Eq, In, Not, Or, Range
@@ -192,50 +198,3 @@ class TestPredicateAlgebra:
         assert isinstance(report, PlanReport)
         assert report.kind == "engine"
         json.dumps(report.to_dict())
-
-
-class TestMappingAdapterDeprecation:
-    """The old mapping signature: equivalent, and warned exactly once
-    per call site."""
-
-    def equivalent(self, table, mapping):
-        from repro.query import mapping_to_pred
-
-        with pytest.warns(DeprecationWarning):
-            from repro.query._compat import reset_warned_call_sites
-
-            reset_warned_call_sites()
-            legacy = table.select(mapping)
-        return legacy == table.select(mapping_to_pred(mapping))
-
-    def test_adapter_equivalent_to_algebra_path(self):
-        columns, table = people_table(seed=14)
-        assert self.equivalent(table, {"age": (33, 33)})
-        assert self.equivalent(
-            table, {"age": (30, 45), "status": ("married", "single")}
-        )
-        assert self.equivalent(table, {"age": (200, 300)})  # empty
-
-    def test_warns_exactly_once_per_call_site(self):
-        import warnings as warnings_mod
-
-        from repro.query._compat import reset_warned_call_sites
-
-        columns, table = people_table(seed=15)
-        reset_warned_call_sites()
-        with warnings_mod.catch_warnings(record=True) as caught:
-            warnings_mod.simplefilter("always")
-            for _ in range(5):
-                table.select({"age": (30, 40)})  # one site, one warning
-            table.select({"age": (30, 40)})  # a distinct second site
-            table.select_iter({"age": (30, 40)})  # distinct API, warns too
-        deprecations = [
-            w
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 3
-        # The warning points at the caller, not the adapter internals.
-        assert all(
-            w.filename.endswith("test_table.py") for w in deprecations
-        )
