@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke bench ledger loc
+.PHONY: test bench-smoke bench ledger pairs loc
 
 # The tier-1 suite (ROADMAP.md's verify command).
 test:
@@ -62,3 +62,15 @@ ledger:
 		python3 perfbench/run.py --workload "$$w" --seed 2 --seconds 6 \
 			--trace 0 || exit $$?; \
 	done
+
+# The pair protocol for a perf claim: seeds SEEDS of workload WORKLOAD
+# once in each of two full checkouts (PARENT, CHANGE), alternating
+# which runs first, each through its own perfbench/run.py --trace 0;
+# then per BENCHMARK.json end-to-end metric the medians, quartiles,
+# wins, claim verdict and bound check.  Example:
+#   make pairs PARENT=../parent CHANGE=. WORKLOAD=dashboard-zipf
+SEEDS ?= 1-10
+
+pairs:
+	$(PYTHON) tools/ledger_pairs.py --parent "$(PARENT)" \
+		--change "$(CHANGE)" --workload "$(WORKLOAD)" --seeds "$(SEEDS)"

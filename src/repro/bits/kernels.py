@@ -9,12 +9,15 @@ implementations:
   pseudocode, and stay the oracle the property tests compare against.
 * a **fast** kernel in this module — the same function computed on
   C-backed bulk primitives: frozen ``set`` algebra for
-  intersect/union/difference, ``range`` splicing for fills and
-  complements, ``int.bit_length``/table lookups for word decoding, and
-  a chunked big-integer accumulator (built with ``int.from_bytes``)
-  for gamma streams.  No third-party dependencies; everything here is
-  CPython builtins operating on whole blocks instead of per-element
-  Python bytecode.
+  intersect/union/difference and the intersection count, a
+  many-against-one count (:func:`intersect_aware_count_many`: one
+  hashed operand probed by a batch of complement-aware leaves, what
+  a ``count_by`` fold runs per shard), ``range`` splicing for fills
+  and complements, ``int.bit_length``/table lookups for word
+  decoding, and a chunked big-integer accumulator (built with
+  ``int.from_bytes``) for gamma streams.  No third-party
+  dependencies; everything here is CPython builtins operating on
+  whole blocks instead of per-element Python bytecode.
 
 Selection
 ---------
@@ -90,12 +93,16 @@ def set_kernel(name: str) -> None:
 # twins hand the whole problem to the C implementations of ``set`` and
 # ``sorted`` (Timsort detects and merges the pre-sorted runs).  The
 # contract is identical: inputs are sorted and duplicate-free, outputs
-# are fresh sorted duplicate-free lists.
+# are fresh sorted duplicate-free lists.  A two-operand intersection
+# hashes the shorter operand and probes it with the longer, so its
+# cost does not depend on argument order.
 
 
 def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
+    if len(b) < len(a):
+        a, b = b, a
     return sorted(set(a).intersection(b))
 
 
@@ -144,7 +151,37 @@ def difference_sorted(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def intersect_count(a: Sequence[int], b: Sequence[int]) -> int:
     if not a or not b:
         return 0
+    if len(b) < len(a):
+        a, b = b, a
     return len(set(a).intersection(b))
+
+
+def intersect_aware_count_many(
+    a: Sequence[int],
+    a_comp: bool,
+    groups: Iterable[tuple[Sequence[int], bool]],
+    universe: int,
+) -> list[int]:
+    # ``a`` is hashed once for every group leaf, so the whole batch
+    # costs O(|a| + sum |g|) instead of a fresh set per leaf.  The
+    # plain intersection size is the only set work; each complemented
+    # case follows from it and the lengths by De Morgan.
+    probe = set(a)
+    la = len(a)
+    out: list[int] = []
+    append = out.append
+    for g, g_comp in groups:
+        shared = len(probe.intersection(g)) if probe and g else 0
+        if a_comp:
+            if g_comp:  # ~A & ~G = ~(A | G)
+                append(universe - la - len(g) + shared)
+            else:  # ~A & G = G - A
+                append(len(g) - shared)
+        elif g_comp:  # A & ~G = A - G
+            append(la - shared)
+        else:
+            append(shared)
+    return out
 
 
 def complement_sorted(positions: Sequence[int], universe: int) -> list[int]:

@@ -263,6 +263,28 @@ def intersect_aware_count(
     return difference_count(a, b)
 
 
+def intersect_aware_count_many(
+    a: Sequence[int],
+    a_comp: bool,
+    groups: Iterable[tuple[Sequence[int], bool]],
+    universe: int,
+) -> list[int]:
+    """``|A & G|`` for each complement-aware ``(g, g_comp)`` in ``groups``.
+
+    The many-against-one counting twin a ``count_by`` fold needs: one
+    folded predicate answer ``A`` counted against every group leaf,
+    answers in ``groups`` order.  The reference is the per-leaf
+    :func:`intersect_aware_count` loop; the fast kernel hashes ``a``
+    once for the whole batch.
+    """
+    if kernels.USE_FAST:
+        return kernels.intersect_aware_count_many(a, a_comp, groups, universe)
+    return [
+        intersect_aware_count(a, a_comp, g, g_comp, universe)
+        for g, g_comp in groups
+    ]
+
+
 def union_aware_count(
     a: Sequence[int],
     a_comp: bool,

@@ -1289,9 +1289,10 @@ submit_query_group`) instead of one message per shard.
     ) -> dict[int, int]:
         """Matching-row counts per *global* code of ``group``.
 
-        Every shard folds the predicate once and intersect-counts it
-        against its local group-equality leaves, shipping a
-        ``{local code: count}`` dict; the coordinator translates local
+        Every shard folds the predicate once, hashes that answer once
+        and counts all its local group-equality leaves against it in
+        one pass (O(z + sum of group leaf sizes) per shard), shipping
+        a ``{local code: count}`` dict; the coordinator translates local
         codes through each static shard's domain back into global
         codes and sums.  Codes, counts and snapshots cross the pipes —
         positions never do.  ``pred=None`` counts all rows by group.

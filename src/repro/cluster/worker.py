@@ -129,15 +129,21 @@ def evaluate_shard_fold(
         value = evaluate_exists(plan, fetch, universe, costs)
     elif mode == "count_by":
         group_col = engine.column(group)
-        group_codes = sorted(
-            {c for c in group_col.codes if c is not None}
-        )
 
-        def group_fetch(code: int):
-            return fetch(group, code, code)
+        def group_fetch(codes):
+            # One I/O delta around the whole batch: nothing else reads
+            # the device between the leaves, so it equals the sum of
+            # per-leaf query_measured deltas.
+            nonlocal total
+            stats = group_col.index.stats
+            before = stats.snapshot()
+            results = [engine.query(group, code, code) for code in codes]
+            total = total + (stats.snapshot() - before)
+            return results
 
         value = evaluate_count_by(
-            plan, fetch, universe, group_codes, group_fetch, costs
+            plan, fetch, universe, group_col.distinct_codes(), group_fetch,
+            costs,
         )
     else:
         raise InvalidParameterError(f"unknown fold mode {mode!r}")

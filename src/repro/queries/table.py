@@ -283,40 +283,38 @@ class Table:
     ) -> dict[Any, int]:
         """Matching-row counts keyed by the *values* of ``group``.
 
-        The predicate folds once; each occurring group value costs one
-        equality leaf on the group column.  Zero-count groups are
-        omitted; ``conditions=None`` counts every row by group.
+        The predicate folds once; the group column's equality leaves,
+        one per occurring value, are then counted against that one
+        answer in a single pass (O(z + sum of group leaf sizes)).
+        Zero-count groups are omitted; ``conditions=None`` counts
+        every row by group.
         """
         group_col = self.column(group)
-        if conditions is None:
-            code_counts = (
-                self.engine.count_by(group)
-                if self.engine is not None
-                else evaluate_count_by(
-                    None,
-                    self._factory_fetch,
-                    self.num_rows,
-                    range(group_col.alphabet.sigma),
-                    lambda code: group_col.index.range_query(code, code),
-                )
-            )
+        if conditions is not None and not isinstance(conditions, Pred):
+            raise QueryError("count_by takes a predicate or None")
+        code_pred = (
+            None if conditions is None else self._translate(conditions)
+        )
+        if self.engine is not None:
+            code_counts = self.engine.count_by(group, code_pred)
         else:
-            if not isinstance(conditions, Pred):
-                raise QueryError("count_by takes a predicate or None")
-            code_pred = self._translate(conditions)
-            if self.engine is not None:
-                code_counts = self.engine.count_by(group, code_pred)
+            if code_pred is None:
+                plan, universe = None, self.num_rows
             else:
                 plan, universe = self._compile_factory(code_pred)
-                # Factory alphabets are built from occurring values,
-                # so every code 0..sigma-1 is a live group.
-                code_counts = evaluate_count_by(
-                    plan,
-                    self._factory_fetch,
-                    universe,
-                    range(group_col.alphabet.sigma),
-                    lambda code: group_col.index.range_query(code, code),
-                )
+
+            def group_fetch(codes):
+                return [group_col.index.range_query(c, c) for c in codes]
+
+            # Factory alphabets are built from occurring values, so
+            # every code 0..sigma-1 is a live group.
+            code_counts = evaluate_count_by(
+                plan,
+                self._factory_fetch,
+                universe,
+                range(group_col.alphabet.sigma),
+                group_fetch,
+            )
         return {
             group_col.alphabet.value(code): n
             for code, n in code_counts.items()

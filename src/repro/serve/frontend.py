@@ -17,7 +17,10 @@ fingerprint is the stable content hash of the *normalized* predicate
 predicates (``a & b`` vs ``b & a``) coalesce.  The first request
 (the *leader*) executes; concurrent duplicates (*followers*) await
 the leader's future, bypass admission, count into
-``serve.coalesced`` and tag the leader's trace.  The key embeds every
+``serve.coalesced`` and tag the leader's trace.  When a flight had
+followers, every caller (the leader too) receives its own copy of a
+list or dict answer (``select``, ``count_by``, ``topk``), so callers
+never share a mutable object.  The key embeds every
 engine's monotone ``mutations`` counter, so the coalescing window
 closes at each write: a request arriving after an update can never be
 served a pre-update answer.
@@ -236,7 +239,7 @@ class FrontEnd:
                 self._count("serve.coalesced")
                 if entry.trace is not None:
                     entry.trace.root.tags["coalesced"] = entry.followers
-                return await self._await_result(op, entry.future, timeout_s)
+                return await self._await_result(op, entry, timeout_s)
         if self.inflight >= self.max_inflight:
             self.shed += 1
             self._count("serve.shed")
@@ -252,14 +255,15 @@ class FrontEnd:
         )
         future = loop.create_future()
         future.add_done_callback(_swallow)
+        entry = _Entry(future, trace)
         if key is not None:
-            self._singleflight[key] = _Entry(future, trace)
+            self._singleflight[key] = entry
         task = loop.create_task(
             self._execute(key, future, trace, call)
         )
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
-        return await self._await_result(op, future, timeout_s)
+        return await self._await_result(op, entry, timeout_s)
 
     async def _execute(self, key, future, trace, call) -> None:
         loop = asyncio.get_running_loop()
@@ -294,17 +298,17 @@ class FrontEnd:
             future.set_result(value)
             await self._maybe_refresh_replicas(loop)
 
-    async def _await_result(self, op, future, timeout_s):
+    async def _await_result(self, op, entry, timeout_s):
         timeout = timeout_s if timeout_s is not None else self.timeout_s
         t0 = time.monotonic()
         try:
             # Shield: a caller's timeout or disconnect abandons *its*
             # await, never the shared execution other callers ride.
             if timeout is None:
-                value = await asyncio.shield(future)
+                value = await asyncio.shield(entry.future)
             else:
                 value = await asyncio.wait_for(
-                    asyncio.shield(future), timeout
+                    asyncio.shield(entry.future), timeout
                 )
         except asyncio.TimeoutError:
             self.timeouts += 1
@@ -318,6 +322,13 @@ class FrontEnd:
         self._count("serve.completed")
         if self.metrics is not None:
             self.metrics.observe("serve.latency_s", time.monotonic() - t0)
+        if entry.followers and isinstance(value, (list, dict)):
+            # A shared answer: every caller gets its own copy, so one
+            # caller mutating its select list or count_by dict cannot
+            # change what the others see.  The follower count is final
+            # here: the entry left the single-flight table before the
+            # future resolved.
+            value = value.copy()
         return value
 
     async def _maybe_refresh_replicas(self, loop) -> None:

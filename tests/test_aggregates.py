@@ -318,3 +318,105 @@ class TestAggregatePushdownAccounting:
         assert resident.count(Not(In("c", []))) == 100
         assert resident.exists(Not(In("c", [])))
         assert agg_pool.op_counts.get("fold", 0) == 0
+
+
+def _updatable(kind, pool=None):
+    """Columns ``x`` and ``g`` (sigma 8; ``g`` never holds 5-7, and
+    holds 4 in exactly one row) on the engine kind under test."""
+    rng = random.Random(41)
+    columns = {
+        "x": [rng.randrange(8) for _ in range(120)],
+        "g": [rng.randrange(4) for _ in range(120)],
+    }
+    columns["g"][17] = 4
+    if kind == "engine":
+        engine = QueryEngine()
+    else:
+        engine = ClusterEngine(num_shards=3, executor=pool)
+    for name, codes in columns.items():
+        engine.add_column(name, codes, 8, dynamism="fully_dynamic")
+    return columns, engine
+
+
+class TestCountByTracksWrites:
+    """A group code that appears or vanishes after a ``count_by``.
+
+    The group codes a fold visits are memoized per column version: a
+    stale memo would miss a never-seen code appended after the first
+    ``count_by``.
+    """
+
+    def check(self, engine, columns):
+        pred = Range("x", 0, 5)
+        want = brute_count_by(columns, "g", pred_oracle(pred, columns))
+        assert engine.count_by("g", pred) == want
+        assert engine.count_by("g") == dict(Counter(columns["g"]))
+        assert engine.topk("g", pred, 3) == sorted(
+            want.items(), key=lambda kv: (-kv[1], kv[0])
+        )[:3]
+
+    def exercise(self, engine, columns):
+        self.check(engine, columns)
+        for name, code in (("x", 1), ("g", 6)):
+            engine.append(name, code)
+            columns[name].append(code)
+        self.check(engine, columns)
+        assert engine.count_by("g")[6] == 1
+        engine.change("g", 17, 0)
+        columns["g"][17] = 0
+        self.check(engine, columns)
+        assert 4 not in engine.count_by("g")
+
+    @pytest.mark.parametrize("kind", ["engine", "serial"])
+    def test_local(self, kind):
+        columns, engine = _updatable(kind)
+        self.exercise(engine, columns)
+
+    def test_one_worker_process_cluster(self):
+        with ProcessExecutor(max_workers=1) as pool:
+            columns, engine = _updatable("process", pool)
+            try:
+                self.exercise(engine, columns)
+            finally:
+                engine.close()
+
+
+def test_count_by_fold_io_is_the_sum_of_its_leaf_reads():
+    """The fold measures its group leaves as one batch; on a cold
+    engine that equals ``query_measured`` summed over the same leaves
+    in the same order."""
+    from repro.cluster.worker import evaluate_shard_fold
+    from repro.iomodel.stats import Snapshot
+    from repro.query import compile_pred
+
+    def cold():
+        rng = random.Random(23)
+        engine = QueryEngine()
+        engine.add_column("x", [rng.randrange(16) for _ in range(300)], 16)
+        engine.add_column("g", [rng.randrange(6) for _ in range(300)], 6)
+        return engine
+
+    engine = cold()
+    columns = {name: list(col.codes) for name, col in engine.columns.items()}
+    pred = And(Range("x", 2, 9), Not(Eq("g", 1)))
+    plan = compile_pred(pred, lambda name: engine.column(name).sigma)
+    payload = ("count_by", ("g", "x"), plan.leaves, plan.root, "g")
+    seen = []
+    query = engine.query
+
+    def recording(name, lo=None, hi=None):
+        seen.append((name, lo, hi))
+        return query(name, lo, hi)
+
+    engine.query = recording
+    value, io = evaluate_shard_fold(engine, payload)
+    assert value == brute_count_by(columns, "g", pred_oracle(pred, columns))
+    codes = engine.column("g").distinct_codes()
+    assert seen[-len(codes):] == [("g", c, c) for c in codes]
+
+    replay = cold()
+    total = Snapshot()
+    for leaf in seen:
+        total = total + replay.query_measured(*leaf)[1]
+    assert io.bits_read > 0
+    assert io == total

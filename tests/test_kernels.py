@@ -168,6 +168,75 @@ class TestSetAlgebraParity:
             a, a_comp, b, b_comp, universe
         ) == len(sa - sb)
 
+    @fixture_ok
+    @given(
+        short=st.lists(st.integers(0, 3000), max_size=4, unique=True).map(
+            sorted
+        ),
+        long=st.lists(
+            st.integers(0, 3000), min_size=40, max_size=300, unique=True
+        ).map(sorted),
+    )
+    def test_lopsided_intersections_either_order(self, kernel, short, long):
+        # The fast kernel hashes whichever operand is shorter; the
+        # answer must not depend on which side that is.
+        want = sorted(set(short) & set(long))
+        for a, b in ((short, long), (long, short)):
+            assert ops.intersect_sorted(a, b) == want
+            assert ops.intersect_count(a, b) == len(want)
+            assert kernels.intersect_sorted(a, b) == want
+            assert kernels.intersect_count(a, b) == len(want)
+
+    @fixture_ok
+    @given(
+        a=position_lists,
+        a_comp=st.booleans(),
+        groups=st.lists(
+            st.tuples(position_lists, st.booleans()), max_size=6
+        ),
+    )
+    def test_many_count_matches_per_leaf_loop(
+        self, kernel, a, a_comp, groups
+    ):
+        # Random flags reach all four complement combinations, and the
+        # strategies draw empty stored lists and empty leaves.
+        universe = 230
+        want = [
+            ops.intersect_aware_count(a, a_comp, g, g_comp, universe)
+            for g, g_comp in groups
+        ]
+        sa = set(range(universe)) - set(a) if a_comp else set(a)
+        assert want == [
+            len(sa & (set(range(universe)) - set(g) if g_comp else set(g)))
+            for g, g_comp in groups
+        ]
+        assert ops.intersect_aware_count_many(
+            a, a_comp, groups, universe
+        ) == want
+        assert kernels.intersect_aware_count_many(
+            a, a_comp, groups, universe
+        ) == want
+
+    @pytest.mark.parametrize("a_comp", [False, True])
+    @pytest.mark.parametrize("g_comp", [False, True])
+    def test_many_count_empty_operands(self, kernel, a_comp, g_comp):
+        universe = 10
+        cases = [
+            ([], [[], [3], [0, 9]]),
+            ([2, 3], [[], [3, 4]]),
+            ([], []),
+        ]
+        everything = set(range(universe))
+        for a, leaves in cases:
+            groups = [(g, g_comp) for g in leaves]
+            sa = everything - set(a) if a_comp else set(a)
+            assert ops.intersect_aware_count_many(
+                a, a_comp, groups, universe
+            ) == [
+                len(sa & (everything - set(g) if g_comp else set(g)))
+                for g in leaves
+            ]
+
     def test_empty_operands(self, kernel):
         assert ops.intersect_sorted([], [1, 2]) == []
         assert ops.intersect_sorted([1, 2], []) == []

@@ -8,6 +8,7 @@ test function, which also pins the loop's lifetime inside the test.
 import asyncio
 import random
 import threading
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -219,6 +220,44 @@ class TestCoalescing:
 
         asyncio.run(main())
         assert engine.calls == 2 and fe.coalesced == 0
+
+    @pytest.mark.parametrize("op", ["select", "count_by", "topk"])
+    def test_coalesced_callers_own_their_answers(self, op):
+        # The first caller mutates its answer before the second caller
+        # resumes; the second must still see the oracle's answer.
+        cluster, codes = _make_cluster()
+        fe = FrontEnd(cluster)
+        pred = Range("v", 2, 9)
+        rows = brute_range(codes, 2, 9)
+        counts = Counter(codes[rid] for rid in rows)
+        want = {
+            "select": rows,
+            "count_by": dict(counts),
+            "topk": sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:3],
+        }[op]
+        call = {
+            "select": lambda: fe.select(pred),
+            "count_by": lambda: fe.count_by("v", pred),
+            "topk": lambda: fe.topk("v", pred, 3),
+        }[op]
+
+        async def mutate_first():
+            answer = await call()
+            if isinstance(answer, dict):
+                answer[-1] = -1
+            else:
+                answer.append(-1)
+            return answer
+
+        async def main():
+            first, second = await asyncio.gather(mutate_first(), call())
+            await fe.close()
+            return first, second
+
+        first, second = asyncio.run(main())
+        assert fe.coalesced == 1
+        assert second == want
+        assert first != second
 
     def test_coalescing_off_executes_every_request(self):
         engine = _GateEngine()
