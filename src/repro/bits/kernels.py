@@ -93,16 +93,12 @@ def set_kernel(name: str) -> None:
 # twins hand the whole problem to the C implementations of ``set`` and
 # ``sorted`` (Timsort detects and merges the pre-sorted runs).  The
 # contract is identical: inputs are sorted and duplicate-free, outputs
-# are fresh sorted duplicate-free lists.  A two-operand intersection
-# hashes the shorter operand and probes it with the longer, so its
-# cost does not depend on argument order.
+# are fresh sorted duplicate-free lists.
 
 
 def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
-    if len(b) < len(a):
-        a, b = b, a
     return sorted(set(a).intersection(b))
 
 
@@ -151,8 +147,6 @@ def difference_sorted(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def intersect_count(a: Sequence[int], b: Sequence[int]) -> int:
     if not a or not b:
         return 0
-    if len(b) < len(a):
-        a, b = b, a
     return len(set(a).intersection(b))
 
 

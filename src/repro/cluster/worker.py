@@ -129,22 +129,24 @@ def evaluate_shard_fold(
         value = evaluate_exists(plan, fetch, universe, costs)
     elif mode == "count_by":
         group_col = engine.column(group)
+        start = None
 
-        def group_fetch(codes):
-            # One I/O delta around the whole batch: nothing else reads
-            # the device between the leaves, so it equals the sum of
-            # per-leaf query_measured deltas.
-            nonlocal total
-            stats = group_col.index.stats
-            before = stats.snapshot()
-            results = [engine.query(group, code, code) for code in codes]
-            total = total + (stats.snapshot() - before)
-            return results
+        def group_fetch(code: int):
+            # The group leaves come after the predicate has folded, and
+            # counting reads nothing, so one delta from the first leaf
+            # to the end of the fold is their per-leaf sum, without
+            # two snapshots per leaf.
+            nonlocal start
+            if start is None:
+                start = group_col.index.stats.snapshot()
+            return engine.query(group, code, code)
 
         value = evaluate_count_by(
             plan, fetch, universe, group_col.distinct_codes(), group_fetch,
             costs,
         )
+        if start is not None:
+            total = total + (group_col.index.stats.snapshot() - start)
     else:
         raise InvalidParameterError(f"unknown fold mode {mode!r}")
     return value, total

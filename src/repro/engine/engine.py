@@ -623,10 +623,7 @@ class QueryEngine(ObservedOps):
         """
         group_col = self.column(group)
         group_codes = group_col.distinct_codes()
-
-        def group_fetch(codes):
-            return [self.query(group, code, code) for code in codes]
-
+        group_fetch = lambda code: self.query(group, code, code)  # noqa: E731
         report_fn = (
             (lambda: self._plan_report(pred)) if pred is not None else None
         )

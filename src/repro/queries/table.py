@@ -302,10 +302,6 @@ class Table:
                 plan, universe = None, self.num_rows
             else:
                 plan, universe = self._compile_factory(code_pred)
-
-            def group_fetch(codes):
-                return [group_col.index.range_query(c, c) for c in codes]
-
             # Factory alphabets are built from occurring values, so
             # every code 0..sigma-1 is a live group.
             code_counts = evaluate_count_by(
@@ -313,7 +309,7 @@ class Table:
                 self._factory_fetch,
                 universe,
                 range(group_col.alphabet.sigma),
-                group_fetch,
+                lambda code: group_col.index.range_query(code, code),
             )
         return {
             group_col.alphabet.value(code): n

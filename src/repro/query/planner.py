@@ -533,21 +533,21 @@ def evaluate_count_by(
     fetch: Callable[[str, int, int], RangeResult],
     universe: int,
     group_codes: Sequence[int],
-    group_fetch: Callable[[Sequence[int]], Sequence[RangeResult]],
+    group_fetch: Callable[[int], RangeResult],
     leaf_costs: Sequence[float] | None = None,
 ) -> dict[int, int]:
     """Per-group-code cardinalities of ``pred AND group == code``.
 
-    The predicate folds *once* into an aware pair.  One
-    ``group_fetch(group_codes)`` call then returns the group column's
-    equality leaf for every code, in ``group_codes`` order, and
-    :func:`~repro.bits.ops.intersect_aware_count_many` counts them all
+    The predicate folds *once* into an aware pair.  Each group code
+    then costs one ``group_fetch(code)`` (the group column's equality
+    leaf), fetched in ``group_codes`` order while
+    :func:`~repro.bits.ops.intersect_aware_count_many` counts it
     against the folded answer, which it hashes once: O(z + sum of
-    group leaf sizes) work, no per-group result lists, no
-    re-evaluation of the predicate.  ``plan=None`` means no predicate
-    (count every row by group).  Codes whose intersection is empty are
-    omitted; an unsatisfiable predicate returns ``{}`` without
-    touching the group column at all.
+    group leaf sizes) work, one leaf held at a time, no per-group
+    result lists, no re-evaluation of the predicate.  ``plan=None``
+    means no predicate (count every row by group).  Codes whose
+    intersection is empty are omitted; an unsatisfiable predicate
+    returns ``{}`` without touching the group column at all.
     """
     if plan is None:
         stored: list[int] = []
@@ -557,10 +557,10 @@ def evaluate_count_by(
         stored, comp = folder.fold(plan.root)
         if not stored and not comp:
             return {}
-    groups = [
-        align_leaf(result, universe, needs_universe=False)
-        for result in group_fetch(group_codes)
-    ]
+    groups = (
+        align_leaf(group_fetch(code), universe, needs_universe=False)
+        for code in group_codes
+    )
     counts = intersect_aware_count_many(stored, comp, groups, universe)
     return {code: n for code, n in zip(group_codes, counts) if n}
 

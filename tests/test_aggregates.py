@@ -382,9 +382,11 @@ class TestCountByTracksWrites:
 
 
 def test_count_by_fold_io_is_the_sum_of_its_leaf_reads():
-    """The fold measures its group leaves as one batch; on a cold
-    engine that equals ``query_measured`` summed over the same leaves
-    in the same order."""
+    """The fold measures its group leaves as one delta; on a cold
+    engine its I/O equals ``query_measured`` summed over the same
+    leaves in the same order.  The predicate reads the group column
+    too, so a delta that started before the predicate folded would
+    count that leaf twice."""
     from repro.cluster.worker import evaluate_shard_fold
     from repro.iomodel.stats import Snapshot
     from repro.query import compile_pred

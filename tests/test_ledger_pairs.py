@@ -78,6 +78,21 @@ def test_eight_wins_of_ten_is_no_claim():
     assert not m["read_p95_ms"]["claim"]
 
 
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_a_clean_sweep_of_fewer_than_ten_pairs_is_no_claim(n):
+    lines = []
+    for seed in range(1, n + 1):
+        lines.append(line("parent", seed, 55.0 + seed % 3, 150.0))
+        lines.append(line("change", seed, 11.0, 150.0))
+    summary, m = summarize(lines)
+    p95 = m["read_p95_ms"]
+    assert p95["wins"] == n and p95["gap"] > p95["parent_iqr"]
+    assert not p95["claim"]
+    assert p95["bound_check"] == "ok"
+    assert "read_p95_ms" in ledger_pairs.format_summary(summary)
+    assert "too few pairs" in ledger_pairs.format_summary(summary)
+
+
 def test_a_gap_inside_the_parents_spread_is_no_claim():
     lines = []
     for seed in range(1, 11):

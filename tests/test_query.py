@@ -546,9 +546,9 @@ class TestCountingExecution:
         want_rows = evaluate_fetch(plan, fetch, 60).positions()
         group_calls = []
 
-        def group_fetch(codes):
-            group_calls.append(list(codes))
-            return [fetch("b", code, code) for code in codes]
+        def group_fetch(code):
+            group_calls.append(code)
+            return fetch("b", code, code)
 
         got = evaluate_count_by(
             plan, fetch, 60, sorted(set(cols["b"])), group_fetch
@@ -557,15 +557,14 @@ class TestCountingExecution:
 
         want = Counter(cols["b"][rid] for rid in want_rows)
         assert got == dict(want)
-        # The predicate folded once; one batch fetch of every group
-        # code, in code order.
-        assert group_calls == [sorted(set(cols["b"]))]
+        # The predicate folded once; one group fetch per group code.
+        assert group_calls == sorted(set(cols["b"]))
 
     def test_count_by_unsatisfiable_pred_skips_group_entirely(self):
         _, fetch = self._data()
         plan = compile_pred(In("a", []), SIGMAS.__getitem__)
 
-        def group_fetch(codes):
+        def group_fetch(code):
             raise AssertionError("group column should never be touched")
 
         assert evaluate_count_by(plan, fetch, 60, [0, 1], group_fetch) == {}

@@ -13,9 +13,10 @@ alternates from seed to seed.  Each run prints one JSON line
 (``side``, ``seed``, ``exit``, ``result``), and the summary follows:
 for every end-to-end metric of ``BENCHMARK.json``, each side's median
 and quartiles, the pairs the change wins (ties count for neither), the
-claim verdict (the change wins at least 9 of 10 pairs and its median
-beats the parent's by more than the parent's interquartile range),
-and the bound check (the change's median is no worse than the
+claim verdict (at least 10 pairs, the change wins at least 9 of every
+10 and its median beats the parent's by more than the parent's
+interquartile range; fewer pairs print ``too few pairs``), and the
+bound check (the change's median is no worse than the
 parent's by more than the metric's bound; ``unresolved`` when the
 parent's own spread is wider than the bound and the change's runs do
 not all read better).  Seeds where ``bits_read_per_op``, ``correct``
@@ -40,6 +41,9 @@ SIDES = ("parent", "change")
 #: workload the change does not touch.
 EXACT = ("bits_read_per_op", "correct", "failed")
 CLAIM_SHARE = 0.9
+#: A claim needs at least this many pairs: 2/2 or 5/5 wins is too
+#: likely by chance to count.
+CLAIM_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -123,7 +127,11 @@ def summarize(records: list[dict], spec: dict) -> dict:
         )
         gap = p_med - c_med if better == "lower" else c_med - p_med
         iqr = p_q3 - p_q1
-        claim = wins >= CLAIM_SHARE * len(pairs) and gap > iqr
+        claim = (
+            len(pairs) >= CLAIM_PAIRS
+            and wins >= CLAIM_SHARE * len(pairs)
+            and gap > iqr
+        )
         worse = _worse_share(p_med, c_med, better)
         if worse > bound:
             check = "worse"
@@ -172,11 +180,16 @@ def format_summary(summary: dict) -> str:
         "change wins | claim | bound",
     ]
     for m in summary["metrics"]:
+        verdict = (
+            "holds" if m["claim"]
+            else "too few pairs" if m["pairs"] < CLAIM_PAIRS
+            else "no"
+        )
         lines.append(
             f"{m['name']} ({m['unit']}, {m['better']} is better) | "
             f"{trio(m['parent'])} | {trio(m['change'])} | "
             f"{m['wins']}/{m['pairs']} | "
-            f"{'holds' if m['claim'] else 'no'} (gap {m['gap']:.4g} vs "
+            f"{verdict} (gap {m['gap']:.4g} vs "
             f"parent IQR {m['parent_iqr']:.4g}) | "
             f"{m['bound_check']} ({move(m['worse_share'])}, bound "
             f"{m['bound']:.0%})"
