@@ -54,7 +54,10 @@ bench:
 # The E21 ledger as an oracle check: each workload once, end to end
 # (FrontEnd, cluster, worker processes, WAL, cold restore).  Only the
 # exit code is gated: 1 is an oracle mismatch.  Timings are not gated;
-# shared runners are too noisy.
+# shared runners are too noisy.  One more adhoc-scan run is traced, so
+# the per-layer probe (perfbench/layers.py, which wraps executor and
+# planner calls by name) runs against the real stack: it also exits 1
+# when trace.accounted_share leaves 1 +/- 0.10.
 LEDGER_WORKLOADS = dashboard-zipf adhoc-scan ingest-durable
 
 ledger:
@@ -62,6 +65,8 @@ ledger:
 		python3 perfbench/run.py --workload "$$w" --seed 2 --seconds 6 \
 			--trace 0 || exit $$?; \
 	done
+	python3 perfbench/run.py --workload adhoc-scan --seed 2 --seconds 6 \
+		--trace 1
 
 # The pair protocol for a perf claim: seeds SEEDS of workload WORKLOAD
 # once in each of two full checkouts (PARENT, CHANGE), alternating

@@ -13,7 +13,12 @@ not megabytes — measured against coordinator-side
 materialize-then-count over the same predicates.  (d) Cost-ordered
 ``And`` evaluation (the advisor's predicted bits ordering legs)
 fetches a cheap empty leg first and skips the expensive one, reading
-fewer bits than the canonical leaf-table order.
+fewer bits than the canonical leaf-table order.  (e) A repeated
+aggregate costs nothing at the coordinator: each shard's fold value
+sits in the shared result cache under its shard's column versions, so
+the identical repeat sends no ``fold`` message and reads no bits, and
+a write routed to one shard makes exactly that shard fold again.
+These are counts, not timings, so the claim holds on any host.
 """
 
 import pickle
@@ -279,3 +284,56 @@ def test_e16d_cost_ordered_and_skips_expensive_leg(data, report, benchmark):
         "is ever fetched.",
     )
     benchmark(lambda: ordered_engine.select(pred))
+
+
+def test_e16e_repeat_folds_are_answered_at_the_coordinator(data, report):
+    """Fold values are cached per shard: a repeat sends no message."""
+    codes = list(data[0])
+    pred = Or(Range("c", 0, 2), Range("c", 8, 9))
+
+    def matches(c):
+        return 0 <= c <= 2 or 8 <= c <= 9
+
+    def oracle():
+        return sum(1 for c in codes if matches(c))
+
+    rows = []
+    with ProcessExecutor(max_workers=2) as pool:
+        cluster = ClusterEngine(
+            num_shards=4, executor=pool, drift_window=None
+        )
+        cluster.add_column("c", codes, SIGMA, dynamism="fully_dynamic")
+        try:
+
+            def step(label):
+                pool.op_counts.clear()
+                before = cluster.scatter_io.snapshot()
+                got = cluster.count(pred)
+                bits = (cluster.scatter_io.snapshot() - before).bits_read
+                folds = pool.op_counts.get("fold", 0)
+                assert got == oracle(), label
+                rows.append([label, got, folds, bits])
+                return folds, bits
+
+            first_folds, first_bits = step("first count")
+            assert first_folds == 4 and first_bits > 0
+            assert step("identical repeat") == (0, 0)
+            lo, _ = cluster.plan_.slices()[1]
+            new = 5 if matches(codes[lo]) else 1  # flips the row
+            cluster.change("c", lo, new)
+            codes[lo] = new
+            folds, bits = step("repeat after a change to shard 1")
+            assert folds == 1 and bits > 0
+            assert step("identical repeat") == (0, 0)
+        finally:
+            cluster.close()
+    report.table(
+        "E16e  repeated count: fold messages and bits "
+        f"(n={N}, 4 shards, 2 workers)",
+        ["call", "count", "fold msgs", "bits read"],
+        rows,
+        note="each shard's fold value is cached at the coordinator "
+        "under (shard uid, shard plan, column epoch and version); a "
+        "write bumps one shard's version, so only that shard folds "
+        "again.",
+    )

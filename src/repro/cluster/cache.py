@@ -20,18 +20,30 @@ stamped once per ``add_column``, so dropping a column and re-adding
 one under the same name can never resurrect the old incarnation's
 entries even though shard versions restart at zero — and same-named
 columns of *different engines* (or processes) sharing one store never
-collide.  Together they yield the cluster's invalidation protocol:
+collide.
+
+Aggregate folds share the tier under *fold keys*
+(:func:`fold_key`): ``(FOLDS, shard_id, payload, versions)``, where
+``payload`` is the shard-specialized plan the fold evaluates and
+``versions`` holds ``(column, epoch, version)`` for every column it
+reads.  A fold spans columns, so its entries live in one namespace of
+their own, :data:`FOLDS`, with the shard uid second: ``(FOLDS,
+shard_id)`` is a retired shard's fold prefix.  Together they yield the
+cluster's invalidation protocol:
 
 * an update routed to shard ``s`` bumps only that shard's version, so
-  only shard ``s``'s entries become unreachable — every other shard's
-  cached results stay live and keep serving;
+  only shard ``s``'s entries — leaf answers and folds that read the
+  column — become unreachable; every other shard's cached results stay
+  live and keep serving.  Nothing is evicted on the write: the LRU
+  reclaims the dead entries' space;
 * a lifecycle operation (split/merge) retires the participating
   shards' uids and mints fresh ones for their replacements, so the
   retired entries can never be served again while sibling shards' hot
   entries survive the reshape — a *positional* key here would let a
   fresh shard alias a retired neighbor's entries;
 * unreachability is the correctness mechanism; *eviction* is an
-  optimization.  A store that cannot enumerate keys implements
+  optimization, kept for DDL, retirement and ``drop_caches``.  A store
+  that cannot enumerate keys implements
   :meth:`CacheStore.invalidate_prefix` as a no-op and leans on
   TTL-based expiry (:class:`TTLStore`) — stale entries are dead
   weight, never wrong answers.
@@ -43,8 +55,11 @@ get/put/invalidate-by-prefix contract an external store implements
 :class:`InMemorySharedCache` wraps any store with the lock and the
 defensive copies a *shared* cache needs.
 
-Values are plain sorted lists of shard-local positions (JSON/msgpack
-friendly), translated to global RIDs by the gather phase.
+Leaf values are plain sorted lists of shard-local positions
+(JSON/msgpack friendly), translated to global RIDs by the gather
+phase.  Fold values are stored immutable — an int, a bool, or a
+``count_by``'s sorted ``(code, count)`` pairs — so no caller can
+change what a later hit returns.
 """
 
 from __future__ import annotations
@@ -58,6 +73,12 @@ from ..errors import InvalidParameterError
 
 #: Cache key: (column, shard uid, epoch, shard-local version, lo, hi).
 SharedKey = tuple[str, int, str, int, int, int]
+
+#: Slot 0 of every fold key: the namespace aggregate folds share.  A
+#: fold key is four slots long and a leaf key six, so even a column of
+#: this name could never alias a fold entry — it would only share its
+#: prefix drops.
+FOLDS = "\x00folds"
 
 
 def shared_key(
@@ -76,6 +97,25 @@ def shared_key(
     cluster uses are key prefixes.
     """
     return (column, shard_id, epoch, version, char_lo, char_hi)
+
+
+def fold_key(shard_id: int, payload: tuple, versions: tuple) -> tuple:
+    """The shared-cache key of one shard's aggregate fold.
+
+    ``payload`` is the shard-specialized ``(mode, columns, leaves,
+    root, group)`` the fold evaluates; ``versions`` holds ``(column,
+    epoch, shard-local version)`` for every column in it, the group
+    column included.  A write to any of them on this shard, or a new
+    incarnation of one, makes the key unreachable.
+    """
+    return (FOLDS, shard_id, payload, versions)
+
+
+def frozen_fold(value):
+    """A fold value no caller can mutate: ``count_by`` dicts become
+    sorted ``(code, count)`` pairs; counts and exists-bits are
+    already immutable."""
+    return tuple(sorted(value.items())) if isinstance(value, dict) else value
 
 
 class CacheStore(ABC):
@@ -261,7 +301,8 @@ class SharedResultCache(ABC):
 
     @abstractmethod
     def get(self, key: SharedKey) -> list[int] | None:
-        """The cached shard-local positions, or ``None`` on a miss."""
+        """The cached shard-local positions (a fold value under a
+        :func:`fold_key`), or ``None`` on a miss."""
 
     @abstractmethod
     def put(self, key: SharedKey, positions: list[int]) -> None:
@@ -281,9 +322,11 @@ class SharedResultCache(ABC):
     ) -> int:
         """Eagerly drop entries for a column (optionally one shard).
 
-        Purely an optimization — version-carrying keys already make
-        stale entries unreachable — so the default is a no-op, which is
-        all a store without key enumeration can offer.
+        ``column=FOLDS`` names the fold namespace: every fold entry,
+        or with ``shard_id`` one shard's.  Purely an optimization —
+        version-carrying keys already make stale entries unreachable —
+        so the default is a no-op, which is all a store without key
+        enumeration can offer.
         """
         return 0
 
@@ -295,9 +338,10 @@ class InMemorySharedCache(SharedResultCache):
     :class:`DictStore` is the engine's proven LRU; a :class:`TTLStore`
     models expiry-only deployments); this wrapper adds what a *shared*
     cache needs on top — a lock (scatter tasks run concurrently under
-    the threaded executor), defensive value copies (callers
-    offset-translate their lists in place), and the key-scheme-aware
-    mapping from the cluster's invalidation verbs onto prefix drops.
+    the threaded executor), defensive copies of position lists
+    (callers offset-translate them in place; fold values are immutable
+    already), and the key-scheme-aware mapping from the cluster's
+    invalidation verbs onto prefix drops.
     """
 
     def __init__(
@@ -349,22 +393,25 @@ class InMemorySharedCache(SharedResultCache):
 
     def get(self, key: SharedKey) -> list[int] | None:
         with self._lock:
-            positions = self._store.get(key)
+            value = self._store.get(key)
         if self.metrics is not None:
             self.metrics.inc(
                 "cache.shared.hits"
-                if positions is not None
+                if value is not None
                 else "cache.shared.misses"
             )
-        # Hand out a copy: a shared cache cannot know what its
-        # callers do with the list, and an aliased mutation would
-        # corrupt every later hit (a real external store serializes
-        # and so copies implicitly).
-        return list(positions) if positions is not None else None
+        # Hand out a copy of a position list: a shared cache cannot
+        # know what its callers do with it, and an aliased mutation
+        # would corrupt every later hit (a real external store
+        # serializes and so copies implicitly).  Fold values are
+        # stored immutable and need none.
+        if value is None or key[0] == FOLDS:
+            return value
+        return list(value)
 
-    def put(self, key: SharedKey, positions: list[int]) -> None:
+    def put(self, key: SharedKey, value) -> None:
         with self._lock:
-            self._store.put(key, list(positions))
+            self._store.put(key, value if key[0] == FOLDS else list(value))
 
     def invalidate(
         self, column: str | None = None, shard_id: int | None = None

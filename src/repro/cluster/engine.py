@@ -119,7 +119,14 @@ from ..query import (
     specialize,
 )
 from ..query.planner import ALL, EMPTY, LEAF
-from .cache import InMemorySharedCache, SharedResultCache, shared_key
+from .cache import (
+    FOLDS,
+    InMemorySharedCache,
+    SharedResultCache,
+    fold_key,
+    frozen_fold,
+    shared_key,
+)
 from .executor import CompletedFuture, MappedFuture, SerialExecutor
 from .worker import fetch_range, fold_shard
 from .sharding import (
@@ -873,7 +880,10 @@ class ClusterEngine(ObservedOps):
             for shard_id, shard in enumerate(self.shards):
                 shard.drop_column(name)
                 self._ship_delta(shard_id, ("drop_column", name))
+            # Fold keys span columns, so no prefix names this column's
+            # folds alone: the whole fold namespace goes with it.
             self.shared_cache.invalidate(column=name)
+            self.shared_cache.invalidate(column=FOLDS)
             del self.columns[name]
             self.mutations += 1
             self._log(("drop_column", name))
@@ -1164,35 +1174,65 @@ submit_query_group`) instead of one message per shard.
     def _submit_fold(self, shard_id: int, payload: tuple, trace):
         """Launch one shard's fold; resolves to ``(value, io, span)``.
 
-        A fresh hot-shard replica answers first, recording a
-        synchronous ``replica_fold`` event.  Otherwise
-        :func:`~repro.cluster.worker.fold_shard` runs — the resident
+        The shared cache is consulted first, here at the coordinator,
+        then a fresh hot-shard replica; either hit records a
+        synchronous event and resolves at once, span slot ``None`` —
+        a cache hit sends no message and reads no bits.  A miss runs
+        :func:`~repro.cluster.worker.fold_shard` — the resident
         worker's ``fold`` op, or a local executor task against this
-        process's own shard engine — including the fold's deliberate
-        shared-cache bypass, so value and measured I/O are
-        executor-independent.
+        process's own shard engine, so value and measured I/O are
+        executor-independent — and its value enters the shared cache,
+        frozen, when the gather consumes the reply.  The
+        :func:`~repro.cluster.cache.fold_key` carries the shard uid,
+        the specialized payload and every read column's epoch and
+        version, so a write to any of those columns on this shard
+        makes the entry unreachable.
         """
         uid = self.shard_uids[shard_id]
+        mode = payload[0]
+        engine = self.shards[shard_id]
+        versions = {col: engine.column(col).version for col in payload[1]}
+        key = fold_key(
+            uid, payload,
+            tuple(
+                (col, self.columns[col].epoch, version)
+                for col, version in versions.items()
+            ),
+        )
+        hit = self.shared_cache.get(key)
+        if hit is not None:
+            trace.event(
+                "cache_lookup", tier="shared", hit=True, mode=mode,
+                shard_uid=uid, bits_read=0,
+            )
+            value = dict(hit) if mode == "count_by" else hit
+            return CompletedFuture((value, Snapshot(), None))
         if self.replicas is not None:
-            engine = self.shards[shard_id]
-            versions = {col: engine.column(col).version for col in payload[1]}
-            hit = self.replicas.fold(uid, payload, versions)
-            if hit is not None:
-                value, io = hit
+            replica = self.replicas.fold(uid, payload, versions)
+            if replica is not None:
+                value, io = replica
+                self.shared_cache.put(key, frozen_fold(value))
                 trace.event(
-                    "replica_fold", mode=payload[0], shard_uid=uid,
+                    "replica_fold", mode=mode, shard_uid=uid,
                     bits_read=io.bits_read,
                 )
                 return CompletedFuture((value, io, None))
+
+        def absorb(reply: tuple) -> tuple:
+            self.shared_cache.put(key, frozen_fold(reply[0]))
+            return reply
+
         if self._resident:
             self._note_flush(trace, uid)
-            return self.executor.submit_fold(
+            future = self.executor.submit_fold(
                 uid, payload, trace=trace.trace_id
             )
-        return self.executor.submit(
-            fold_shard, self.shards[shard_id], uid, payload,
-            trace.trace_id, self._clock(), "shard_fold",
-        )
+        else:
+            future = self.executor.submit(
+                fold_shard, engine, uid, payload,
+                trace.trace_id, self._clock(), "shard_fold",
+            )
+        return MappedFuture(future, absorb)
 
     def _fold_futures(
         self, mode: str, plan: Plan, group: "str | None", trace
@@ -1208,7 +1248,8 @@ submit_query_group`) instead of one message per shard.
         ``count``/``exists`` is answered from the coordinator's own
         row count — ``Not`` over a fully-pruned leaf means *every*
         shard row, no worker needed — and only genuinely mixed shards
-        submit a fold (:meth:`_submit_fold`).
+        submit a fold (:meth:`_submit_fold`), which the shared result
+        cache answers when the shard's columns have not moved.
         """
         names = set(plan.columns) if group is None else {*plan.columns, group}
         metas = {col: self._meta(col) for col in names}
@@ -1253,9 +1294,11 @@ submit_query_group`) instead of one message per shard.
 
         Each shard folds its localized plan in cardinality space
         (worker-resident under a process executor) and reports one
-        integer; fully-pruned shards and shards a complement fully
-        covers are answered without any round trip.  No RID list is
-        materialized anywhere — not per shard, not globally.
+        integer; fully-pruned shards, shards a complement fully
+        covers, and shards whose fold sits in the shared result cache
+        at their current column versions are answered without any
+        round trip.  No RID list is materialized anywhere — not per
+        shard, not globally.
         """
         with self._observed(
             "count", report_fn=lambda: self._plan_report(pred)
@@ -1869,13 +1912,12 @@ submit_query_group`) instead of one message per shard.
     def _after_update(
         self, name: str, shard_id: int, deleted: bool = False
     ) -> None:
-        # The version bump already made this shard's keys unreachable;
-        # eager eviction frees their capacity.  Other shards' entries
-        # are untouched — that is the point of per-shard versioning.
+        # The version bump already made this shard's keys unreachable,
+        # leaf and fold alike, and the LRU reclaims their space; a scan
+        # to evict them would cost O(entries) per write.  Other shards'
+        # entries are untouched — that is the point of per-shard
+        # versioning.
         self.mutations += 1
-        self.shared_cache.invalidate(
-            column=name, shard_id=self.shard_uids[shard_id]
-        )
         meta = self.columns[name]
         meta.updates_since_stat[shard_id] = (
             meta.updates_since_stat.get(shard_id, 0) + 1
@@ -2323,6 +2365,7 @@ submit_query_group`) instead of one message per shard.
                 [_ABSENT, _ABSENT] if pin is None else [pin, pin],
             )
             self.shared_cache.invalidate(column=name, shard_id=old_uid)
+        self.shared_cache.invalidate(column=FOLDS, shard_id=old_uid)
         self._ship_retire(old_uid)
         self._ship_build(shard_id)
         self._ship_build(shard_id + 1)
@@ -2402,6 +2445,7 @@ submit_query_group`) instead of one message per shard.
             for uid in old_uids:
                 self.shared_cache.invalidate(column=name, shard_id=uid)
         for uid in old_uids:
+            self.shared_cache.invalidate(column=FOLDS, shard_id=uid)
             self._ship_retire(uid)
         self._ship_build(left_id)
         self._refresh_plan()

@@ -100,9 +100,11 @@ def evaluate_shard_fold(
     Shared verbatim by every fold — :func:`fold_shard` under any
     executor, and hot-shard replicas — so the aggregate a shard
     reports, value *and* measured I/O, is executor-independent.
-    Deliberately bypasses the shared result cache (workers do not hold
-    it); only the engine's own LRU serves repeats, keeping the two
-    paths' I/O identical.
+    Workers do not hold the shared result cache: the coordinator
+    consults it before submitting a fold and stores the value this
+    returns (``ClusterEngine._submit_fold``).  Inside the fold only
+    the engine's own LRU serves repeated leaves, so every executor
+    reads the same bits.
     """
     mode, columns, leaves, root, group = payload
     plan = Plan(

@@ -17,6 +17,10 @@ never has license to return wrong positions, so corruption degrades to
 a decode, not an error.  Puts are atomic (tmp + rename) so readers in
 other processes never observe a half-written entry.
 
+Only range answers are persisted.  A fold key (``cluster.cache.FOLDS``
+namespace) is always a miss and its put is dropped, so a coordinator
+backed by this store folds aggregates in the workers every time.
+
 The store is picklable by construction (``__reduce__`` re-opens the
 directory), which is what lets the coordinator ship one to every
 worker with ``ProcessExecutor.attach_cache_store``.
@@ -32,7 +36,7 @@ import zlib
 from array import array
 from typing import Iterable, Sequence
 
-from ..cluster.cache import CacheStore, SharedKey
+from ..cluster.cache import FOLDS, CacheStore, SharedKey
 
 _ENTRY_HEADER = struct.Struct("<II")
 _SUFFIX = ".entry"
@@ -67,6 +71,9 @@ class FileCacheStore(CacheStore):
     # -- CacheStore protocol --------------------------------------------
 
     def get(self, key: SharedKey) -> "Sequence[int] | None":
+        if key[0] == FOLDS:
+            self.misses += 1
+            return None
         try:
             with open(self._path(key), "rb") as fh:
                 blob = fh.read()
@@ -86,6 +93,8 @@ class FileCacheStore(CacheStore):
         return positions
 
     def put(self, key: SharedKey, positions: Iterable[int]) -> None:
+        if key[0] == FOLDS:
+            return
         body = array("q", positions)
         payload = _ENTRY_HEADER.pack(zlib.crc32(body.tobytes()), len(body))
         path = self._path(key)
@@ -105,6 +114,8 @@ class FileCacheStore(CacheStore):
         """
         if not prefix:
             target = os.path.join(self.directory, "obj")
+        elif prefix[0] == FOLDS:
+            return 0
         elif len(prefix) == 1:
             target = _column_dir(self.directory, prefix[0])
         else:

@@ -18,6 +18,14 @@ from repro.bench import (
 from repro.core import PaghRaoIndex
 from repro.errors import InvalidParameterError
 
+pytest_plugins = ["pytester"]
+
+BENCH_CONFTEST = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks",
+    "conftest.py",
+)
+
 
 class TestFormatting:
     def test_fmt_variants(self):
@@ -138,3 +146,51 @@ class TestWorkloads:
         assert random_ranges(16, 5, seed=3) == random_ranges(16, 5, seed=3)
         for lo, hi in random_ranges(16, 20, seed=4):
             assert 0 <= lo <= hi < 16
+
+
+class TestPartialRunsKeepResults:
+    """The benchmarks' ``report`` fixture saves only whole-module runs."""
+
+    MODULE = """
+import os
+
+def test_first(report):
+    assert not os.environ.get("BENCH_FAIL")
+    report.table("first", ["v"], [[os.environ.get("BENCH_TAG", "a")]])
+
+def test_second(report):
+    report.table("second", ["v"], [[os.environ.get("BENCH_TAG", "a")]])
+"""
+
+    def _files(self, pytester):
+        results = pytester.path / "results"
+        return [
+            (results / f"bench_demo.{ext}").read_bytes()
+            for ext in ("json", "txt")
+        ]
+
+    def test_partial_runs_leave_results_byte_identical(
+        self, pytester, monkeypatch
+    ):
+        with open(BENCH_CONFTEST) as f:
+            pytester.makeconftest(f.read())
+        pytester.makepyfile(bench_demo=self.MODULE)
+        pytester.runpytest("bench_demo.py").assert_outcomes(passed=2)
+        saved = self._files(pytester)
+        assert b"second" in saved[1]
+        monkeypatch.setenv("BENCH_TAG", "b")
+        for args in (
+            ["bench_demo.py", "-k", "first"],
+            ["bench_demo.py", "--deselect", "bench_demo.py::test_second"],
+            ["bench_demo.py::test_first"],
+        ):
+            pytester.runpytest(*args).assert_outcomes(passed=1)
+            assert self._files(pytester) == saved, args
+        monkeypatch.setenv("BENCH_FAIL", "1")
+        pytester.runpytest("bench_demo.py", "-x").assert_outcomes(failed=1)
+        assert self._files(pytester) == saved
+        monkeypatch.delenv("BENCH_FAIL")
+        pytester.runpytest("bench_demo.py").assert_outcomes(passed=2)
+        rewritten = self._files(pytester)
+        assert rewritten != saved
+        assert b"second" in rewritten[1]

@@ -228,11 +228,13 @@ class TestClusterEngine:
         ]
         assert versions_after[0] == versions_before[0] + 1
         assert versions_after[1:] == versions_before[1:]
-        # Only shard 0's entry was evicted; the others keep serving.
-        assert len(cluster.shared_cache) == 2
+        # Only shard 0's entry became unreachable (the write evicts
+        # nothing); the others keep serving.
         hits_before = cluster.shared_cache.hits
+        misses_before = cluster.shared_cache.misses
         assert cluster.query("c", 0, 3).positions() == brute_range(model, 0, 3)
         assert cluster.shared_cache.hits == hits_before + 2
+        assert cluster.shared_cache.misses == misses_before + 1
 
     def test_append_goes_to_last_shard(self):
         cluster = ClusterEngine(num_shards=2, drift_window=None)

@@ -14,10 +14,15 @@ identical updates — splits must be invisible to global RIDs when no
 holes compact.
 
 The invariants also enforce the cache-key lifecycle: every live
-shared-cache key must reference a *current* shard uid at its current
-version — a split or merge that leaked a retired shard's entries, or
-let a fresh shard alias one, fails here immediately.
+shared-cache key — leaf answers and aggregate folds alike — must
+reference a *current* shard uid, at a version no newer than that
+shard's — a split or merge that leaked a retired shard's entries, or
+let a fresh shard alias one, fails here immediately.  ``count``,
+``exists`` and ``count_by`` rules ask twice, so fold hits are checked
+against the model across writes, compactions, splits and merges.
 """
+
+from collections import Counter
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -29,6 +34,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster import ClusterEngine, ShardedTable
+from repro.cluster.cache import FOLDS
 from repro.engine import QueryEngine
 from repro.errors import InvalidParameterError
 from repro.model.distributions import uniform
@@ -151,6 +157,20 @@ class ClusterLifecycleMachine(RuleBasedStateMachine):
             i for i, c in enumerate(self._flat(shards)) if c is not None
         ]
 
+    def _shards(self, name):
+        return self.a_shards if name == "a" else self.b_shards
+
+    def _row_pairs(self, group, other, lo, hi):
+        """The group codes of rows whose ``other`` code is in [lo, hi].
+
+        A fold runs row-wise in each shard's own position space, so
+        row p of a shard pairs both columns' p-th codes.
+        """
+        for g, o in zip(self._shards(group), self._shards(other)):
+            for gc, oc in zip(g, o):
+                if gc is not None and oc is not None and lo <= oc <= hi:
+                    yield gc
+
     # ------------------------------------------------------------------
     # Update rules (every one may trigger a lifecycle operation)
     # ------------------------------------------------------------------
@@ -259,6 +279,23 @@ class ClusterLifecycleMachine(RuleBasedStateMachine):
         assert self.cluster.select(conditions) == want
         assert list(self.cluster.select_iter(conditions)) == want
 
+    @rule(data=st.data())
+    def folds_twice(self, data):
+        group = data.draw(st.sampled_from(["a", "b"]))
+        other = "b" if group == "a" else "a"
+        # lo >= 1: a full range normalizes to TRUE, which counts
+        # deleted slots and needs aligned columns.
+        lo = data.draw(st.integers(1, SIGMA - 1))
+        hi = data.draw(st.integers(lo, SIGMA - 1))
+        want = len(self._expected(self._shards(other), lo, hi))
+        by_group = dict(Counter(self._row_pairs(group, other, lo, hi)))
+        for _ in range(2):  # the repeat folds come from the cache
+            assert self.cluster.count(Range(other, lo, hi)) == want
+            assert self.cluster.exists(Range(other, lo, hi)) == (want > 0)
+            assert self.cluster.count_by(group, Range(other, lo, hi)) == (
+                by_group
+            )
+
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
@@ -275,15 +312,23 @@ class ClusterLifecycleMachine(RuleBasedStateMachine):
     @invariant()
     def cached_entries_reference_live_uids_and_versions(self):
         # The key lifecycle: every shared-cache key must carry a
-        # *current* shard uid (retired uids are evicted eagerly) at
-        # that shard's current version and the column's live epoch.
+        # *current* shard uid (retired uids are evicted eagerly) and
+        # the column's live epoch, at a version no newer than the
+        # shard's (writes evict nothing; versions only grow, so an
+        # older key is never looked up again).  A fold key checks
+        # every column of its version vector.
         uids = self.cluster.shard_uids
         for key in list(self.cluster.shared_cache.store._lru._data):
-            name, uid, epoch, version = key[0], key[1], key[2], key[3]
-            assert epoch == self.cluster.columns[name].epoch
+            if key[0] == FOLDS:
+                uid, versions = key[1], key[3]
+            else:
+                uid, versions = key[1], ((key[0], key[2], key[3]),)
             assert uid in uids
             position = uids.index(uid)
-            assert version == self.cluster.shard_column(name, position).version
+            for name, epoch, version in versions:
+                assert epoch == self.cluster.columns[name].epoch
+                current = self.cluster.shard_column(name, position).version
+                assert version <= current
 
     @invariant()
     def full_range_matches(self):

@@ -19,7 +19,14 @@ split shard's stable uid (killing its cached entries) while every
 sibling's entries remain keyed by their unchanged uids — so hot
 entries must keep serving across the reshape, and no key may ever
 reference a retired uid.
+
+Aggregate folds share the cache under fold keys, whose version vector
+covers every column the fold reads: ``count``/``exists``/``count_by``
+rules ask twice, so a write to *either* column must make the repeat
+fold again on that shard.
 """
+
+from collections import Counter
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -31,6 +38,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster import ClusterEngine
+from repro.cluster.cache import FOLDS
 from repro.query import And, Range
 
 SIGMA = 8
@@ -83,6 +91,21 @@ class ClusterCacheMachine(RuleBasedStateMachine):
         return [
             i for i, c in enumerate(self._flat(shards)) if c is not None
         ]
+
+    def _shards(self, name):
+        return self.dyn_shards if name == "dyn" else self.del_shards
+
+    def _row_pairs(self, group, other, lo, hi):
+        """The group codes of rows whose ``other`` code is in [lo, hi].
+
+        A fold runs row-wise in each shard's own position space, so
+        row p of a shard pairs both columns' p-th codes (the global
+        RIDs agree while the columns are equally long).
+        """
+        for g, o in zip(self._shards(group), self._shards(other)):
+            for gc, oc in zip(g, o):
+                if gc is not None and oc is not None and lo <= oc <= hi:
+                    yield gc
 
     # ------------------------------------------------------------------
     # Update rules
@@ -185,6 +208,34 @@ class ClusterCacheMachine(RuleBasedStateMachine):
         )
         assert got == want
 
+    @rule(data=st.data())
+    def count_and_exists_twice(self, data):
+        name = data.draw(st.sampled_from(["dyn", "del"]))
+        # lo >= 1: a full range normalizes to TRUE, which counts
+        # deleted slots and needs aligned columns.
+        lo = data.draw(st.integers(1, SIGMA - 1))
+        hi = data.draw(st.integers(lo, SIGMA - 1))
+        want = len(self._expected(self._shards(name), lo, hi))
+        for _ in range(2):  # the repeat folds come from the cache
+            assert self.cluster.count(Range(name, lo, hi)) == want
+            assert self.cluster.exists(Range(name, lo, hi)) == (want > 0)
+
+    @rule(data=st.data())
+    def two_column_folds_twice(self, data):
+        group = data.draw(st.sampled_from(["dyn", "del"]))
+        other = "del" if group == "dyn" else "dyn"
+        lo = data.draw(st.integers(1, SIGMA - 1))  # never TRUE
+        hi = data.draw(st.integers(lo, SIGMA - 1))
+        glo = data.draw(st.integers(1, SIGMA - 1))
+        codes = list(self._row_pairs(group, other, lo, hi))
+        want = dict(Counter(codes))
+        both = And(Range(other, lo, hi), Range(group, glo, SIGMA - 1))
+        for _ in range(2):
+            assert self.cluster.count_by(group, Range(other, lo, hi)) == want
+            assert self.cluster.count(both) == sum(
+                1 for c in codes if c >= glo
+            )
+
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
@@ -201,17 +252,23 @@ class ClusterCacheMachine(RuleBasedStateMachine):
 
     @invariant()
     def cached_entries_reference_current_versions(self):
-        # The invalidation protocol: no shared-cache key may survive
-        # its shard's version — and keys carry stable uids, so none
-        # may reference a shard retired by a split.
+        # The invalidation protocol: a write evicts nothing, but its
+        # version bump leaves the old keys behind the shard's version
+        # (versions only grow, so they are never looked up again).
+        # Keys carry stable uids and a split drops the retired uid's
+        # entries eagerly, so none may reference a retired shard.
         uids = self.cluster.shard_uids
         for key in list(self.cluster.shared_cache.store._lru._data):
-            name, uid, epoch, version = key[0], key[1], key[2], key[3]
-            assert epoch == self.cluster.columns[name].epoch
+            if key[0] == FOLDS:
+                uid, versions = key[1], key[3]
+            else:
+                uid, versions = key[1], ((key[0], key[2], key[3]),)
             assert uid in uids
             position = uids.index(uid)
-            current = self.cluster.shard_column(name, position).version
-            assert version == current
+            for name, epoch, version in versions:
+                assert epoch == self.cluster.columns[name].epoch
+                current = self.cluster.shard_column(name, position).version
+                assert version <= current
 
     @invariant()
     def full_range_matches(self):
