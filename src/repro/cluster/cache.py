@@ -22,20 +22,22 @@ entries even though shard versions restart at zero — and same-named
 columns of *different engines* (or processes) sharing one store never
 collide.
 
-Aggregate folds share the tier under *fold keys*
-(:func:`fold_key`): ``(FOLDS, shard_id, payload, versions)``, where
-``payload`` is the shard-specialized plan the fold evaluates and
-``versions`` holds ``(column, epoch, version)`` for every column it
-reads.  A fold spans columns, so its entries live in one namespace of
-their own, :data:`FOLDS`, with the shard uid second: ``(FOLDS,
-shard_id)`` is a retired shard's fold prefix.  Together they yield the
-cluster's invalidation protocol:
+Aggregate folds share the tier under *fold keys* (:func:`fold_key`),
+laid out in the same six slots: ``(FOLDS, shard_id, digest, version,
+0, 0)``.  The digest names the shard-specialized plan the fold
+evaluates and the epochs of the columns it reads; the version is the
+sum of those columns' shard-local versions.  A fold spans columns, so
+its entries live in one namespace of their own, :data:`FOLDS`, with
+the shard uid second: ``(FOLDS, shard_id)`` is a retired shard's fold
+prefix.  Together they yield the cluster's invalidation protocol:
 
 * an update routed to shard ``s`` bumps only that shard's version, so
   only shard ``s``'s entries — leaf answers and folds that read the
   column — become unreachable; every other shard's cached results stay
-  live and keep serving.  Nothing is evicted on the write: the LRU
-  reclaims the dead entries' space;
+  live and keep serving.  Nothing is evicted on the write: a bounded
+  store reclaims the dead entries' space (the LRU's replacement, a
+  TTL, or a store that drops a key's older versions when it stores a
+  newer one);
 * a lifecycle operation (split/merge) retires the participating
   shards' uids and mints fresh ones for their replacements, so the
   retired entries can never be served again while sibling shards' hot
@@ -55,15 +57,14 @@ get/put/invalidate-by-prefix contract an external store implements
 :class:`InMemorySharedCache` wraps any store with the lock and the
 defensive copies a *shared* cache needs.
 
-Leaf values are plain sorted lists of shard-local positions
-(JSON/msgpack friendly), translated to global RIDs by the gather
-phase.  Fold values are stored immutable — an int, a bool, or a
-``count_by``'s sorted ``(code, count)`` pairs — so no caller can
-change what a later hit returns.
+Every value is a list of ints (JSON/msgpack friendly): a leaf
+answer's sorted shard-local positions, translated to global RIDs by
+the gather phase, or a fold value encoded by :func:`fold_entry`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -75,9 +76,9 @@ from ..errors import InvalidParameterError
 SharedKey = tuple[str, int, str, int, int, int]
 
 #: Slot 0 of every fold key: the namespace aggregate folds share.  A
-#: fold key is four slots long and a leaf key six, so even a column of
-#: this name could never alias a fold entry — it would only share its
-#: prefix drops.
+#: fold key's digest slot is 40 hex digits and an epoch 32, so even a
+#: column of this name could never alias a fold entry — it would only
+#: share its prefix drops.
 FOLDS = "\x00folds"
 
 
@@ -99,23 +100,40 @@ def shared_key(
     return (column, shard_id, epoch, version, char_lo, char_hi)
 
 
-def fold_key(shard_id: int, payload: tuple, versions: tuple) -> tuple:
+def fold_key(shard_id: int, payload: tuple, versions: tuple) -> SharedKey:
     """The shared-cache key of one shard's aggregate fold.
 
     ``payload`` is the shard-specialized ``(mode, columns, leaves,
     root, group)`` the fold evaluates; ``versions`` holds ``(column,
     epoch, shard-local version)`` for every column in it, the group
-    column included.  A write to any of them on this shard, or a new
-    incarnation of one, makes the key unreachable.
+    column included.  The digest covers the payload and the epochs, so
+    a new incarnation of a column changes it; the version slot is the
+    sum of the versions.  Versions only grow, so under one digest that
+    sum names the whole version vector and rises with every write to
+    any of the columns: the write makes the key unreachable, and a
+    store that drops a key's older versions drops the fold's too.
     """
-    return (FOLDS, shard_id, payload, versions)
+    epochs = [(column, epoch) for column, epoch, _ in versions]
+    digest = hashlib.blake2b(
+        repr((payload, epochs)).encode(), digest_size=20
+    ).hexdigest()
+    return (FOLDS, shard_id, digest, sum(v for _, _, v in versions), 0, 0)
 
 
-def frozen_fold(value):
-    """A fold value no caller can mutate: ``count_by`` dicts become
-    sorted ``(code, count)`` pairs; counts and exists-bits are
-    already immutable."""
-    return tuple(sorted(value.items())) if isinstance(value, dict) else value
+def fold_entry(mode: str, value) -> list[int]:
+    """A fold value as the list of ints every store holds: ``[n]`` for
+    a count, ``[0]``/``[1]`` for exists, and a ``count_by`` dict as
+    flat ``[code, count, code, count, ...]``."""
+    if mode == "count_by":
+        return [x for pair in value.items() for x in pair]
+    return [int(value)]
+
+
+def fold_value(mode: str, entry):
+    """The fold value :func:`fold_entry` encoded, rebuilt fresh."""
+    if mode == "count_by":
+        return dict(zip(entry[::2], entry[1::2]))
+    return entry[0] if mode == "count" else bool(entry[0])
 
 
 class CacheStore(ABC):
@@ -135,7 +153,8 @@ class CacheStore(ABC):
 
     @abstractmethod
     def put(self, key: SharedKey, positions: list[int]) -> None:
-        """Store one shard-local answer."""
+        """Store one shard-local answer, a list of ints (positions, or
+        an encoded fold value under a fold key)."""
 
     def invalidate_prefix(self, prefix: tuple) -> int:
         """Drop every key starting with ``prefix``; returns the count.
@@ -301,12 +320,13 @@ class SharedResultCache(ABC):
 
     @abstractmethod
     def get(self, key: SharedKey) -> list[int] | None:
-        """The cached shard-local positions (a fold value under a
-        :func:`fold_key`), or ``None`` on a miss."""
+        """The cached list of ints, or ``None`` on a miss."""
 
     @abstractmethod
     def put(self, key: SharedKey, positions: list[int]) -> None:
-        """Store one shard-local answer."""
+        """Store one shard-local answer: sorted positions under a
+        :func:`shared_key`, an encoded fold value (:func:`fold_entry`)
+        under a :func:`fold_key`."""
 
     def __contains__(self, key: SharedKey) -> bool:
         """Non-destructive presence probe (used by ``explain``).
@@ -338,10 +358,9 @@ class InMemorySharedCache(SharedResultCache):
     :class:`DictStore` is the engine's proven LRU; a :class:`TTLStore`
     models expiry-only deployments); this wrapper adds what a *shared*
     cache needs on top — a lock (scatter tasks run concurrently under
-    the threaded executor), defensive copies of position lists
-    (callers offset-translate them in place; fold values are immutable
-    already), and the key-scheme-aware mapping from the cluster's
-    invalidation verbs onto prefix drops.
+    the threaded executor), defensive value copies (callers
+    offset-translate their lists in place), and the key-scheme-aware
+    mapping from the cluster's invalidation verbs onto prefix drops.
     """
 
     def __init__(
@@ -393,25 +412,22 @@ class InMemorySharedCache(SharedResultCache):
 
     def get(self, key: SharedKey) -> list[int] | None:
         with self._lock:
-            value = self._store.get(key)
+            positions = self._store.get(key)
         if self.metrics is not None:
             self.metrics.inc(
                 "cache.shared.hits"
-                if value is not None
+                if positions is not None
                 else "cache.shared.misses"
             )
-        # Hand out a copy of a position list: a shared cache cannot
-        # know what its callers do with it, and an aliased mutation
-        # would corrupt every later hit (a real external store
-        # serializes and so copies implicitly).  Fold values are
-        # stored immutable and need none.
-        if value is None or key[0] == FOLDS:
-            return value
-        return list(value)
+        # Hand out a copy: a shared cache cannot know what its
+        # callers do with the list, and an aliased mutation would
+        # corrupt every later hit (a real external store serializes
+        # and so copies implicitly).
+        return list(positions) if positions is not None else None
 
-    def put(self, key: SharedKey, value) -> None:
+    def put(self, key: SharedKey, positions: list[int]) -> None:
         with self._lock:
-            self._store.put(key, value if key[0] == FOLDS else list(value))
+            self._store.put(key, list(positions))
 
     def invalidate(
         self, column: str | None = None, shard_id: int | None = None

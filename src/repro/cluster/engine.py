@@ -123,8 +123,9 @@ from .cache import (
     FOLDS,
     InMemorySharedCache,
     SharedResultCache,
+    fold_entry,
     fold_key,
-    frozen_fold,
+    fold_value,
     shared_key,
 )
 from .executor import CompletedFuture, MappedFuture, SerialExecutor
@@ -1182,7 +1183,8 @@ submit_query_group`) instead of one message per shard.
         worker's ``fold`` op, or a local executor task against this
         process's own shard engine, so value and measured I/O are
         executor-independent — and its value enters the shared cache,
-        frozen, when the gather consumes the reply.  The
+        encoded as ints (:func:`~repro.cluster.cache.fold_entry`),
+        when the gather consumes the reply.  The
         :func:`~repro.cluster.cache.fold_key` carries the shard uid,
         the specialized payload and every read column's epoch and
         version, so a write to any of those columns on this shard
@@ -1205,13 +1207,12 @@ submit_query_group`) instead of one message per shard.
                 "cache_lookup", tier="shared", hit=True, mode=mode,
                 shard_uid=uid, bits_read=0,
             )
-            value = dict(hit) if mode == "count_by" else hit
-            return CompletedFuture((value, Snapshot(), None))
+            return CompletedFuture((fold_value(mode, hit), Snapshot(), None))
         if self.replicas is not None:
             replica = self.replicas.fold(uid, payload, versions)
             if replica is not None:
                 value, io = replica
-                self.shared_cache.put(key, frozen_fold(value))
+                self.shared_cache.put(key, fold_entry(mode, value))
                 trace.event(
                     "replica_fold", mode=mode, shard_uid=uid,
                     bits_read=io.bits_read,
@@ -1219,7 +1220,7 @@ submit_query_group`) instead of one message per shard.
                 return CompletedFuture((value, io, None))
 
         def absorb(reply: tuple) -> tuple:
-            self.shared_cache.put(key, frozen_fold(reply[0]))
+            self.shared_cache.put(key, fold_entry(mode, reply[0]))
             return reply
 
         if self._resident:
@@ -1956,12 +1957,10 @@ submit_query_group`) instead of one message per shard.
         if self.io_latency_s:
             column.apply_latency(self.io_latency_s)
         self._ship_delta(shard_id, ("rebuild", name, spec.name))
-        # rebuild() bumped the version; evict the dead entries from
-        # both tiers eagerly.
+        # rebuild() bumped the version, so the shard's shared-cache
+        # entries are unreachable already, as after a write; the shard
+        # engine's small LRU is swept as its own writes sweep it.
         self.shards[shard_id].cache.invalidate(lambda key: key[0] == name)
-        self.shared_cache.invalidate(
-            column=name, shard_id=self.shard_uids[shard_id]
-        )
         migration = Migration(name, shard_id, old, spec.name)
         self.migrations.append(migration)
         return migration

@@ -17,9 +17,15 @@ never has license to return wrong positions, so corruption degrades to
 a decode, not an error.  Puts are atomic (tmp + rename) so readers in
 other processes never observe a half-written entry.
 
-Only range answers are persisted.  A fold key (``cluster.cache.FOLDS``
-namespace) is always a miss and its put is dropped, so a coordinator
-backed by this store folds aggregates in the workers every time.
+Aggregate folds persist the same way: a fold key has the same six
+slots (``cluster.cache.fold_key``) and its value is a list of ints.
+
+Writes evict nothing (a version bump already makes the old keys
+unreachable) and the store has no LRU, so each put reclaims instead:
+it unlinks the entries older versions of its epoch slot left in its
+``(column, uid)`` directory (for a fold key the slot holds the fold's
+digest).  Disk use then grows with the distinct keys queried, not with
+the number of writes.
 
 The store is picklable by construction (``__reduce__`` re-opens the
 directory), which is what lets the coordinator ship one to every
@@ -36,7 +42,7 @@ import zlib
 from array import array
 from typing import Iterable, Sequence
 
-from ..cluster.cache import FOLDS, CacheStore, SharedKey
+from ..cluster.cache import CacheStore, SharedKey
 
 _ENTRY_HEADER = struct.Struct("<II")
 _SUFFIX = ".entry"
@@ -71,9 +77,6 @@ class FileCacheStore(CacheStore):
     # -- CacheStore protocol --------------------------------------------
 
     def get(self, key: SharedKey) -> "Sequence[int] | None":
-        if key[0] == FOLDS:
-            self.misses += 1
-            return None
         try:
             with open(self._path(key), "rb") as fh:
                 blob = fh.read()
@@ -93,17 +96,17 @@ class FileCacheStore(CacheStore):
         return positions
 
     def put(self, key: SharedKey, positions: Iterable[int]) -> None:
-        if key[0] == FOLDS:
-            return
         body = array("q", positions)
         payload = _ENTRY_HEADER.pack(zlib.crc32(body.tobytes()), len(body))
         path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(payload)
             fh.write(body.tobytes())
         os.replace(tmp, path)
+        self._reclaim(directory, key[2], key[3])
 
     def invalidate_prefix(self, prefix: tuple) -> int:
         """Drop every entry under ``prefix``; returns files removed.
@@ -114,8 +117,6 @@ class FileCacheStore(CacheStore):
         """
         if not prefix:
             target = os.path.join(self.directory, "obj")
-        elif prefix[0] == FOLDS:
-            return 0
         elif len(prefix) == 1:
             target = _column_dir(self.directory, prefix[0])
         else:
@@ -134,6 +135,22 @@ class FileCacheStore(CacheStore):
         return os.path.exists(self._path(key))
 
     # -- helpers --------------------------------------------------------
+
+    @staticmethod
+    def _reclaim(directory: str, epoch: str, version: int) -> None:
+        """Unlink ``directory``'s entries of ``epoch`` below ``version``.
+
+        Versions only grow, so no one looks those keys up again.
+        """
+        for name in os.listdir(directory):
+            if not name.endswith(_SUFFIX):
+                continue  # another process's in-flight .tmp
+            stem, older, _lo, _hi = name[: -len(_SUFFIX)].rsplit(".", 3)
+            if stem == epoch and int(older) < version:
+                try:
+                    os.unlink(os.path.join(directory, name))
+                except FileNotFoundError:
+                    pass
 
     @staticmethod
     def _decode(blob: bytes) -> "tuple[int, ...] | None":

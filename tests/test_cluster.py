@@ -110,13 +110,30 @@ class TestSharedCache:
             def put(self, key, positions):
                 self.data[key] = list(positions)
 
-        cluster = ClusterEngine(num_shards=2, shared_cache=MinimalCache())
+        def folds(codes):
+            # Aggregate folds go through the same get/put: their keys
+            # have the same six slots and their values are int lists.
+            hits = [c for c in codes if 1 <= c <= 4]
+            by_code = {c: hits.count(c) for c in set(hits)}
+            for _ in range(2):  # the repeat is served by the cache
+                assert cluster.count(Range("c", 1, 4)) == len(hits)
+                assert cluster.exists(Range("c", 1, 4)) == bool(hits)
+                assert cluster.count_by("c", Range("c", 1, 4)) == by_code
+                assert cluster.topk("c", Range("c", 1, 4), k=2) == sorted(
+                    by_code.items(), key=lambda kv: (-kv[1], kv[0])
+                )[:2]
+
+        cache = MinimalCache()
+        cluster = ClusterEngine(num_shards=2, shared_cache=cache)
         x = uniform(40, 8, seed=40)
         cluster.add_column("c", x, 8, dynamism="fully_dynamic")
         assert cluster.query("c", 1, 4).positions() == brute_range(x, 1, 4)
+        folds(x)
+        assert all(type(v) is list for v in cache.data.values())
         cluster.change("c", 0, 7)  # invalidate() no-op must be safe
         model = [7] + list(x[1:])
         assert cluster.query("c", 1, 4).positions() == brute_range(model, 1, 4)
+        folds(model)
         assert "miss" in cluster.explain("c", 1, 4)  # pessimistic probe
         # Epoch stamping: drop + re-add under the same name must never
         # resurrect the previous incarnation's entries, even though
@@ -125,6 +142,7 @@ class TestSharedCache:
         y = [7 - c for c in x]
         cluster.add_column("c", y, 8, dynamism="fully_dynamic")
         assert cluster.query("c", 1, 4).positions() == brute_range(y, 1, 4)
+        folds(y)
 
 
 class TestExecutors:

@@ -1,12 +1,14 @@
 """Aggregate folds in the coordinator's shared result cache.
 
 A shard's ``count``/``exists``/``count_by`` fold is cached under a fold
-key: the shard uid, the specialized plan and ``(column, epoch,
-version)`` for every column the fold reads.  A repeat at unchanged
-versions is answered at the coordinator — no pipe message, no bits —
-while a write makes only its own shard fold again.  The fold entries
-live in the same tier as leaf answers, so a store that caches nothing
-turns them off too, and ``drop_caches`` empties them.
+key with the leaf key's six slots: the shard uid, a digest of the
+specialized plan and the read columns' epochs, and the sum of their
+versions.  Its value is a list of ints, so any store holds it.  A
+repeat at unchanged versions is answered at the coordinator — no pipe
+message, no bits — while a write makes only its own shard fold again.
+The fold entries live in the same tier as leaf answers, so a store
+that caches nothing turns them off too, and ``drop_caches`` empties
+them.
 """
 
 import random
@@ -225,7 +227,9 @@ def test_cached_values_are_immutable():
     values = [
         cluster.shared_cache.store._lru._data[k] for k in fold_entries(cluster)
     ]
-    assert values and all(isinstance(v, (int, tuple)) for v in values)
+    assert values and all(
+        type(v) is list and all(type(x) is int for x in v) for v in values
+    )
 
 
 class _NullStore(CacheStore):
@@ -266,19 +270,37 @@ def test_file_cache_store_cluster_answers_folds(executor_of, kind, tmp_path):
     cluster = make_cluster(executor_of(kind), shared_cache=shared)
     try:
         for op in sorted(OPS):
-            for _ in range(2):
-                answer, _, _, hits, _ = window(cluster, OPS[op])
-                assert answer == oracle(cluster, op)
-                assert hits == 0  # the store keeps range answers only
-        assert store.entry_count() == 0
-        cluster.select(PRED)  # leaf answers still persist
-        assert store.entry_count() > 0
-        # Retirement and DDL drop the fold namespace: a no-op here.
+            assert window(cluster, OPS[op])[0] == oracle(cluster, op)
+            answer, msgs, bits, hits, misses = window(cluster, OPS[op])
+            assert answer == oracle(cluster, op)
+            assert (msgs, bits, misses) == (0, 0, 0) and hits > 0
+        # Retirement and DDL drop the fold entries from disk as well.
+        retired = cluster.shard_uids[0]
         cluster.split_shard(0)
+        assert store.invalidate_prefix((FOLDS, retired)) == 0
+        assert store.invalidate_prefix((FOLDS,)) > 0
+        window(cluster, OPS["count"])
         cluster.drop_column("a")
-        assert store.entry_count() > 0
+        assert store.invalidate_prefix((FOLDS,)) == 0
     finally:
         cluster.close()
+
+
+def test_file_cache_store_keeps_one_version_per_key(tmp_path):
+    # The store has no LRU and writes evict nothing: each put unlinks
+    # the older versions in its directory, so entry files follow the
+    # live keys, not the number of writes.
+    store = FileCacheStore(str(tmp_path))
+    cluster = make_cluster(shared_cache=InMemorySharedCache(store=store))
+    row, _ = cluster.plan_.slices()[1]
+    for step in range(12):
+        cluster.change("a", row, step % 16)
+        a = [c for s in cluster.shards for c in s.column("a").codes]
+        want = [i for i, c in enumerate(a) if 3 <= c <= 11]
+        assert cluster.query("a", 3, 11).positions() == want
+        assert cluster.count(PRED) == oracle(cluster, "count")
+    # One range answer and one count fold per shard.
+    assert store.entry_count() == 2 * SHARDS
 
 
 def test_fold_hits_are_traced_and_counted():

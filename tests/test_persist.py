@@ -701,6 +701,24 @@ class TestFileCacheStore:
         assert store.invalidate_prefix(()) == 1
         assert store.entry_count() == 0
 
+    def test_put_reclaims_older_versions_of_its_epoch(self, tmp_path):
+        store = FileCacheStore(str(tmp_path))
+        store.put(_key(lo=0, hi=1), (1,))
+        store.put(_key(), (2,))
+        store.put(_key(epoch="f" * 12, version=1), (3,))
+        store.put(_key(uid=8, version=1), (4,))
+        store.put(_key(version=4), (5,))
+        assert store.get(_key(lo=0, hi=1)) is None
+        assert store.get(_key()) is None
+        assert store.get(_key(version=4)) == (5,)
+        # Other epochs and other shards keep their entries.
+        assert store.get(_key(epoch="f" * 12, version=1)) == (3,)
+        assert store.get(_key(uid=8, version=1)) == (4,)
+        # A late put of an older version reclaims nothing newer.
+        store.put(_key(version=2), (6,))
+        assert store.get(_key(version=4)) == (5,)
+        assert store.entry_count() == 4
+
     def test_pickles_to_same_directory(self, tmp_path):
         store = FileCacheStore(str(tmp_path))
         store.put(_key(), (8,))
