@@ -14,8 +14,11 @@ test:
 loc:
 	$(PYTHON) tools/loc.py src/repro
 
-# A fast benchmark smoke run: proves the advisor/caching claims (E11),
-# the sharded scatter-gather/shared-cache/migration claims (E12), the
+# A fast benchmark smoke run: proves the RID-intersection claims (E9:
+# exact selects equal brute force, Theorem 3 candidates contain every
+# true match and verify to exactly the truth), the advisor/caching
+# claims (E11), the sharded scatter-gather/shared-cache/migration
+# claims (E12), the
 # shard-lifecycle/streaming-gather claims (E13), the process-parallel
 # scatter/accounting/prefetch claims (E14), the predicate-algebra
 # planning claims (E15: IN runs, cached-leg reuse, complement-aware
@@ -35,7 +38,8 @@ loc:
 # the benchmarks) in well under 150 seconds.  --durations=0 prints
 # the wall time of every benchmark.
 bench-smoke:
-	timeout 150 $(PYTHON) -m pytest benchmarks/bench_e11_engine.py \
+	timeout 150 $(PYTHON) -m pytest benchmarks/bench_e9_rid_intersection.py \
+		benchmarks/bench_e11_engine.py \
 		benchmarks/bench_e12_cluster.py \
 		benchmarks/bench_e13_lifecycle.py \
 		benchmarks/bench_e14_parallel.py \

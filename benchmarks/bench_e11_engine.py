@@ -242,7 +242,7 @@ def test_e11e_calibration_table_fits_family_weights(
         assert weight != 1.0  # a measured ratio, not the neutral default
     # Emit the compact feedback artifact: the per-family weights JSON
     # that CostModel.load_calibrated() (and through it Table /
-    # ShardedTable via cost_model=) loads back in — the workflow
+    # Table.sharded via cost_model=) loads back in — the workflow
     # documented in src/repro/engine/README.md.
     import json
     import os

@@ -4,14 +4,17 @@ The paper's motivating application: conjunctive range queries answered
 by intersecting per-dimension secondary indexes — "find all married men
 of age 33" — and its approximate variant where a row matching only k of
 d conditions survives all filters with probability <= eps^(d-k).
+
+Asserted for d = 2, 3, 4: the exact select equals brute force, the
+approximate candidates contain every true match, and verification
+against the column codes returns exactly the true matches.
 """
 
 import random
 
 import pytest
 
-from repro.bench import ratio
-from repro.queries import Table, approximate_factory
+from repro.queries import Table
 from repro.query import And, Range
 
 ROWS = 4000
@@ -30,7 +33,7 @@ def people():
         "income": [rng.randrange(0, 200) * 1000 for _ in range(ROWS)],
     }
     exact = Table(columns)
-    approx = Table(columns, factory=approximate_factory(seed=5))
+    approx = Table(columns, backend="pagh-rao-approx")
     return columns, exact, approx
 
 
@@ -47,7 +50,7 @@ CONDITIONS = {
 
 
 def conjunction(conds):
-    """The exact-select predicate of one approximate-API mapping."""
+    """The predicate of one ``{column: (lo, hi)}`` condition set."""
     return And(*(Range(c, lo, hi) for c, (lo, hi) in conds.items()))
 
 
@@ -61,6 +64,7 @@ def test_e9_exact_intersection(people, report, benchmark):
             for rid in range(ROWS)
             if all(lo <= columns[c][rid] <= hi for c, (lo, hi) in conds.items())
         ]
+        assert got == brute, label
         rows.append([label, len(conds), len(got), got == brute])
     report.table(
         "E9a  exact RID intersection ('married men of age 33', %d rows)" % ROWS,
@@ -75,9 +79,12 @@ def test_e9_approximate_filtering(people, report, benchmark):
     eps = 1 / 16
     rows = []
     for label, conds in CONDITIONS.items():
-        truth = set(exact.select(conjunction(conds)))
-        candidates = approx.select_approximate(conds, eps=eps, verify=False)
-        verified = approx.select_approximate(conds, eps=eps, verify=True)
+        pred = conjunction(conds)
+        truth = set(exact.select(pred))
+        candidates = approx.select_approximate(pred, eps=eps, verify=False)
+        verified = approx.select_approximate(pred, eps=eps, verify=True)
+        assert truth <= set(candidates), label
+        assert verified == sorted(truth), label
         false_cands = len(candidates) - len(truth & set(candidates))
         rows.append(
             [
@@ -97,7 +104,8 @@ def test_e9_approximate_filtering(people, report, benchmark):
         "probability by eps; verification against the table recovers "
         "the exact answer (§1.1).",
     )
-    benchmark(lambda: approx.select_approximate(CONDITIONS["d=3"], eps=eps))
+    d3 = conjunction(CONDITIONS["d=3"])
+    benchmark(lambda: approx.select_approximate(d3, eps=eps))
 
 
 def test_e9_filtering_rate_vs_dimensions(people, report, benchmark):
@@ -113,13 +121,16 @@ def test_e9_filtering_rate_vs_dimensions(people, report, benchmark):
             1 for c in names if conds[c][0] <= columns[c][rid] <= conds[c][1]
         )
         match_count[rid] = k
-    candidates = set(approx.select_approximate(conds, eps=eps, verify=False))
+    pred = conjunction(conds)
+    candidates = set(approx.select_approximate(pred, eps=eps, verify=False))
     rows = []
     for k in (0, 1, 2, 3):
         pool = [rid for rid, kk in match_count.items() if kk == k]
         if not pool:
             continue
         survived = sum(1 for rid in pool if rid in candidates)
+        if k == len(names):
+            assert survived == len(pool)  # no true match is filtered out
         expected = eps ** (3 - k)
         rows.append(
             [k, len(pool), survived, f"{survived / len(pool):.4f}",
@@ -133,5 +144,5 @@ def test_e9_filtering_rate_vs_dimensions(people, report, benchmark):
         "approximate range queries is at most eps^(d-k)'.",
     )
     benchmark(
-        lambda: approx.select_approximate(conds, eps=eps, verify=False)
+        lambda: approx.select_approximate(pred, eps=eps, verify=False)
     )

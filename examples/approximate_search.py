@@ -3,60 +3,65 @@
 Beyond conjunctions, one-dimensional secondary indexes answer queries
 multi-dimensional structures cannot touch at d >> 3 (§1): *approximate
 range search* ("in range in at least d1 of d dimensions") and *partial
-match*.  This example runs both over Theorem-3 filters, where every
-dimension costs only O(z lg(1/eps)) bits.
+match*.  This example runs all three query families on a Table whose
+columns are pinned to Theorem 3's filters (``pagh-rao-approx``), where
+a condition matching z rows costs only O(z lg(1/eps)) bits.  The
+filters' candidates are cross-checked in O(1) per dimension, then
+verified against the column codes, which recovers the exact answer.
 
-Run:  python examples/approximate_multidim.py
+Run:  python examples/approximate_search.py
 """
 
 import random
 
-from repro import ApproximatePaghRaoIndex, ApproximateResult
+from repro import And, Range, Table
+from repro.core import ApproximateResult
 
 D = 6          # dimensions — beyond range trees' comfort zone (§1)
 N = 4000       # points
-SIGMA = 64     # per-dimension alphabet
-EPS = 1 / 16
+SIGMA = 256    # per-dimension alphabet
+EPS = 1 / 4
 
 rng = random.Random(13)
 print(f"{N} points in {D} dimensions, alphabet {SIGMA} per dimension")
 
 # Random points; a planted cluster guarantees interesting answers.
 points = [[rng.randrange(SIGMA) for _ in range(D)] for _ in range(N)]
-for i in range(50):
-    points[i] = [8 + rng.randrange(4) for _ in range(D)]
+for i in range(12):
+    points[i] = [8 + rng.randrange(2) for _ in range(D)]
 
-columns = [[points[i][d] for i in range(N)] for d in range(D)]
-indexes = [
-    ApproximatePaghRaoIndex(columns[d], SIGMA, seed=d) for d in range(D)
-]
-box = [(7, 12)] * D  # the query box around the cluster
+names = [f"x{d}" for d in range(D)]
+table = Table(
+    {names[d]: [p[d] for p in points] for d in range(D)},
+    backend="pagh-rao-approx",
+)
+box = [(8, 9)] * D  # the query box around the cluster
+conditions = [Range(names[d], *box[d]) for d in range(D)]
 
 
 def dims_inside(i):
     return sum(1 for d in range(D) if box[d][0] <= points[i][d] <= box[d][1])
 
 
-# One approximate filter per dimension.
-filters = []
-for d in range(D):
-    r = indexes[d].approx_range_query(box[d][0], box[d][1], EPS)
-    filters.append(r)
-engaged = sum(isinstance(r, ApproximateResult) for r in filters)
-print(f"filters built: {engaged}/{D} used the hashed (cheap) path")
-
-
-def might(d, i):
-    r = filters[d]
-    return r.might_contain(i) if isinstance(r, ApproximateResult) else i in r
-
+# Each condition matches few enough rows that its filter is hashed.
+engaged = sum(
+    isinstance(
+        table.engine.column(name).index.approx_range_query(
+            *table.column(name).code_range(*box[d]), EPS
+        ),
+        ApproximateResult,
+    )
+    for d, name in enumerate(names)
+)
+print(f"filters: {engaged}/{D} take the hashed (cheap) path")
 
 # ----------------------------------------------------------------------
 # 1. Full-box query (all d dimensions), verified.
 # ----------------------------------------------------------------------
-candidates = [i for i in range(N) if all(might(d, i) for d in range(D))]
+full_box = And(*conditions)
+candidates = table.select_approximate(full_box, EPS, verify=False)
+verified = table.select_approximate(full_box, EPS)
 truth = [i for i in range(N) if dims_inside(i) == D]
-verified = [i for i in candidates if dims_inside(i) == D]
 print(f"\nfull box: {len(truth)} true matches, "
       f"{len(candidates)} candidates, verified -> {len(verified)}")
 assert set(truth) <= set(candidates) and verified == truth
@@ -65,20 +70,21 @@ assert set(truth) <= set(candidates) and verified == truth
 # 2. Approximate range search: inside in >= d1 of d dimensions (§1).
 # ----------------------------------------------------------------------
 d1 = 4
-candidates = [
-    i for i in range(N) if sum(might(d, i) for d in range(D)) >= d1
-]
+candidates = table.select_at_least(d1, conditions, eps=EPS, verify=False)
+verified = table.select_at_least(d1, conditions, eps=EPS)
 truth = [i for i in range(N) if dims_inside(i) >= d1]
 print(f"\n'>= {d1} of {D} dims' search: {len(truth)} true, "
       f"{len(candidates)} candidates "
       f"({len(set(candidates) - set(truth))} false)")
-assert set(truth) <= set(candidates)
+assert set(truth) <= set(candidates) and verified == truth
+assert table.select_at_least(d1, conditions) == truth  # the exact path
 
 # ----------------------------------------------------------------------
 # 3. Partial match: conditions on d1 << d given dimensions (§1).
 # ----------------------------------------------------------------------
 chosen = [0, 3]
-candidates = [i for i in range(N) if all(might(d, i) for d in chosen)]
+partial = And(*(conditions[d] for d in chosen))
+candidates = table.select_approximate(partial, EPS, verify=False)
 truth = [
     i
     for i in range(N)
@@ -87,5 +93,6 @@ truth = [
 print(f"\npartial match on dims {chosen}: {len(truth)} true, "
       f"{len(candidates)} candidates")
 assert set(truth) <= set(candidates)
+assert table.select_approximate(partial, EPS) == truth
 
 print("\nall three §1 query families answered from the same 1-D filters ✓")

@@ -54,7 +54,7 @@ print()
 # 3. Repeats hit the shared result cache — per leaf, per shard, per
 #    version — and disjuncts share cached legs with later queries.
 table.select(pred)
-cache = table.cluster.shared_cache
+cache = table.engine.shared_cache
 print(f"shared cache: {cache.hits} hits / {cache.misses} misses "
       f"({cache.hit_rate:.0%})")
 table.select(Range("income", 25_000, 60_000))  # a leg the OR already paid
@@ -83,7 +83,7 @@ for rid in table.select_iter(Range("income", 25_000, None)):
     if len(first_ten) == 10:
         break  # the remaining shards are never even fetched
 print(f"streamed the first 10 of a huge answer: {first_ten}")
-peak = table.cluster.gather_stats.peak_rids
+peak = table.engine.gather_stats.peak_rids
 print(f"peak buffered row ids while streaming: {peak} (of {N} rows)")
 print()
 
@@ -91,10 +91,10 @@ print()
 #    shards split in place, the advisor re-judges every new slice,
 #    and answers are bit-identical before and after.
 before = table.select(pred)
-ops = table.cluster.rebalance(target_shard_rows=500)
+ops = table.engine.rebalance(target_shard_rows=500)
 assert table.select(pred) == before
 print(f"rebalanced with {ops} lifecycle op(s) -> "
-      f"{table.cluster.num_shards} shards; answers unchanged")
+      f"{table.engine.num_shards} shards; answers unchanged")
 print()
 
 # 7. The same table, served by worker-resident shard engines: each
@@ -102,14 +102,14 @@ print()
 #    shipped snapshot, kept in sync by batched routed deltas), and a
 #    predicate's leaves ship per shard as ONE compiled-leaf fetch
 #    message — bit-identical to the serial run.
-from repro.cluster import ProcessExecutor, ShardedTable  # noqa: E402
+from repro.cluster import ProcessExecutor  # noqa: E402
 
 with ProcessExecutor(max_workers=2) as pool:
-    resident = ShardedTable(
+    resident = Table.sharded(
         {"income": incomes, "city": cities}, num_shards=4, executor=pool
     )
     assert resident.select(pred) == table.select(pred)
-    io = resident.cluster.scatter_io
+    io = resident.engine.scatter_io
     print(f"process-parallel predicate select matches; scatter read "
           f"{io.bits_read} bits across 2 workers")
-    resident.cluster.close()
+    resident.engine.close()

@@ -13,7 +13,7 @@ Run:  python examples/olap_people.py
 
 import random
 
-from repro import And, Eq, In, Not, Or, Range, Table, approximate_factory
+from repro import And, Eq, In, Not, Or, Range, Table
 
 ROWS = 5000
 rng = random.Random(2009)  # the year of the paper
@@ -88,20 +88,18 @@ seniors = table.select(Range("age", 65, None))
 print(f"age >= 65: {len(seniors)} rows")
 
 # ----------------------------------------------------------------------
-# Approximate filtering (§3) still composes with the classic plan.
+# Approximate filtering (§3) answers the same conjunction from columns
+# pinned to Theorem 3's hashed filters.
 # ----------------------------------------------------------------------
 approx_table = Table(
     {k: columns[k] for k in ("age", "sex", "status")},
-    factory=approximate_factory(seed=7),
+    backend="pagh-rao-approx",
 )
-conditions = {
-    "age": (33, 33),
-    "sex": ("m", "m"),
-    "status": ("married", "married"),
-}
 eps = 1 / 16
-candidates = approx_table.select_approximate(conditions, eps=eps, verify=False)
-verified = approx_table.select_approximate(conditions, eps=eps, verify=True)
+candidates = approx_table.select_approximate(
+    married_men_33, eps=eps, verify=False
+)
+verified = approx_table.select_approximate(married_men_33, eps=eps)
 print(f"\napproximate (eps = 1/16): {len(candidates)} candidates, "
       f"{len(verified)} after verification")
 assert verified == matches, "verification must recover the exact answer"

@@ -38,7 +38,6 @@ from .cluster import (
     ClusterEngine,
     InMemorySharedCache,
     SerialExecutor,
-    ShardedTable,
     SharedResultCache,
     ThreadedExecutor,
 )
@@ -65,7 +64,7 @@ from .obs import (
     SlowQueryLog,
     Tracer,
 )
-from .queries import Table, approximate_factory, default_factory
+from .queries import Table
 from .query import (
     And,
     Eq,
@@ -114,7 +113,6 @@ __all__ = [
     "ReproError",
     "SecondaryIndex",
     "SerialExecutor",
-    "ShardedTable",
     "SharedResultCache",
     "SlowQueryLog",
     "SpaceBreakdown",
@@ -125,6 +123,4 @@ __all__ = [
     "UniformTreeIndex",
     "UpdateError",
     "WorkloadStats",
-    "approximate_factory",
-    "default_factory",
 ]

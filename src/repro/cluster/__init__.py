@@ -10,8 +10,8 @@ pluggable executor (:mod:`.executor`), consult a versioned shared
 result cache (:mod:`.cache`), and gather by offset translation and
 ordered merge (:mod:`.engine`).  Update traffic is routed to single
 shards, invalidates only their cache entries, and past a drift
-threshold triggers online backend migration.  :mod:`.table` wraps it
-all in the value-space ``Table`` interface.
+threshold triggers online backend migration.
+:meth:`repro.queries.Table.sharded` serves value-space tables over it.
 
 See README.md in this directory for the architecture diagram and the
 invalidation protocol.
@@ -43,7 +43,6 @@ from .sharding import (
     plan_from_lengths,
     plan_shards,
 )
-from .table import ShardedColumn, ShardedTable
 
 __all__ = [
     "CacheStore",
@@ -61,8 +60,6 @@ __all__ = [
     "ShardPlan",
     "ShardSplit",
     "ShardStats",
-    "ShardedColumn",
-    "ShardedTable",
     "SharedResultCache",
     "ThreadedExecutor",
     "locate",

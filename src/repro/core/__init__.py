@@ -1,6 +1,10 @@
 """The paper's data structures: Theorems 1-7 plus deletion support."""
 
-from .approximate import ApproximatePaghRaoIndex, ApproximateResult
+from .approximate import (
+    ApproximatePaghRaoIndex,
+    ApproximateResult,
+    at_least_k_candidates,
+)
 from .buffered_bitmap import BufferedBitmapIndex
 from .buffered_index import BufferedAppendableIndex
 from .chains import BlockChain
@@ -28,4 +32,5 @@ __all__ = [
     "SecondaryIndex",
     "SpaceBreakdown",
     "UniformTreeIndex",
+    "at_least_k_candidates",
 ]

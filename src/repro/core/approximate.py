@@ -10,7 +10,8 @@ the ``j``-th hashed sets of the canonical nodes instead of the position
 sets — reading only ``O(z lg(1/eps))`` bits.  The (large) approximate
 answer is never materialized: it is the *preimage* of the hashed union,
 which the XOR-fold family can enumerate, membership-test, and intersect
-without further I/O.
+without further I/O; :func:`at_least_k_candidates` is that intersection
+across the per-dimension answers of a table (§1).
 
 When ``j`` would exceed ``k`` (i.e. ``z/eps`` approaches ``n``) the
 query falls back to the exact algorithm, exactly as the paper
@@ -19,8 +20,10 @@ prescribes ("If j > k we cannot save anything").
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
+from itertools import groupby
 from typing import Iterator, Sequence
 
 from ..bits.bitio import BitWriter
@@ -73,7 +76,7 @@ class ApproximateResult:
 
     def positions(self) -> list[int]:
         """Materialize the full candidate set (preimage of the union)."""
-        return list(self.iter_candidates())
+        return list(self.hash_fn.preimage(set(self.hashed), self.universe))
 
     def iter_candidates(self) -> Iterator[int]:
         """Candidates in increasing order, generated without I/O."""
@@ -93,20 +96,6 @@ class ApproximateResult:
         from ..bits.ebitmap import encoded_length
 
         return encoded_length(hashed)
-
-    def intersect(self, *others: "ApproximateResult") -> list[int]:
-        """Candidates surviving every filter (the RID-intersection use).
-
-        Enumerates this result's preimage and keeps positions that all
-        other approximate results might contain — a position inside the
-        range in only ``k`` of ``d`` dimensions survives with
-        probability at most ``eps^(d-k)`` (§1.1).
-        """
-        out = []
-        for p in self.iter_candidates():
-            if all(o.might_contain(p) for o in others):
-                out.append(p)
-        return out
 
 
 class ApproximatePaghRaoIndex(PaghRaoIndex):
@@ -258,3 +247,50 @@ class ApproximatePaghRaoIndex(PaghRaoIndex):
                     lists.append(decode_gaps(reader, cnt))
             i = k
         return lists
+
+
+def at_least_k_candidates(
+    answers: Sequence[ApproximateResult | RangeResult], k: int
+) -> list[int]:
+    """Positions at least ``k`` of the ``d`` answers might contain.
+
+    The cross-check of §3, for conjunctions (``k = d``) and for §1's
+    "in range in at least ``k`` of ``d`` dimensions" alike.  A position
+    in ``k`` answers lies in at least one of any ``d - k + 1`` of them,
+    so candidates are drawn only from the ``d - k + 1`` answers with
+    the smallest candidate bounds (the one seed filter when ``k = d``)
+    and each is tested in O(1) per answer.  Exact answers take part
+    with their positions.  When the filters hash independently, a
+    position in only ``j < k`` ranges survives with probability at most
+    ``C(d-j, k-j) eps^(k-j)``.  Ascending, without repeats.
+    """
+    d = len(answers)
+    if not 1 <= k <= d:
+        raise QueryError(f"need 1 <= k <= {d}, got k={k}")
+
+    def bound(answer) -> int:
+        if isinstance(answer, ApproximateResult):
+            return answer.candidate_bound
+        return answer.cardinality
+
+    seeds = sorted(answers, key=bound)[: d - k + 1]
+    pool = heapq.merge(
+        *(
+            a.iter_candidates()
+            if isinstance(a, ApproximateResult)
+            else a.iter_positions()
+            for a in seeds
+        )
+    )
+    slack = d - k  # answers a kept position may miss
+    out: list[int] = []
+    for p, _ in groupby(pool):
+        misses = 0
+        for answer in answers:
+            if p not in answer:
+                misses += 1
+                if misses > slack:
+                    break
+        else:
+            out.append(p)
+    return out

@@ -304,8 +304,8 @@ class CostModel:
         (``benchmarks/bench_e11_engine.py``) emits both a full report
         (parsed by :meth:`from_reports`) and a compact weights file
         ``{"family_weights": {family: weight, ...}}`` — this accepts
-        either, so a deployment can hand ``Table``/``ShardedTable`` a
-        ``CostModel.load_calibrated(path)`` and serve under measured
+        either, so a deployment can hand ``Table`` (or ``Table.sharded``)
+        a ``CostModel.load_calibrated(path)`` and serve under measured
         economics instead of the analytic defaults.
         """
         with open(path) as f:

@@ -1,7 +1,7 @@
 """Typed, JSON-serializable ``stats()`` snapshots.
 
-``QueryEngine.stats()``, ``ClusterEngine.stats()``, ``Table.stats()``
-and ``ShardedTable.stats()`` each answer with one frozen dataclass
+``QueryEngine.stats()``, ``ClusterEngine.stats()`` and
+``Table.stats()`` each answer with one frozen dataclass
 from this module (the cluster adds its own ``ClusterStats`` next to
 ``GatherStats`` to avoid an import cycle).  Every field is either a
 plain JSON type or something with a ``to_json``/``to_dict`` of its
@@ -176,25 +176,23 @@ class ReplicaSetStats:
 
 @dataclass(frozen=True)
 class TableStats:
-    """One ``Table.stats()`` snapshot: row count + the serving layer's.
+    """One ``Table.stats()`` snapshot: row count + the engine's.
 
-    Exactly one serving-layer slot is filled: ``engine`` for the
-    default engine build, ``io`` (summed per-index disk transfers)
-    for the legacy factory build, and ``cluster`` (a
-    :class:`repro.cluster.engine.ClusterStats`, typed loosely here to
-    avoid the import cycle) for :class:`ShardedTable`.
+    Exactly one slot is filled, after the table's engine: ``engine``
+    for a single :class:`~repro.engine.engine.QueryEngine`, and
+    ``cluster`` (a :class:`repro.cluster.engine.ClusterStats`, typed
+    loosely here to avoid the import cycle) for a table built by
+    ``Table.sharded``.
     """
 
     num_rows: int
     engine: EngineStats | None = None
-    io: Snapshot | None = None
     cluster: object | None = None
 
     def to_dict(self) -> dict:
         return {
             "num_rows": self.num_rows,
             "engine": self.engine.to_dict() if self.engine else None,
-            "io": self.io.to_json() if self.io is not None else None,
             "cluster": (
                 self.cluster.to_dict() if self.cluster is not None else None
             ),

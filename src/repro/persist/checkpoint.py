@@ -177,7 +177,7 @@ def checkpoint_cluster(
     after pending delta batches are flushed.
 
     ``extra`` is an opaque JSON-serializable dict stored in the
-    manifest for higher tiers (``ShardedTable`` keeps its value
+    manifest for higher tiers (a sharded ``Table`` keeps its value
     dictionaries there).
     """
     started = time.perf_counter()

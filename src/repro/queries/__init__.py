@@ -1,30 +1,5 @@
-"""Multi-dimensional queries by RID intersection (§1's application)."""
+"""Value-space tables queried by RID intersection (§1's application)."""
 
-from .multidim import (
-    And,
-    Cond,
-    Not,
-    Or,
-    at_least_k_approximate,
-    at_least_k_exact,
-    evaluate_expression,
-    partial_match_approximate,
-    partial_match_exact,
-)
-from .table import Column, Table, approximate_factory, default_factory
+from .table import Column, Table
 
-__all__ = [
-    "And",
-    "Column",
-    "Cond",
-    "Not",
-    "Or",
-    "Table",
-    "approximate_factory",
-    "at_least_k_approximate",
-    "at_least_k_exact",
-    "default_factory",
-    "evaluate_expression",
-    "partial_match_approximate",
-    "partial_match_exact",
-]
+__all__ = ["Column", "Table"]

@@ -1,122 +1,106 @@
-"""Multi-attribute tables queried by RID intersection (§1, §3).
+"""Value-space tables queried by RID intersection (§1, §3).
 
 The paper's motivating application: "in a database of people we may
 want to find all married men of age 33", answered by intersecting the
-results of one secondary index per attribute.  This module provides
+results of one secondary index per attribute.  :class:`Table` holds
+named columns over arbitrary ordered values, each with its §1.1
+dictionary, and serves value-space predicates through an engine that
+indexes the dense codes: a single
+:class:`~repro.engine.engine.QueryEngine` by default, or a sharded
+:class:`~repro.cluster.engine.ClusterEngine` built by
+:meth:`Table.sharded`.  Both engines speak one code-space surface, so
+every read translates the predicate once and delegates.
 
-* :class:`Table` — named columns over arbitrary ordered values, each
-  carrying an :class:`~repro.model.alphabet.Alphabet` and a secondary
-  index (any :class:`~repro.core.interface.SecondaryIndex` factory);
-* exact conjunctive range queries via sorted-list intersection;
-* approximate conjunctive queries via Theorem 3: each dimension returns
-  a compressed hashed filter; candidates are generated from the first
-  filter's preimage and cross-checked in O(1) per dimension, so a row
-  matching only ``k`` of ``d`` conditions survives with probability at
-  most ``eps^(d-k)``; survivors are finally verified against the base
-  table ("false positives can be filtered away when accessing the
-  associated data", §1.1).
+§1's other query families use the same columns.  Partial match is an
+``And`` over the chosen columns; :meth:`Table.select_at_least` answers
+"in range in at least ``k`` of ``d`` conditions".  On columns pinned
+to ``pagh-rao-approx``, :meth:`Table.select_approximate` and
+:meth:`Table.select_at_least` read Theorem 3's hashed filters instead
+of exact answers: candidates are cross-checked in O(1) per dimension
+(:func:`~repro.core.approximate.at_least_k_candidates`) and then
+verified against the column codes ("false positives can be filtered
+away when accessing the associated data", §1.1).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from ..bits.ops import intersect_many
-from ..core.approximate import ApproximatePaghRaoIndex, ApproximateResult
-from ..core.interface import SecondaryIndex
-from ..core.static_index import PaghRaoIndex
+from ..cluster.engine import ClusterEngine
+from ..core.approximate import ApproximatePaghRaoIndex, at_least_k_candidates
 from ..engine import QueryEngine
-from ..errors import InvalidParameterError, QueryError
-from ..model.alphabet import Alphabet
-from ..query import (
-    Pred,
-    compile_pred,
-    evaluate_count,
-    evaluate_count_by,
-    evaluate_exists,
-    evaluate_fetch,
-    evaluate_iter,
-    translate,
+from ..errors import (
+    InvalidParameterError,
+    PersistenceError,
+    QueryError,
+    UpdateError,
 )
-
-IndexFactory = Callable[[Sequence[int], int], SecondaryIndex]
-
-
-def default_factory(codes: Sequence[int], sigma: int) -> SecondaryIndex:
-    """Theorem-2 index, the legacy fixed default (pre-engine)."""
-    return PaghRaoIndex(codes, sigma)
-
-
-def approximate_factory(seed: int = 0) -> IndexFactory:
-    """Factory producing Theorem-3 indexes (needed for approximate mode)."""
-
-    def make(codes: Sequence[int], sigma: int) -> SecondaryIndex:
-        return ApproximatePaghRaoIndex(codes, sigma, seed=seed)
-
-    return make
+from ..model.alphabet import Alphabet
+from ..obs import TableStats
+from ..query import PlanReport, Pred, compile_pred, translate
+from ..query.planner import ALL, AND, EMPTY, LEAF, Plan
 
 
 class Column:
-    """One attribute: values, their alphabet, and a secondary index.
+    """One attribute: its values and their §1.1 dictionary.
 
-    The index comes either from an explicit ``factory`` (the legacy
-    path, still used for approximate mode) or from a
-    :class:`~repro.engine.engine.QueryEngine`, which lets the advisor
-    pick the backend per column from the measured codes.
+    The column's index lives in the table's engine under the same
+    name, built over ``alphabet``'s dense codes; ``values`` is the
+    mirror :meth:`Table.row` serves.
     """
 
     def __init__(
         self,
         name: str,
         values: Sequence[Any],
-        factory: IndexFactory | None = None,
-        engine: QueryEngine | None = None,
+        alphabet: Alphabet | None = None,
     ) -> None:
         if not values:
             raise InvalidParameterError(f"column {name!r} is empty")
-        if (factory is None) == (engine is None):
-            raise InvalidParameterError(
-                "a column needs exactly one of factory or engine"
-            )
         self.name = name
         self.values = list(values)
-        self.alphabet = Alphabet(values)
-        self.codes = self.alphabet.encode(values)
-        if engine is not None:
-            self.index = engine.add_column(
-                name, self.codes, self.alphabet.sigma
-            ).index
-        else:
-            self.index = factory(self.codes, self.alphabet.sigma)
+        self.alphabet = alphabet if alphabet is not None else Alphabet(values)
 
     def code_range(self, lo: Any, hi: Any) -> tuple[int, int] | None:
         return self.alphabet.code_range(lo, hi)
 
 
 class Table:
-    """Columns of equal length with one secondary index each.
+    """Columns of equal length, one secondary index each, in value space.
 
-    By default the table builds through a :class:`QueryEngine`: the
-    advisor picks each column's backend and repeated range conditions
-    are served from the engine's LRU result cache.  Passing ``factory``
-    pins every column to one structure, exactly as before the engine
-    existed.
+    ``engine`` serves the codes.  By default it is a fresh
+    :class:`QueryEngine` whose advisor picks each column's backend,
+    re-weighed by ``cost_model`` when one is given (the calibration
+    feedback path, ``CostModel.load_calibrated``); :meth:`sharded`
+    builds a :class:`ClusterEngine` instead.  ``backend`` pins every
+    column (a string) or individual columns (a mapping) to a registry
+    backend, bypassing the advisor: the conformance suite drives every
+    backend through it, and ``"pagh-rao-approx"`` gives a column the
+    Theorem 3 filters :meth:`select_approximate` reads.  Row ids are
+    global under either engine, so answers compare directly.
+
+    Updates go through the table's own verbs (:meth:`append_row`,
+    :meth:`change`), which keep the value mirror (``values``,
+    ``num_rows``, what :meth:`row` serves) in sync with the engine;
+    they need an update-capable ``dynamism``.  On a cluster built with
+    ``target_shard_rows``, appends that outgrow a shard split it in
+    place without disturbing row ids.  Mutating ``self.engine``
+    directly updates the indexes only and leaves that mirror behind;
+    deletions are engine-level for the same reason (a compaction
+    renumbers row ids underneath a flat values list).
     """
 
     def __init__(
         self,
         columns: Mapping[str, Sequence[Any]],
-        factory: IndexFactory | None = None,
-        engine: QueryEngine | None = None,
+        engine: QueryEngine | ClusterEngine | None = None,
+        backend: str | Mapping[str, str] | None = None,
+        dynamism: str = "static",
         cost_model=None,
     ) -> None:
         if not columns:
             raise InvalidParameterError("a table needs at least one column")
-        if factory is not None and engine is not None:
-            raise InvalidParameterError(
-                "pass either a factory or an engine, not both"
-            )
-        if cost_model is not None and (factory is not None or engine is not None):
+        if cost_model is not None and engine is not None:
             raise InvalidParameterError(
                 "cost_model configures the default engine; pass it alone"
             )
@@ -124,16 +108,22 @@ class Table:
         if len(lengths) != 1:
             raise InvalidParameterError("columns must have equal length")
         self.num_rows = lengths.pop()
-        if factory is None and engine is None:
-            # The calibration feedback path: a measured CostModel
-            # (e.g. CostModel.load_calibrated(path)) re-weighs the
-            # advisor that picks every column's backend.
+        if engine is None:
             engine = QueryEngine(cost_model=cost_model)
         self.engine = engine
-        self.columns: dict[str, Column] = {
-            name: Column(name, values, factory=factory, engine=engine)
-            for name, values in columns.items()
-        }
+        self.dynamism = dynamism
+        self.columns: dict[str, Column] = {}
+        for name, values in columns.items():
+            column = Column(name, values)
+            pin = backend.get(name) if isinstance(backend, Mapping) else backend
+            self.engine.add_column(
+                name,
+                column.alphabet.encode(column.values),
+                column.alphabet.sigma,
+                dynamism=dynamism,
+                backend=pin,
+            )
+            self.columns[name] = column
 
     @classmethod
     def sharded(
@@ -141,24 +131,27 @@ class Table:
         columns: Mapping[str, Sequence[Any]],
         num_shards: int | None = None,
         target_shard_rows: int | None = None,
+        backend: str | Mapping[str, str] | None = None,
+        dynamism: str = "static",
+        cost_model=None,
         **cluster_kwargs,
-    ):
-        """The sharded construction path: a scatter-gather table.
+    ) -> "Table":
+        """A table served scatter-gather by a new :class:`ClusterEngine`.
 
-        Returns a :class:`repro.cluster.ShardedTable` — same value-space
-        ``select``/``row`` interface, but each column is partitioned
-        into RID-range shards served by one engine each, behind the
-        cluster's shared result cache.  Use it when one process's
-        single engine is the bottleneck; see ``src/repro/cluster/``.
+        Each column is split into RID-range shards with per-shard
+        advisor verdicts (``cost_model`` re-weighs them), behind the
+        cluster's shared result cache; ``cluster_kwargs`` (executor,
+        tracer, ``drift_window``, ...) go to the cluster.  The alphabet
+        stays global per column, so every shard agrees on code space
+        and a query is translated once.
         """
-        from ..cluster.table import ShardedTable
-
-        return ShardedTable(
-            columns,
+        engine = ClusterEngine(
             num_shards=num_shards,
             target_shard_rows=target_shard_rows,
+            cost_model=cost_model,
             **cluster_kwargs,
         )
+        return cls(columns, engine=engine, backend=backend, dynamism=dynamism)
 
     def column(self, name: str) -> Column:
         try:
@@ -172,54 +165,74 @@ class Table:
             raise QueryError(f"row id {rid} outside [0, {self.num_rows})")
         return {name: col.values[rid] for name, col in self.columns.items()}
 
-    def stats(self):
-        """One typed, JSON-serializable snapshot of the serving layer.
+    def stats(self) -> TableStats:
+        """Row count + the engine's typed, JSON-serializable snapshot.
 
-        Engine-built tables embed the full
+        A single engine fills the ``engine`` slot with its
         :class:`~repro.obs.EngineStats` (per-column backends, cache
-        tier, I/O, attached metrics); factory-pinned tables have no
-        engine, so the snapshot carries the summed per-index disk
-        transfers instead.
+        tier, I/O, attached metrics); a cluster fills ``cluster`` with
+        its :class:`~repro.cluster.engine.ClusterStats` (scatter I/O,
+        gather accounting, executor op counts, per-shard rows, heat and
+        backends, shared-cache counters).
         """
-        from ..iomodel.stats import Snapshot
-        from ..obs import TableStats
-
-        if self.engine is not None:
+        if isinstance(self.engine, ClusterEngine):
             return TableStats(
-                num_rows=self.num_rows, engine=self.engine.stats()
+                num_rows=self.num_rows, cluster=self.engine.stats()
             )
-        total = Snapshot()
-        for col in self.columns.values():
-            disk = getattr(col.index, "disk", None)
-            if disk is not None:
-                total = total + disk.stats.snapshot()
-        return TableStats(num_rows=self.num_rows, io=total)
+        return TableStats(num_rows=self.num_rows, engine=self.engine.stats())
+
+    # ------------------------------------------------------------------
+    # Updates (value space; the mirror follows the engine)
+    # ------------------------------------------------------------------
+
+    def append_row(self, row: Mapping[str, Any]) -> int:
+        """Append one row (a value per column); returns its RID.
+
+        Every column must be present so the RID spaces stay aligned,
+        and every value must already occur in its column's alphabet
+        (the dictionary is fixed at build time, §1.1).  Requires the
+        table to have been built with an update-capable ``dynamism``.
+        """
+        if set(row) != set(self.columns):
+            raise InvalidParameterError(
+                f"append_row needs a value for exactly the columns "
+                f"{sorted(self.columns)}, got {sorted(row)}"
+            )
+        codes = {
+            name: self.columns[name].alphabet.code(value)
+            for name, value in row.items()
+        }  # validates every value before any column mutates
+        if self.dynamism == "static":
+            raise UpdateError(
+                f"columns {sorted(codes)} are static; build the table "
+                "with an update-capable dynamism to append rows"
+            )
+        for name, code in codes.items():
+            self.engine.append(name, code)
+            self.columns[name].values.append(row[name])
+        self.num_rows += 1
+        return self.num_rows - 1
+
+    def change(self, name: str, rid: int, value: Any) -> None:
+        """Change one attribute of one row, in value space."""
+        column = self.column(name)
+        if rid < 0 or rid >= self.num_rows:
+            raise QueryError(f"row id {rid} outside [0, {self.num_rows})")
+        self.engine.change(name, rid, column.alphabet.code(value))
+        column.values[rid] = value
 
     # ------------------------------------------------------------------
     # Exact predicate queries (RID set algebra over §1 range queries)
     # ------------------------------------------------------------------
 
     def _translate(self, pred: Pred) -> Pred:
-        """A value-space predicate in code space (§1.1's dictionary)."""
+        """A value-space predicate in code space (§1.1's dictionary).
 
-        def alphabet_of(name: str) -> Alphabet:
-            return self.column(name).alphabet
-
-        return translate(pred, alphabet_of)
-
-    def _compile_factory(self, pred: Pred):
-        """Compile a code-space predicate against explicit factories.
-
-        The legacy (engine-less) build path still serves the full
-        algebra: leaves run straight against each column's index, the
-        plan folds through the same :func:`repro.query.evaluate` the
-        engine uses — just without a result cache in front.
+        Translation happens once per query, through each column's
+        global alphabet, so every shard agrees on the code intervals
+        the plan reads.
         """
-
-        def sigma_of(name: str) -> int:
-            return self.column(name).alphabet.sigma
-
-        return compile_pred(pred, sigma_of), self.num_rows
+        return translate(pred, lambda name: self.column(name).alphabet)
 
     def select(self, conditions: Pred) -> list[int]:
         """Row ids matching a predicate over column *values*.
@@ -230,187 +243,305 @@ class Table:
         covers every occurring value inside it, either bound may be
         open).
         """
-        code_pred = self._translate(conditions)
-        if self.engine is not None:
-            # Per-leaf results are cached by the engine; identical
-            # leaves across disjuncts share entries.
-            return self.engine.select(code_pred)
-        plan, universe = self._compile_factory(code_pred)
-
-        def fetch(col, lo, hi):
-            return self.columns[col].index.range_query(lo, hi)
-
-        return evaluate_fetch(plan, fetch, universe).positions()
+        return self.engine.select(self._translate(conditions))
 
     def select_iter(self, conditions: Pred):
-        """Streaming :meth:`select`: matching row ids, one at a time."""
-        code_pred = self._translate(conditions)
-        if self.engine is not None:
-            return self.engine.select_iter(code_pred)
-        plan, universe = self._compile_factory(code_pred)
+        """Streaming :meth:`select`: matching row ids, one at a time.
 
-        def leaf_iter(col: str, lo: int, hi: int):
-            return self.columns[col].index.range_query(lo, hi).iter_positions()
-
-        return evaluate_iter(plan, leaf_iter, universe)
-
-    # ------------------------------------------------------------------
-    # Aggregates (value space; answers, not row ids)
-    # ------------------------------------------------------------------
+        Same answers in the same order, produced by the engine's
+        streaming plan pipeline, so large answers are consumed in
+        bounded memory.  Predicates are validated and translated
+        eagerly, before the first row id is drawn.
+        """
+        return self.engine.select_iter(self._translate(conditions))
 
     def count(self, conditions: Pred) -> int:
         """How many rows match a value-space predicate.
 
-        Folds in cardinality space — the matching row-id list is
-        never materialized, under either build path.
+        Folds in cardinality space: no row-id list is materialized,
+        and a cluster's shards report one integer each.
         """
-        code_pred = self._translate(conditions)
-        if self.engine is not None:
-            return self.engine.count(code_pred)
-        plan, universe = self._compile_factory(code_pred)
-        return evaluate_count(plan, self._factory_fetch, universe)
+        return self.engine.count(self._translate(conditions))
 
     def exists(self, conditions: Pred) -> bool:
         """Does at least one row match?  Stops at the first evidence."""
-        code_pred = self._translate(conditions)
-        if self.engine is not None:
-            return self.engine.exists(code_pred)
-        plan, universe = self._compile_factory(code_pred)
-        return evaluate_exists(plan, self._factory_fetch, universe)
+        return self.engine.exists(self._translate(conditions))
 
     def count_by(
-        self, group: str, conditions: "Pred | None" = None
+        self, group: str, conditions: Pred | None = None
     ) -> dict[Any, int]:
         """Matching-row counts keyed by the *values* of ``group``.
 
-        The predicate folds once; the group column's equality leaves,
-        one per occurring value, are then counted against that one
-        answer in a single pass (O(z + sum of group leaf sizes)).
-        Zero-count groups are omitted; ``conditions=None`` counts
-        every row by group.
+        The predicate folds once and the group's equality leaves are
+        counted against that one answer; the engine's per-code counts
+        decode through the group column's alphabet.  Zero-count
+        groups are omitted; ``conditions=None`` counts every row by
+        group.
         """
-        group_col = self.column(group)
-        if conditions is not None and not isinstance(conditions, Pred):
-            raise QueryError("count_by takes a predicate or None")
-        code_pred = (
-            None if conditions is None else self._translate(conditions)
-        )
-        if self.engine is not None:
-            code_counts = self.engine.count_by(group, code_pred)
-        else:
-            if code_pred is None:
-                plan, universe = None, self.num_rows
-            else:
-                plan, universe = self._compile_factory(code_pred)
-            # Factory alphabets are built from occurring values, so
-            # every code 0..sigma-1 is a live group.
-            code_counts = evaluate_count_by(
-                plan,
-                self._factory_fetch,
-                universe,
-                range(group_col.alphabet.sigma),
-                lambda code: group_col.index.range_query(code, code),
-            )
+        alphabet = self.column(group).alphabet
+        code_pred = None if conditions is None else self._translate(conditions)
         return {
-            group_col.alphabet.value(code): n
-            for code, n in code_counts.items()
+            alphabet.value(code): n
+            for code, n in self.engine.count_by(group, code_pred).items()
         }
 
     def topk(
-        self, group: str, conditions: "Pred | None" = None, k: int = 10
+        self, group: str, conditions: Pred | None = None, k: int = 10
     ) -> list[tuple[Any, int]]:
         """The ``k`` most frequent group *values* among matching rows.
 
         Count-descending; ties break by the group values' own order
         (their alphabet codes), deterministically.
         """
-        if k <= 0:
-            raise InvalidParameterError("topk requires k >= 1")
         alphabet = self.column(group).alphabet
-        counts = self.count_by(group, conditions)
-        return sorted(
-            counts.items(),
-            key=lambda kv: (-kv[1], alphabet.code(kv[0])),
-        )[:k]
+        code_pred = None if conditions is None else self._translate(conditions)
+        return [
+            (alphabet.value(code), n)
+            for code, n in self.engine.topk(group, code_pred, k)
+        ]
 
-    def _factory_fetch(self, col: str, lo: int, hi: int):
-        return self.columns[col].index.range_query(lo, hi)
+    def plan(self, conditions: Pred) -> PlanReport:
+        """The typed plan report for a value-space predicate."""
+        return self.engine.plan(self._translate(conditions))
 
-    def explain(self, conditions: Pred) -> "Any":
-        """The typed plan report for a value-space predicate.
+    def explain(self, target: str | Pred | None = None) -> str | PlanReport:
+        """Engine report: everything, one column, or one query.
 
-        Requires the engine build path (the report carries the
-        engine's backend verdicts and cache state).
+        * ``explain()``: the engine overview (string);
+        * ``explain("col")``: one column's backend verdicts (string);
+        * ``explain(pred)``: the typed, JSON-serializable
+          :class:`~repro.query.PlanReport` of a value-space predicate:
+          the operator tree with every unique leaf's backend verdict
+          (per shard, under a cluster), predicted bits and cache
+          state.
         """
-        if not isinstance(conditions, Pred):
-            raise QueryError("explain takes a predicate; use repro.query")
-        if self.engine is None:
-            raise QueryError(
-                "explain needs an engine-built table (the default); "
-                "factory-pinned tables carry no advisor verdicts"
-            )
-        return self.engine.explain(self._translate(conditions))
+        if target is None:
+            return self.engine.explain()
+        if isinstance(target, str):
+            self.column(target)  # raise on unknown, like select does
+            return self.engine.explain(target)
+        return self.engine.explain(self._translate(target))
 
     # ------------------------------------------------------------------
-    # Approximate RID intersection (§3)
+    # Theorem 3 filters and §1's at-least-k search
     # ------------------------------------------------------------------
 
-    def select_approximate(
+    def _compile(self, conditions: Pred) -> Plan:
+        return compile_pred(
+            self._translate(conditions),
+            lambda name: self.column(name).alphabet.sigma,
+        )
+
+    def _filter_column(self, name: str):
+        """The single-engine column of ``name``, if it has filters."""
+        self.column(name)
+        if isinstance(self.engine, QueryEngine):
+            column = self.engine.column(name)
+            if isinstance(column.index, ApproximatePaghRaoIndex):
+                return column
+        raise QueryError(
+            f"column {name!r} carries no Theorem 3 filters; build a "
+            "single-engine Table with backend='pagh-rao-approx'"
+        )
+
+    def _approximate(
         self,
-        conditions: Mapping[str, tuple[Any, Any]],
+        leaves: Sequence[tuple[str, int, int]],
+        k: int,
         eps: float,
-        verify: bool = True,
+        verify: bool,
     ) -> list[int]:
-        """Candidate row ids via Theorem-3 filters.
+        """Rows in at least ``k`` code intervals, through the filters.
 
-        Every dimension answers with a hashed filter read in
-        ``O(z lg(1/eps))`` bits; candidates enumerate the smallest
-        filter's preimage and must pass every other filter.  With
-        ``verify=True`` the survivors are checked against the base
-        table, yielding the exact answer (the paper's final filtering
-        during data access).
+        Each interval reads its column's hashed filter in
+        ``O(z lg(1/eps))`` bits (or the exact answer, when hashing
+        cannot save I/O); with ``verify`` the candidates are checked
+        against the column codes, which leaves the exact answer.
         """
-        if not conditions:
-            raise QueryError("select requires at least one condition")
-        filters: list[ApproximateResult] = []
-        exact_dims: list[list[int]] = []
-        for name, (lo, hi) in conditions.items():
-            col = self.column(name)
-            index = col.index
-            if not isinstance(index, ApproximatePaghRaoIndex):
-                raise QueryError(
-                    f"column {name!r} does not carry an approximate index; "
-                    "build the Table with approximate_factory()"
-                )
-            code_range = col.code_range(lo, hi)
-            if code_range is None:
-                return []
-            answer = index.approx_range_query(*code_range, eps)
-            if isinstance(answer, ApproximateResult):
-                filters.append(answer)
-            else:
-                exact_dims.append(answer.positions())
-        if filters:
-            seed_filter = min(filters, key=lambda f: f.candidate_bound)
-            rest = [f for f in filters if f is not seed_filter]
-            candidates = [
-                p
-                for p in seed_filter.iter_candidates()
-                if all(f.might_contain(p) for f in rest)
-            ]
-            if exact_dims:
-                candidates = intersect_many([candidates, *exact_dims])
-        else:
-            candidates = intersect_many(exact_dims)
+        answers = [
+            self._filter_column(name).index.approx_range_query(lo, hi, eps)
+            for name, lo, hi in leaves
+        ]
+        candidates = at_least_k_candidates(answers, k)
         if not verify:
             return candidates
-        return [rid for rid in candidates if self._matches(rid, conditions)]
+        checks = [
+            (self.engine.column(name).codes, lo, hi)
+            for name, lo, hi in leaves
+        ]
+        return [
+            rid
+            for rid in candidates
+            if sum(lo <= codes[rid] <= hi for codes, lo, hi in checks) >= k
+        ]
 
-    def _matches(
-        self, rid: int, conditions: Mapping[str, tuple[Any, Any]]
-    ) -> bool:
-        for name, (lo, hi) in conditions.items():
-            value = self.columns[name].values[rid]
-            if not (lo <= value <= hi):
-                return False
-        return True
+    def select_approximate(
+        self, conditions: Pred, eps: float, verify: bool = True
+    ) -> list[int]:
+        """Rows matching a conjunction, read through Theorem 3 filters.
+
+        ``conditions`` is a conjunction of one-column ``Range``/``Eq``
+        conditions (a predicate whose compiled plan is an ``And`` of
+        leaves) over single-engine columns pinned to
+        ``pagh-rao-approx``.  Every leaf answers with a hashed filter;
+        candidates enumerate the filter with the smallest preimage and
+        must pass every other.  With ``verify=True`` the survivors are
+        checked against the column codes, which yields the exact
+        answer.
+        """
+        plan = self._compile(conditions)
+        for name in plan.columns:
+            self._filter_column(name)
+        root = plan.root
+        if root == (EMPTY,):
+            return []
+        if root == (ALL,):
+            return list(range(self.num_rows))
+        parts = root[1] if root[0] == AND else (root,)
+        if any(part[0] != LEAF for part in parts):
+            raise QueryError(
+                "select_approximate takes a conjunction of one-column "
+                f"Range/Eq conditions, got {conditions!r}"
+            )
+        return self._approximate(plan.leaves, len(plan.leaves), eps, verify)
+
+    def select_at_least(
+        self,
+        k: int,
+        conditions: Sequence[Pred],
+        eps: float | None = None,
+        verify: bool = True,
+    ) -> list[int]:
+        """Rows matching at least ``k`` of the ``d`` conditions (§1).
+
+        The paper's approximate range search: "find points that are in
+        the range in at least ``d1`` out of ``d`` dimensions".  With
+        ``eps=None`` each condition, any predicate, is answered exactly
+        by ``engine.query`` under either engine, and so is the result.
+        With ``eps`` each condition must be a one-column
+        ``Range``/``Eq`` on a single-engine column pinned to
+        ``pagh-rao-approx`` and is read as a Theorem 3 filter; the
+        candidates may hold rows inside fewer than ``k`` ranges, and
+        ``verify=True`` removes them by checking the column codes.
+        """
+        if isinstance(conditions, Pred):
+            raise QueryError("select_at_least takes a sequence of conditions")
+        conditions = list(conditions)
+        if not 1 <= k <= len(conditions):
+            raise QueryError(f"need 1 <= k <= {len(conditions)}, got k={k}")
+        if eps is None:
+            answers = [
+                self.engine.query(self._translate(c)) for c in conditions
+            ]
+            return at_least_k_candidates(answers, k)
+        leaves = []
+        for condition in conditions:
+            plan = self._compile(condition)
+            if len(plan.columns) != 1 or plan.root[0] not in (LEAF, ALL, EMPTY):
+                raise QueryError(
+                    f"{condition!r} is not a one-column Range/Eq condition"
+                )
+            (name,) = plan.columns
+            self._filter_column(name)
+            if plan.root[0] == LEAF:
+                leaves.append(plan.leaves[0])
+            elif plan.root[0] == ALL:
+                leaves.append((name, 0, self.column(name).alphabet.sigma - 1))
+        # A condition that matches nothing never counts towards k.
+        if k > len(leaves):
+            return []
+        return self._approximate(leaves, k, eps, verify)
+
+    # ------------------------------------------------------------------
+    # Durability (a cluster's checkpoint and WAL, with the table extras)
+    # ------------------------------------------------------------------
+
+    def _durable(self) -> ClusterEngine:
+        if not isinstance(self.engine, ClusterEngine):
+            raise PersistenceError(
+                "persistence needs a sharded table (Table.sharded); a "
+                "single-engine table has no checkpoint or write-ahead log"
+            )
+        return self.engine
+
+    def persist_extra(self) -> dict:
+        """The table-level manifest payload a checkpoint must carry.
+
+        The cluster checkpoint stores codes; the value dictionaries
+        (§1.1) live only here.  Storing each alphabet's occurring
+        values — JSON-serializable by requirement — is complete for
+        all time: the dictionary is fixed at build, so WAL records
+        written after the checkpoint never extend it.  Suitable as a
+        :class:`~repro.persist.Checkpointer` ``extra_fn`` directly.
+        """
+        return {
+            "table": {
+                "format": 1,
+                "order": list(self.columns),
+                "alphabets": {
+                    name: column.alphabet.values()
+                    for name, column in self.columns.items()
+                },
+            }
+        }
+
+    def init_persistence(self, directory: str, **kwargs):
+        """Baseline checkpoint + attached WAL, with the table extras."""
+        from ..persist import init_persistence
+
+        cluster = self._durable()
+        extra = dict(kwargs.pop("extra", None) or {})
+        extra.update(self.persist_extra())
+        return init_persistence(cluster, directory, extra=extra, **kwargs)
+
+    def checkpoint(self, directory: str, **kwargs):
+        """Checkpoint the cluster, embedding the value dictionaries."""
+        cluster = self._durable()
+        extra = dict(kwargs.pop("extra", None) or {})
+        extra.update(self.persist_extra())
+        return cluster.checkpoint(directory, extra=extra, **kwargs)
+
+    @classmethod
+    def restore(cls, directory: str, **kwargs) -> "Table":
+        """Cold-start a sharded table: cluster restore + value mirror.
+
+        The cluster side (:func:`repro.persist.restore_cluster`, whose
+        knobs ``kwargs`` forwards) restores shards and replays the WAL
+        tail; the value mirror is then *derived*, not stored — each
+        column's live global codes are read back in RID order and
+        decoded through the manifest's alphabet, so the mirror is
+        exact even for rows that only exist in the log.  Restoring a
+        table whose cluster saw engine-level deletions compacts the
+        holes, the same fidelity caveat :meth:`row` already carries.
+        """
+        from ..persist import current_manifest
+
+        cluster = ClusterEngine.restore(directory, **kwargs)
+        try:
+            manifest = current_manifest(directory)
+            info = (manifest.get("extra") or {}).get("table")
+            if info is None:
+                raise PersistenceError(
+                    f"checkpoint in {directory!r} was not written by a "
+                    "Table (no table extras in its manifest)"
+                )
+            table = cls.__new__(cls)
+            table.engine = cluster
+            table.dynamism = cluster.columns[info["order"][0]].dynamism
+            table.columns = {}
+            table.num_rows = 0
+            for name in info["order"]:
+                codes: list[int] = []
+                for shard_id in range(cluster.num_shards):
+                    codes.extend(
+                        cluster._live_global_codes(name, shard_id)
+                    )
+                alphabet = Alphabet(info["alphabets"][name])
+                table.columns[name] = Column(
+                    name, alphabet.decode(codes), alphabet
+                )
+                table.num_rows = len(codes)
+            return table
+        except BaseException:
+            cluster.close()
+            raise

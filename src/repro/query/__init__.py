@@ -12,10 +12,10 @@ that :class:`~repro.engine.engine.QueryEngine` and
 shared path (materialized or streaming).  ``plan()``/``explain()``
 answer with the typed, JSON-serializable :class:`~.planner.PlanReport`.
 
-Value space vs code space: ``Table``/``ShardedTable`` accept these
-same classes over column *values* and translate them through each
-column's dictionary (:func:`~.predicates.translate`); the engines
-speak dense codes directly.
+Value space vs code space: ``Table`` (over either engine) accepts
+these same classes over column *values* and translates them through
+each column's dictionary (:func:`~.predicates.translate`); the
+engines speak dense codes directly.
 """
 
 from .planner import (

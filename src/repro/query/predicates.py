@@ -13,8 +13,8 @@ This module defines the composable surface every serving layer speaks:
 * :data:`TRUE` / :data:`FALSE` — the constants normalization folds
   degenerate predicates into.
 
-The same classes carry *value-space* predicates (what ``Table`` /
-``ShardedTable`` accept — bounds and members are arbitrary ordered
+The same classes carry *value-space* predicates (what ``Table``
+accepts over either engine — bounds and members are arbitrary ordered
 values) and *code-space* predicates (what the engines serve — bounds
 are dense integer codes).  :func:`translate` maps the former to the
 latter through each column's :class:`~repro.model.alphabet.Alphabet`

@@ -2,7 +2,7 @@
 
 The tentpole claim of the aggregate pushdown: every aggregate verb —
 on a :class:`QueryEngine`, a :class:`Table`, a :class:`ClusterEngine`,
-a :class:`ShardedTable`, serial or worker-resident — agrees with the
+a sharded :class:`Table`, serial or worker-resident — agrees with the
 brute-force oracle, and at cluster scale only *counts* cross the
 shard boundary: the pushdown path never materializes a global row-id
 list, which the executor's op counter and the cluster's gather
@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cluster import ClusterEngine, ProcessExecutor, ShardedTable
+from repro.cluster import ClusterEngine, ProcessExecutor
 from repro.engine import QueryEngine
 from repro.errors import InvalidParameterError, QueryError
 from repro.model.distributions import uniform, zipf
@@ -93,7 +93,7 @@ class TestEngineAggregates:
 
 
 class TestTableAggregates:
-    """Value-space aggregates, engine-backed and factory-backed."""
+    """Value-space aggregates, advisor-picked and pinned."""
 
     def data(self):
         rng = random.Random(17)
@@ -103,11 +103,9 @@ class TestTableAggregates:
         }
 
     def tables(self):
-        from repro.engine import get_spec
-
         columns = self.data()
         yield columns, Table(columns)
-        yield columns, Table(columns, factory=get_spec("bitmap-plain").build)
+        yield columns, Table(columns, backend="bitmap-plain")
 
     def test_aggregates_match_select(self):
         for columns, table in self.tables():
@@ -148,7 +146,7 @@ class TestClusterAggregates:
             "city": [rng.choice(["ams", "cph", "rio"]) for _ in range(150)],
             "score": [rng.randrange(16) for _ in range(150)],
         }
-        table = ShardedTable(
+        table = Table.sharded(
             columns, num_shards=num_shards, dynamism=dynamism
         )
         return columns, table
@@ -175,31 +173,31 @@ class TestClusterAggregates:
         # specialization must constant-fold Not(EMPTY) into ALL and
         # count every row of those shards, not skip them.
         values = ["rare"] * 3 + ["common"] * 97
-        table = ShardedTable({"c": values}, num_shards=4)
+        table = Table.sharded({"c": values}, num_shards=4)
         assert table.count(Not(Eq("c", "rare"))) == 97
         assert table.count(Eq("c", "rare")) == 3
         assert table.exists(Not(Eq("c", "rare")))
 
     def test_unsatisfiable_predicates_skip_the_scatter(self):
         columns, table = self.build(3)
-        io_before = table.cluster.scatter_io.snapshot()
+        io_before = table.engine.scatter_io.snapshot()
         assert table.count(In("score", [])) == 0
         assert not table.exists(In("score", []))
         assert table.count_by("city", In("score", [])) == {}
         # Every shard's plan folded to EMPTY at the coordinator: no
         # scatter round trips, no index bits.
         assert (
-            table.cluster.scatter_io.snapshot() - io_before
+            table.engine.scatter_io.snapshot() - io_before
         ).total == 0
 
     def test_tautologies_answer_from_shard_metadata(self):
         columns, table = self.build(3)
-        io_before = table.cluster.scatter_io.snapshot()
+        io_before = table.engine.scatter_io.snapshot()
         n = len(columns["score"])
         assert table.count(Range("score", None, None)) == n
         assert table.exists(Range("score", None, None))
         assert (
-            table.cluster.scatter_io.snapshot() - io_before
+            table.engine.scatter_io.snapshot() - io_before
         ).total == 0
 
     def test_dynamic_columns_aggregate_after_appends(self):
@@ -258,8 +256,8 @@ class TestAggregatePushdownAccounting:
             "city": [rng.choice(["ams", "cph", "rio"]) for _ in range(160)],
             "score": [rng.randrange(12) for _ in range(160)],
         }
-        serial = ShardedTable(dict(columns), num_shards=2)
-        resident = ShardedTable(dict(columns), num_shards=2, executor=pool)
+        serial = Table.sharded(dict(columns), num_shards=2)
+        resident = Table.sharded(dict(columns), num_shards=2, executor=pool)
         return columns, serial, resident
 
     def test_resident_aggregates_ship_counts_not_rids(self, agg_pool):
@@ -268,7 +266,7 @@ class TestAggregatePushdownAccounting:
         want = pred_oracle(pred, columns)
 
         agg_pool.op_counts.clear()
-        rids_before = resident.cluster.gather_rids
+        rids_before = resident.engine.gather_rids
         assert resident.count(pred) == len(want)
         assert resident.exists(pred) == bool(want)
         assert resident.count_by("city", pred) == brute_count_by(
@@ -277,13 +275,13 @@ class TestAggregatePushdownAccounting:
         # Only fold ops crossed the pipes, and not a single row id
         # came back: shards answered in cardinality space.
         assert set(agg_pool.op_counts) == {"fold"}
-        assert resident.cluster.gather_rids == rids_before
+        assert resident.engine.gather_rids == rids_before
 
         # A select over the same predicate *does* gather positions —
         # the counter is live, the aggregate path simply never feeds
         # it.
         assert resident.select(pred) == want
-        assert resident.cluster.gather_rids > rids_before
+        assert resident.engine.gather_rids > rids_before
 
     def test_resident_and_serial_fold_io_agree(self, agg_pool):
         columns, serial, resident = self.build(agg_pool)
@@ -301,13 +299,13 @@ class TestAggregatePushdownAccounting:
         # The worker-resident fold reads exactly the bits the serial
         # fold reads: pushdown buys transfer, never accounting slack.
         assert (
-            serial.cluster.scatter_io.snapshot()
-            == resident.cluster.scatter_io.snapshot()
+            serial.engine.scatter_io.snapshot()
+            == resident.engine.scatter_io.snapshot()
         )
 
     def test_fully_pruned_not_answers_at_the_coordinator(self, agg_pool):
         values = ["rare"] * 2 + ["common"] * 98
-        resident = ShardedTable(
+        resident = Table.sharded(
             {"c": values}, num_shards=2, executor=agg_pool
         )
         # Both shards hold only indexed codes; Eq on a value no shard's

@@ -5,7 +5,12 @@ import random
 import pytest
 
 from tests.conftest import brute_range, random_ranges
-from repro.core import ApproximatePaghRaoIndex, ApproximateResult, RangeResult
+from repro.core import (
+    ApproximatePaghRaoIndex,
+    ApproximateResult,
+    RangeResult,
+    at_least_k_candidates,
+)
 from repro.errors import QueryError
 from repro.model import distributions as dist
 
@@ -154,8 +159,9 @@ class TestIntersection:
         assert isinstance(r1, ApproximateResult)
         assert isinstance(r2, ApproximateResult)
         truth = set(brute_range(x1, 4, 4)) & set(brute_range(x2, 9, 9))
-        got = set(r1.intersect(r2))
-        assert truth <= got
+        got = at_least_k_candidates([r1, r2], 2)
+        assert truth <= set(got)
+        assert got == [p for p in r1.positions() if r2.might_contain(p)]
 
     def test_candidates_sorted_and_bounded(self):
         n, sigma = 2048, 256

@@ -6,7 +6,6 @@ from repro.cluster import (
     ClusterEngine,
     InMemorySharedCache,
     SerialExecutor,
-    ShardedTable,
     ThreadedExecutor,
     locate,
     offsets_of,
@@ -16,7 +15,6 @@ from repro.cluster import (
 from repro.engine import Advisor, CostModel, WorkloadStats, get_spec
 from repro.errors import InvalidParameterError, QueryError, UpdateError
 from repro.model.distributions import uniform, zipf
-from repro.queries import Table
 from repro.query import And, Range
 
 from tests.conftest import brute_range
@@ -635,92 +633,6 @@ class TestMigration:
         assert fresh.dynamism == "fully_dynamic"
         assert fresh.expected_selectivity == 0.25
         assert fresh.sigma == stale.sigma
-
-
-class TestShardedTable:
-    def test_value_space_select_matches_table(self):
-        rows = {
-            "age": [33, 41, 33, 27, 58, 33, 41, 66, 12, 45] * 6,
-            "city": list("abcabcabca") * 6,
-        }
-        sharded = ShardedTable(rows, num_shards=4)
-        single = Table(rows)
-        conds = And(Range("age", 30, 45), Range("city", "a", "b"))
-        assert sharded.select(conds) == single.select(conds)
-        assert sharded.row(0) == single.row(0) == {"age": 33, "city": "a"}
-
-    def test_out_of_domain_range_returns_empty(self):
-        sharded = ShardedTable({"v": [1, 2, 3, 4]}, num_shards=2)
-        assert sharded.select(Range("v", 100, 200)) == []
-
-    def test_backend_pinning_per_column(self):
-        rows = {"a": [1, 2, 3, 4, 5, 6], "b": [6, 5, 4, 3, 2, 1]}
-        sharded = ShardedTable(
-            rows, num_shards=2, backend={"a": "btree", "b": "bitmap-gamma"}
-        )
-        assert sharded.cluster.backends("a") == ["btree", "btree"]
-        assert sharded.cluster.backends("b") == [
-            "bitmap-gamma", "bitmap-gamma"
-        ]
-        pred = And(Range("a", 2, 5), Range("b", 3, 6))
-        assert sharded.select(pred) == [1, 2, 3]
-
-    def test_table_sharded_constructor_path(self):
-        table = Table.sharded({"v": [5, 1, 5, 2, 5]}, num_shards=2)
-        assert isinstance(table, ShardedTable)
-        assert table.select(Range("v", 5, 5)) == [0, 2, 4]
-        assert table.cluster.num_shards == 2
-
-    def test_sizing_conflicts_and_validation(self):
-        with pytest.raises(InvalidParameterError):
-            ShardedTable({})
-        with pytest.raises(InvalidParameterError):
-            ShardedTable({"a": [1, 2], "b": [1]})
-        with pytest.raises(InvalidParameterError):
-            ShardedTable(
-                {"v": [1, 2]}, num_shards=2, cluster=ClusterEngine(2)
-            )
-        with pytest.raises(QueryError):
-            ShardedTable({"v": [1, 2]}).select({})
-        with pytest.raises(QueryError):
-            ShardedTable({"v": [1, 2]}).column("w")
-        with pytest.raises(QueryError):
-            ShardedTable({"v": [1, 2]}).row(5)
-
-    def test_explain_passthrough(self):
-        sharded = ShardedTable({"v": [1, 2, 3, 4]}, num_shards=2)
-        assert "2 shard(s)" in sharded.explain()
-
-    def test_append_row_and_change_keep_value_mirror_in_sync(self):
-        rows = {"v": [5, 1, 5, 2], "w": [1, 2, 3, 4]}
-        table = ShardedTable(rows, num_shards=2, dynamism="semidynamic")
-        rid = table.append_row({"v": 5, "w": 2})
-        assert rid == 4 and table.num_rows == 5
-        assert table.select(Range("v", 5, 5)) == [0, 2, 4]
-        assert table.row(4) == {"v": 5, "w": 2}
-        table2 = ShardedTable(
-            {"v": [5, 1, 5, 2]}, num_shards=2, dynamism="fully_dynamic"
-        )
-        table2.change("v", 1, 5)
-        assert table2.select(Range("v", 5, 5)) == [0, 1, 2]
-        assert table2.row(1) == {"v": 5}
-
-    def test_append_row_validates_before_mutating(self):
-        table = ShardedTable(
-            {"v": [5, 1], "w": [1, 2]}, num_shards=1, dynamism="semidynamic"
-        )
-        with pytest.raises(InvalidParameterError):
-            table.append_row({"v": 5})  # missing column
-        with pytest.raises(QueryError):
-            table.append_row({"v": 5, "w": 99})  # value outside alphabet
-        static = ShardedTable({"v": [5, 1]}, num_shards=1)
-        with pytest.raises(UpdateError):
-            static.append_row({"v": 5})
-        # Nothing leaked into any mirror or index.
-        assert table.num_rows == 2 and static.num_rows == 2
-        assert table.select(Range("v", 5, 5)) == [0]
-        with pytest.raises(QueryError):
-            table.change("v", 5, 1)
 
 
 class TestCacheStores:

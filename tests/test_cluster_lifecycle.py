@@ -34,7 +34,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.cluster import ClusterEngine, ShardedTable
+from repro.cluster import ClusterEngine
 from repro.cluster.cache import FOLDS
 from repro.engine import QueryEngine
 from repro.errors import InvalidParameterError
@@ -636,12 +636,12 @@ def test_pins_carry_across_split_and_merge():
 
 
 def test_sharded_table_grows_through_auto_splits():
-    """The value-space path end to end: a ShardedTable built with a
+    """The value-space path end to end: a sharded Table built with a
     target splits under append_row while row ids, the value mirror,
     and select answers all stay aligned with a single-engine Table."""
     values_v = [5, 1, 5, 2, 7, 1, 5, 2] * 3
     values_w = [1, 2, 3, 4, 1, 2, 3, 4] * 3
-    table = ShardedTable(
+    table = Table.sharded(
         {"v": list(values_v), "w": list(values_w)},
         target_shard_rows=10,
         dynamism="semidynamic",
@@ -656,8 +656,8 @@ def test_sharded_table_grows_through_auto_splits():
         model_w.append(w)
         assert rid == len(model_v) - 1
         assert table.row(rid) == {"v": v, "w": w}
-    assert table.cluster.splits, "growth must have split shards"
-    assert max(table.cluster.shard_lengths("v")) <= 10
+    assert table.engine.splits, "growth must have split shards"
+    assert max(table.engine.shard_lengths("v")) <= 10
     single = Table({"v": model_v, "w": model_w})
     conds = And(Range("v", 2, 5), Range("w", 1, 3))
     assert table.select(conds) == single.select(conds)
@@ -669,7 +669,7 @@ def test_sharded_table_explain_is_typed():
 
     from repro.errors import QueryError
 
-    table = ShardedTable(
+    table = Table.sharded(
         {"age": [33, 41, 27, 58, 33, 41], "city": list("abcabc")},
         num_shards=2,
     )

@@ -10,13 +10,14 @@ free; a backend that diverges from the oracle anywhere fails here
 before any engine test can be misled by it.
 
 The same corpus is additionally driven *through* the sharded serving
-layer: every backend, pinned under a :class:`repro.cluster.\
-ShardedTable` at 1, 2, and 7 shards, must produce RID sets identical
-to the single-engine :class:`repro.queries.Table` and the oracle —
-the scatter/offset-translate/merge path buys no slack on exactness.
+layer: every backend, pinned under a :meth:`repro.queries.Table.\
+sharded` table at 1, 2, and 7 shards, must produce RID sets identical
+to the pinned single-engine :class:`repro.queries.Table` and the
+oracle — the scatter/offset-translate/merge path buys no slack on
+exactness.
 
 Finally the *shard lifecycle* gets the same treatment: every backend
-runs under a ShardedTable sized by a small ``target_shard_rows`` so
+runs under a sharded Table sized by a small ``target_shard_rows`` so
 that shards split mid-suite — auto-splits under appends for backends
 that serve them, explicit splits of the fattest shard for static
 ones — and the post-split answers must again match the oracle and a
@@ -28,7 +29,6 @@ import zlib
 
 import pytest
 
-from repro.cluster import ShardedTable
 from repro.engine import QueryEngine, all_specs
 from repro.model.alphabet import Alphabet
 from repro.model.distributions import markov_runs, uniform, zipf
@@ -131,26 +131,21 @@ SHARD_COUNTS = [1, 2, 7]
 
 @pytest.fixture(scope="module")
 def sharded_tables():
-    """Every (spec, workload) pair as one single-engine table plus a
-    pinned ShardedTable per shard count (and one pinned QueryEngine
-    for the code-space differential), built once for the module."""
+    """Every (spec, workload) pair as one pinned single-engine table
+    (whose QueryEngine also serves the code-space differential) plus a
+    pinned sharded table per shard count, built once for the module."""
     cache = {}
     for wname, gen, sigma in WORKLOADS:
         x = gen()
         for spec in SPECS:
-            single = Table({"c": x}, factory=spec.build)
+            single = Table({"c": x}, backend=spec.name)
             sharded = {
-                k: ShardedTable({"c": x}, num_shards=k, backend=spec.name)
+                k: Table.sharded({"c": x}, num_shards=k, backend=spec.name)
                 for k in SHARD_COUNTS
             }
-            # The pinned engine indexes dictionary codes (like Table
-            # does) so value-space predicates translate onto it.
-            alphabet = Alphabet(x)
-            engine = QueryEngine()
-            engine.add_column(
-                "c", alphabet.encode(x), alphabet.sigma, backend=spec.name
+            cache[(spec.name, wname)] = (
+                x, sigma, single, sharded, single.engine,
             )
-            cache[(spec.name, wname)] = (x, sigma, single, sharded, engine)
     return cache
 
 
@@ -200,7 +195,7 @@ class TestShardedConformance:
     ):
         """The acceptance workload: random Range/Eq/In/And/Or/Not ASTs
         (depth <= 4) bit-identical across the brute oracle, a pinned
-        QueryEngine, the factory-built Table, and the ShardedTable —
+        QueryEngine, the single-engine Table, and the sharded Table —
         materialized and streamed."""
         x, sigma, single, sharded, engine = sharded_tables[
             (spec.name, wname)
@@ -260,7 +255,7 @@ LIFECYCLE_WORKLOADS = ["uniform", "runs_heavy", "sigma_2"]
 
 @pytest.fixture(scope="module")
 def lifecycle_tables():
-    """Every backend under a ShardedTable with the auto lifecycle on.
+    """Every backend under a sharded Table with the auto lifecycle on.
 
     Backends that serve appends grow 80 rows past the target (several
     auto-splits fire mid-build); static-only backends get the fattest
@@ -274,7 +269,7 @@ def lifecycle_tables():
         x = gen()
         for spec in SPECS:
             appendable = spec.serves("semidynamic")
-            table = ShardedTable(
+            table = Table.sharded(
                 {"c": list(x)},
                 target_shard_rows=LIFECYCLE_TARGET,
                 backend=spec.name,
@@ -289,11 +284,11 @@ def lifecycle_tables():
                     model.append(value)
             else:
                 for _ in range(2):
-                    lengths = table.cluster.shard_lengths("c")
+                    lengths = table.engine.shard_lengths("c")
                     fattest = max(
                         range(len(lengths)), key=lengths.__getitem__
                     )
-                    table.cluster.split_shard(fattest)
+                    table.engine.split_shard(fattest)
             cache[(spec.name, wname)] = (model, sigma, appendable, table)
     return cache
 
@@ -309,7 +304,7 @@ class TestLifecycleConformance:
         model, sigma, appendable, table = lifecycle_tables[
             (spec.name, wname)
         ]
-        cluster = table.cluster
+        cluster = table.engine
         if appendable:
             assert cluster.splits, (
                 f"{spec.name} on {wname}: appends past "
@@ -319,7 +314,7 @@ class TestLifecycleConformance:
         else:
             assert len(cluster.splits) == 2
         assert sum(cluster.shard_lengths("c")) == len(model)
-        single = Table({"c": model}, factory=spec.build)
+        single = Table({"c": model}, backend=spec.name)
         rng = random.Random(
             zlib.crc32(f"lifecycle:{spec.name}:{wname}".encode())
         )
@@ -370,7 +365,7 @@ PROCESS_WORKLOADS = ["zipf", "sigma_2"]
 def process_tables(process_pool):
     """Every backend served serial and process-resident, built once.
 
-    Each pinned backend runs through a ShardedTable twice — serial
+    Each pinned backend runs through a sharded Table twice — serial
     executor and worker-resident ProcessExecutor — over the same
     data, so the pair can be compared result for result and transfer
     for transfer.
@@ -381,8 +376,8 @@ def process_tables(process_pool):
         _, gen, sigma = by_name[wname]
         x = gen()
         for spec in SPECS:
-            serial = ShardedTable({"c": x}, num_shards=2, backend=spec.name)
-            resident = ShardedTable(
+            serial = Table.sharded({"c": x}, num_shards=2, backend=spec.name)
+            resident = Table.sharded(
                 {"c": x}, num_shards=2, backend=spec.name,
                 executor=process_pool,
             )
@@ -421,15 +416,15 @@ class TestProcessConformance:
             if code_range is None:
                 continue
             assert (
-                resident.cluster.query("c", *code_range).positions()
-                == serial.cluster.query("c", *code_range).positions()
+                resident.engine.query("c", *code_range).positions()
+                == serial.engine.query("c", *code_range).positions()
             )
-            assert resident.cluster.explain(
+            assert resident.engine.explain(
                 "c", *code_range
-            ) == serial.cluster.explain("c", *code_range)
+            ) == serial.engine.explain("c", *code_range)
         assert (
-            resident.cluster.scatter_io.snapshot()
-            == serial.cluster.scatter_io.snapshot()
+            resident.engine.scatter_io.snapshot()
+            == serial.engine.scatter_io.snapshot()
         )
 
     def test_process_streamed_gather_matches(
@@ -468,13 +463,13 @@ class TestProcessConformance:
                 pred, lambda _n, a=serial.column("c").alphabet: a
             )
             assert (
-                resident.cluster.query(code_pred).positions()
-                == serial.cluster.query(code_pred).positions()
+                resident.engine.query(code_pred).positions()
+                == serial.engine.query(code_pred).positions()
                 == expected
             )
         assert (
-            resident.cluster.scatter_io.snapshot()
-            == serial.cluster.scatter_io.snapshot()
+            resident.engine.scatter_io.snapshot()
+            == serial.engine.scatter_io.snapshot()
         )
 
     def test_resident_aggregates_match_serial_without_rid_gather(
@@ -490,7 +485,7 @@ class TestProcessConformance:
         rng = random.Random(
             zlib.crc32(f"agg-proc:{spec.name}:{wname}".encode())
         )
-        rids_before = resident.cluster.gather_rids
+        rids_before = resident.engine.gather_rids
         for i in range(4):
             pred = random_pred(rng, columns, depth=3)
             expected = pred_oracle(pred, {"c": x})
@@ -505,7 +500,7 @@ class TestProcessConformance:
         # No gather-side position decode happened on the aggregate
         # path: every scatter reply was an integer or a code->count
         # mapping.
-        assert resident.cluster.gather_rids == rids_before
+        assert resident.engine.gather_rids == rids_before
 
 
 # ----------------------------------------------------------------------

@@ -647,22 +647,11 @@ class TestTableIntegration:
         table.select(Range("v", 5, 5))
         assert table.engine.cache.hits == hits_before + 1
 
-    def test_explicit_factory_bypasses_engine(self):
-        table = Table(
-            {"v": [1, 2, 3]},
-            factory=lambda codes, sigma: CompressedBitmapIndex(codes, sigma),
-        )
-        assert table.engine is None
-        assert isinstance(table.columns["v"].index, CompressedBitmapIndex)
+    def test_explicit_backend_bypasses_advisor(self):
+        table = Table({"v": [1, 2, 3]}, backend="bitmap-gamma")
+        index = table.engine.column("v").index
+        assert isinstance(index, CompressedBitmapIndex)
         assert table.select(Range("v", 2, 3)) == [1, 2]
-
-    def test_factory_and_engine_conflict(self):
-        with pytest.raises(InvalidParameterError):
-            Table(
-                {"v": [1]},
-                factory=lambda c, s: PaghRaoIndex(c, s),
-                engine=QueryEngine(),
-            )
 
     def test_shared_engine_across_tables_rejects_name_clash(self):
         engine = QueryEngine()
@@ -704,7 +693,7 @@ class TestCalibrationFeedback:
 
         import pytest
 
-        from repro.cluster import ClusterEngine, ShardedTable
+        from repro.cluster import ClusterEngine
         from repro.engine import CostModel
         from repro.errors import InvalidParameterError
         from repro.queries import Table
@@ -714,18 +703,16 @@ class TestCalibrationFeedback:
         model = CostModel.load_calibrated(str(path))
         # A weight this extreme must actually steer the advisor.
         table = Table({"v": list(range(16)) * 4}, cost_model=model)
-        assert table.columns["v"].index.__class__.__name__ == (
+        assert table.engine.column("v").index.__class__.__name__ == (
             "BTreeSecondaryIndex"
         )
-        sharded = ShardedTable(
+        sharded = Table.sharded(
             {"v": list(range(16)) * 4}, num_shards=2, cost_model=model
         )
-        assert sharded.cluster.backends("v") == ["btree", "btree"]
+        assert sharded.engine.backends("v") == ["btree", "btree"]
         pred = Range("v", 3, 7)
         assert sharded.select(pred) == table.select(pred)
         with pytest.raises(InvalidParameterError):
-            Table({"v": [1, 2]}, cost_model=model, factory=lambda c, s: None)
+            Table({"v": [1, 2]}, cost_model=model, engine=QueryEngine())
         with pytest.raises(InvalidParameterError):
-            ShardedTable(
-                {"v": [1, 2]}, cluster=ClusterEngine(1), cost_model=model
-            )
+            Table({"v": [1, 2]}, engine=ClusterEngine(1), cost_model=model)

@@ -18,7 +18,7 @@ SCRIPTS = [
     "olap_people.py",
     "scientific_sensors.py",
     "dynamic_log.py",
-    "approximate_multidim.py",
+    "approximate_search.py",
     "engine_autopick.py",
     "cluster_scatter_gather.py",
 ]

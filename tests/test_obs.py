@@ -31,7 +31,6 @@ from repro.cluster import (
     GatherStats,
     ProcessExecutor,
     SerialExecutor,
-    ShardedTable,
     ThreadedExecutor,
 )
 from repro.cluster.worker import ShardHost
@@ -931,15 +930,15 @@ class TestProcessExecutorStitching:
 # ---------------------------------------------------------------------------
 
 
-class TestShardedTableStats:
+class TestTableOverClusterStats:
     def test_stats_wraps_cluster_stats(self):
-        table = ShardedTable(
+        table = Table.sharded(
             {"x": [3, 1, 4, 1, 5, 9, 2, 6] * 20}, num_shards=2
         )
         table.select(Range("x", 1, 5))
         stats = table.stats()
         assert stats.num_rows == 160
-        assert stats.engine is None and stats.io is None
+        assert stats.engine is None
         assert stats.cluster is not None
         data = json.loads(json.dumps(stats.to_dict()))
         assert data["cluster"]["num_shards"] == 2
@@ -951,7 +950,7 @@ class TestShardedTableStats:
             "a": [rng.randrange(12) for _ in range(240)],
             "b": [rng.randrange(6) for _ in range(240)],
         }
-        table = ShardedTable(dict(columns), num_shards=3, tracer=tracer)
+        table = Table.sharded(dict(columns), num_shards=3, tracer=tracer)
         pred = And(Range("a", 2, 8), Range("b", 1, 4))
         assert table.select(pred) == pred_oracle(pred, columns)
         assert tracer.last().root.name == "select"

@@ -28,7 +28,7 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterEngine, ProcessExecutor, ShardedTable
+from repro.cluster import ClusterEngine, ProcessExecutor
 from repro.engine import QueryEngine
 from repro.errors import (
     CorruptSnapshot,
@@ -54,6 +54,7 @@ from repro.persist import (
     write_shard_snapshot,
 )
 from repro.persist.checkpoint import WAL_DIRNAME
+from repro.queries import Table
 from repro.query import Range
 
 
@@ -783,12 +784,12 @@ class TestReplicaRehydrate:
             restored.close()
 
 
-class TestShardedTablePersistence:
+class TestTablePersistence:
     def test_table_round_trip_with_value_mirror(self, tmp_path):
         rng = random.Random(81)
         values = [rng.choice("pqrstuvw") for _ in range(500)]
         nums = [rng.randrange(50) for _ in range(500)]
-        table = ShardedTable(
+        table = Table.sharded(
             {"s": values, "n": nums},
             target_shard_rows=200,
             dynamism="fully_dynamic",
@@ -802,9 +803,9 @@ class TestShardedTablePersistence:
         table.change("n", 3, 42)
         expected = table.select(Range("s", "q", "t"))
         row = table.row(510)
-        table.cluster.close()
+        table.engine.close()
 
-        restored = ShardedTable.restore(d)
+        restored = Table.restore(d)
         try:
             assert restored.num_rows == 530
             assert restored.select(Range("s", "q", "t")) == expected
@@ -814,7 +815,7 @@ class TestShardedTablePersistence:
             rid = restored.append_row({"s": "p", "n": 1})
             assert restored.row(rid) == {"s": "p", "n": 1}
         finally:
-            restored.cluster.close()
+            restored.engine.close()
 
     def test_restore_requires_table_extras(self, tmp_path):
         rng = random.Random(82)
@@ -827,7 +828,7 @@ class TestShardedTablePersistence:
         init_persistence(cluster, d)
         cluster.close()
         with pytest.raises(PersistenceError):
-            ShardedTable.restore(d)
+            Table.restore(d)
 
 
 class TestFrontEndPersistence:

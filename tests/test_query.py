@@ -20,7 +20,7 @@ from repro.bits.ops import (
     union_aware,
     union_many,
 )
-from repro.cluster import ClusterEngine, ShardedTable
+from repro.cluster import ClusterEngine
 from repro.core.interface import RangeResult
 from repro.engine import QueryEngine
 from repro.errors import InvalidParameterError, QueryError
@@ -817,17 +817,17 @@ def _surface(kind: str):
         return cluster if kind == "ClusterEngine" else FrontEnd(cluster)
     if kind == "Table":
         return Table({"a": codes})
-    return ShardedTable({"a": codes}, num_shards=2)
+    return Table.sharded({"a": codes}, num_shards=2)
 
 
 @pytest.mark.parametrize(
     "kind, op",
     [
         (kind, op)
-        for kind in ("QueryEngine", "ClusterEngine", "Table", "ShardedTable")
+        for kind in ("QueryEngine", "ClusterEngine", "Table", "Table.sharded")
         for op in _SURFACE_READS
     ]
-    + [("ShardedTable", "explain")]
+    + [("Table", "explain"), ("Table.sharded", "explain")]
     + [("FrontEnd", op) for op in _FRONTEND_READS],
 )
 def test_a_mapping_is_rejected_as_a_non_predicate(kind, op):
