@@ -122,9 +122,10 @@ def test_e12a_scatter_gather_scaling(columns, query_batch, report, benchmark):
         ["shards", "executor", "backends(a)", "seconds", "speedup vs 1/serial"],
         rows,
         note="identical RID sets asserted across all configurations; "
-        "select now streams its gather serially (the executor "
-        "parallelizes query()'s scatter), so the threaded rows "
-        "measure the same path — kept for the exactness assertion.",
+        "select ships one select fold per shard, all launched before "
+        "the first is collected, so the threaded rows overlap the "
+        "shards' folds — bounded by the GIL on this pure-CPU "
+        "substrate.",
     )
     cluster = build_cluster(
         columns, 4, SerialExecutor(), shared_capacity=0, cache_size=0
@@ -167,8 +168,8 @@ def test_e12b_shared_cache_hot_vs_cold(columns, query_batch, report, benchmark):
              reads_after_hot - reads_after_cold,
              f"{cluster.shared_cache.hit_rate:.0%}"],
         ],
-        note="0 extra bits read on the hot pass: every per-shard "
-        "answer came from the versioned shared cache.",
+        note="0 extra bits read on the hot pass: every shard's select "
+        "fold came from the versioned shared cache.",
     )
     benchmark(lambda: run_batch(cluster, query_batch))
 

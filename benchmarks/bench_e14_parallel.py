@@ -7,7 +7,7 @@ worker-resident ``ProcessExecutor`` must clear >1.5x at 4 and 16
 shards — asserted, not just recorded — and the threaded executor
 overlaps too (the sleeps release the GIL).  Latency-off rows are
 *asserted* too, not just recorded: with the fast kernels doing the
-decode and the transport speaking grouped per-worker messages plus
+decode and the transport pipelining one fold message per shard plus
 shared-memory bulk payloads, the process scatter must beat the
 serial walk at 16 shards when real cores are available; on a
 single-core host, where parallel decode is physically serialized and
@@ -16,9 +16,10 @@ overhead of serial (the old regression was unbounded — it *grew*
 with shard count).  (b) Parallelism buys no slack on accounting: the
 aggregated per-worker ``IOStats`` totals equal the serial run's
 exactly, transfer for transfer.  (c) The prefetching streamed gather
-pipelines the next shards' fetches while the current buffer drains —
-faster than the serial walk under latency while ``GatherStats`` still
-proves the O(max shard answer) delivered-buffer bound.
+pipelines the next shards' select folds while the current answer
+drains — faster than the serial walk under latency while
+``GatherStats`` still proves the delivered-buffer bound of two shard
+answers.
 """
 
 import os
@@ -243,7 +244,7 @@ def test_e14c_prefetching_gather_overlaps_the_stream(
     prefetch_s, prefetch_count = best_of(streamed(prefetching), repeats=2)
     peak = prefetching.gather_stats.peak_rids
     max_shard = max(prefetching.shard_lengths("c"))
-    bound = 2 * 2 * max_shard  # 2 dims x (drain + handoff buffer)
+    bound = 2 * max_shard  # drain + handoff buffer
     assert prefetch_count == serial_count > N // 2
     assert peak <= bound, f"peak {peak} RIDs exceeds {bound}"
     speedup = serial_s / max(prefetch_s, 1e-9)
@@ -267,9 +268,9 @@ def test_e14c_prefetching_gather_overlaps_the_stream(
             ],
         ],
         note="speedup > 1.5x and peak <= bound both asserted: the "
-        "bridge pipelines later shards' fetches while the current "
-        "buffer drains, still materializing at most one draining plus "
-        "one handoff buffer per dimension.",
+        "bridge pipelines later shards' select folds while the current "
+        "answer drains, still materializing at most one draining plus "
+        "one handoff shard answer.",
     )
     run = streamed(prefetching)
     benchmark(run)

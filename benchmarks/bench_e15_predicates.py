@@ -15,7 +15,7 @@ reused), reading strictly fewer index bits than materializing the
 complement as the two flanking range queries.  A final parity check
 runs a fixed predicate workload through ``ClusterEngine`` under the
 serial and worker-resident executors: identical RIDs, identical
-aggregated I/O (the batched compiled-leaf fetch op buys no slack).
+aggregated I/O (the worker-resident select fold buys no slack).
 """
 
 from collections import Counter
@@ -232,7 +232,7 @@ def test_e15d_not_sparse_beats_materialized_complement(
 def test_e15e_cluster_parity_serial_vs_process(data, report):
     """A fixed predicate workload is bit-identical — results and
     aggregated I/O — under the serial and worker-resident executors,
-    leaf fetches batched into one pipe message per worker."""
+    each shard's whole plan shipped as one select fold."""
     preds = [
         And(Range("c", 4, 20), Or(In("c", [2, 3, 40]), Not(Eq("c", 7)))),
         Or(*(Range("c", 3 * k, 3 * k + 1) for k in range(6))),
@@ -249,7 +249,7 @@ def test_e15e_cluster_parity_serial_vs_process(data, report):
                 want = serial.select(pred)
                 got = resident.select(pred)
                 assert got == want
-                # Batch-scatter form: one grouped message per worker.
+                # query(pred): the same folds, as a RangeResult.
                 assert (
                     resident.query(pred).positions()
                     == serial.query(pred).positions()
@@ -270,5 +270,5 @@ def test_e15e_cluster_parity_serial_vs_process(data, report):
         ["#", "predicate", "matches", "unique leaves"],
         rows,
         note="identical RIDs and identical aggregated scatter I/O; "
-        "resident leaf fetches ship one grouped message per worker.",
+        "each shard evaluates the whole plan in one select fold.",
     )

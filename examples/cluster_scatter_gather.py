@@ -6,9 +6,9 @@ shards, lets the advisor judge *each shard's slice* (so one column may
 be served by different structures in different shards), scatters every
 query across shards, and gathers offset-translated global row ids.
 Both layers serve the same predicate algebra (:mod:`repro.query`):
-any Range/Eq/In/And/Or/Not tree compiles once and executes through
-one shared plan path, with per-leaf answers cached per shard in the
-versioned shared result cache.
+any Range/Eq/In/And/Or/Not tree compiles once; each shard evaluates
+the whole plan on its own slice, and its answer is cached per shard
+and per plan in the versioned shared result cache.
 
 Run:  python examples/cluster_scatter_gather.py
 """
@@ -51,14 +51,19 @@ rids = table.select(pred)
 print(f"{len(rids)} rows match the star predicate; first 10: {rids[:10]}")
 print()
 
-# 3. Repeats hit the shared result cache — per leaf, per shard, per
-#    version — and disjuncts share cached legs with later queries.
+# 3. A repeat is answered by the shared result cache — per shard, per
+#    plan, per column version — without touching any shard.  A new
+#    plan that shares a leg with an earlier one still reuses it inside
+#    each shard, from the shard engine's own cache.
 table.select(pred)
 cache = table.engine.shared_cache
 print(f"shared cache: {cache.hits} hits / {cache.misses} misses "
       f"({cache.hit_rate:.0%})")
+shard_hits = sum(shard.cache.hits for shard in table.engine.shards)
 table.select(Range("income", 25_000, 60_000))  # a leg the OR already paid
-print(f"reused a cached leg: now {cache.hits} hits")
+print(f"reused a cached leg: shard caches at "
+      f"{sum(shard.cache.hits for shard in table.engine.shards)} hits "
+      f"(were {shard_hits})")
 print()
 
 # 4. The same predicate, explained end to end: one typed,
@@ -73,15 +78,15 @@ payload = json.dumps(report.to_dict())
 print(f"…and the same report as {len(payload)} bytes of JSON")
 print()
 
-# 5. Huge answers stream: the plan's gather pipeline yields global row
-#    ids one at a time, holding at most one shard's answer per leaf.
+# 5. Huge answers stream: each shard folds the plan, and the stream
+#    yields global row ids one at a time, holding one shard's answer.
 #    (A fully open range would fold to TRUE and skip the indexes
 #    entirely; ask for a real majority range instead.)
 first_ten = []
 for rid in table.select_iter(Range("income", 25_000, None)):
     first_ten.append(rid)
     if len(first_ten) == 10:
-        break  # the remaining shards are never even fetched
+        break  # the remaining shards are never even folded
 print(f"streamed the first 10 of a huge answer: {first_ten}")
 peak = table.engine.gather_stats.peak_rids
 print(f"peak buffered row ids while streaming: {peak} (of {N} rows)")
@@ -100,8 +105,8 @@ print()
 # 7. The same table, served by worker-resident shard engines: each
 #    shard's engine lives in a worker process (built once from a
 #    shipped snapshot, kept in sync by batched routed deltas), and a
-#    predicate's leaves ship per shard as ONE compiled-leaf fetch
-#    message — bit-identical to the serial run.
+#    predicate ships to each shard as ONE fold message carrying the
+#    whole compiled plan — bit-identical to the serial run.
 from repro.cluster import ProcessExecutor  # noqa: E402
 
 with ProcessExecutor(max_workers=2) as pool:

@@ -22,18 +22,19 @@ entries even though shard versions restart at zero — and same-named
 columns of *different engines* (or processes) sharing one store never
 collide.
 
-Aggregate folds share the tier under *fold keys* (:func:`fold_key`),
-laid out in the same six slots: ``(FOLDS, shard_id, digest, version,
-0, 0)``.  The digest names the shard-specialized plan the fold
-evaluates and the epochs of the columns it reads; the version is the
-sum of those columns' shard-local versions.  A fold spans columns, so
+Every cluster read is a shard fold, cached at the coordinator under a
+*fold key* (:func:`fold_key`), laid out in the same six slots:
+``(FOLDS, shard_id, digest, version, 0, 0)``.  The digest names the
+shard-specialized plan the fold evaluates and the epochs of the
+columns it reads; the version is the sum of those columns' shard-local
+versions.  A fold spans columns, so
 its entries live in one namespace of their own, :data:`FOLDS`, with
 the shard uid second: ``(FOLDS, shard_id)`` is a retired shard's fold
 prefix.  Together they yield the cluster's invalidation protocol:
 
 * an update routed to shard ``s`` bumps only that shard's version, so
-  only shard ``s``'s entries — leaf answers and folds that read the
-  column — become unreachable; every other shard's cached results stay
+  only shard ``s``'s entries — the folds that read the column — become
+  unreachable; every other shard's cached results stay
   live and keep serving.  Nothing is evicted on the write: a bounded
   store reclaims the dead entries' space (the LRU's replacement, a
   TTL, or a store that drops a key's older versions when it stores a
@@ -57,9 +58,11 @@ get/put/invalidate-by-prefix contract an external store implements
 :class:`InMemorySharedCache` wraps any store with the lock and the
 defensive copies a *shared* cache needs.
 
-Every value is a list of ints (JSON/msgpack friendly): a leaf
-answer's sorted shard-local positions, translated to global RIDs by
-the gather phase, or a fold value encoded by :func:`fold_entry`.
+Every value is a list of ints (JSON/msgpack friendly): a fold value
+encoded by :func:`fold_entry` — a select fold's entry is the shard's
+sorted local answer positions, which the gather offsets into global
+RIDs — or, under a :func:`shared_key`, one range's sorted shard-local
+positions, which is what a worker's durable store holds.
 """
 
 from __future__ import annotations
@@ -122,8 +125,11 @@ def fold_key(shard_id: int, payload: tuple, versions: tuple) -> SharedKey:
 
 def fold_entry(mode: str, value) -> list[int]:
     """A fold value as the list of ints every store holds: ``[n]`` for
-    a count, ``[0]``/``[1]`` for exists, and a ``count_by`` dict as
-    flat ``[code, count, code, count, ...]``."""
+    a count, ``[0]``/``[1]`` for exists, a ``count_by`` dict as flat
+    ``[code, count, code, count, ...]``, and a select answer as its
+    own sorted shard-local positions."""
+    if mode == "select":
+        return value
     if mode == "count_by":
         return [x for pair in value.items() for x in pair]
     return [int(value)]
@@ -131,6 +137,8 @@ def fold_entry(mode: str, value) -> list[int]:
 
 def fold_value(mode: str, entry):
     """The fold value :func:`fold_entry` encoded, rebuilt fresh."""
+    if mode == "select":
+        return list(entry)
     if mode == "count_by":
         return dict(zip(entry[::2], entry[1::2]))
     return entry[0] if mode == "count" else bool(entry[0])

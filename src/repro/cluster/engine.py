@@ -7,14 +7,18 @@ independently, shards of the same column may land on *different*
 backends when local entropy/cardinality differ — the per-partition
 re-fitting that hierarchical/partitioned range indexes exploit.
 
-Serving is scatter-gather: per-shard range queries execute through a
-pluggable executor (:mod:`.executor`), each consulting the shared
-result cache (:mod:`.cache`) before touching its shard's engine;
-shard-local positions are offset-translated to global RIDs and merged
-(shard order *is* global order, so the k-way merge of sorted disjoint
-runs degenerates to concatenation).  Conjunctive ``select`` intersects
-the per-dimension merged streams, exactly like the single-engine plan
-of §1.
+Serving is scatter-gather over one shard op, the *fold*: every read
+compiles its predicate once, specializes the plan onto each shard's
+local alphabets, and ships the whole shard-local plan through a
+pluggable executor (:mod:`.executor`) after consulting the shared
+result cache (:mod:`.cache`).  The shard evaluates it — §1's
+conjunctive intersection included — and answers with one value: a
+count, an exists-bit, per-group counts, or its sorted answer
+positions.  Shard order *is* global order, so a select's gather is
+offset-and-concatenate, never a merge.  Because a fold pairs rows by
+shard-local position, a multi-column read requires its columns to
+agree on every shard's length but the last (:class:`QueryError`
+otherwise).
 
 Updates route to one shard — appends to the last, changes/deletes by
 live prefix sums — and bump only that shard's column version, so the
@@ -37,17 +41,15 @@ retires exactly the participating shards' entries while every sibling
 shard's hot entries keep serving.  :meth:`ClusterEngine.rebalance`
 applies the same policy until the whole cluster is within bounds.
 
-Cross-shard ``select`` streams: per-dimension RID iterators walk the
-shards in order (shard order *is* global order), materializing one
-shard's answer at a time, and the k-way conjunctive merge emits global
-RIDs one by one — peak intermediate memory is O(max shard answer)
-rather than O(answer), accounted by :class:`GatherStats`.  Under an
-executor that buys overlap (threads, worker processes) the walk
-becomes a bounded *prefetching bridge*: while one shard's answer
-drains, up to ``prefetch_depth`` later shards' fetches are already in
-flight, so per-shard latency overlaps the drain without widening the
-memory bound beyond ``(1 + prefetch_depth)`` shard answers per
-dimension.
+Cross-shard ``select_iter``/``query_iter`` stream: the per-shard
+select folds are walked in shard order, one shard's answer buffered at
+a time, and global RIDs are emitted one by one — peak intermediate
+memory is O(max shard answer) rather than O(answer), accounted by
+:class:`GatherStats`.  Under an executor that buys overlap (threads,
+worker processes) the walk becomes a bounded *prefetching bridge*:
+while one shard's answer drains, up to ``prefetch_depth`` later
+shards' folds are already in flight, so per-shard latency overlaps the
+drain while at most two delivered answers coexist.
 
 Execution is a deployment choice (see :mod:`.executor`): *local*
 executors run scatter tasks against this process's shard engines,
@@ -55,9 +57,8 @@ while the *resident* :class:`~repro.cluster.executor.ProcessExecutor`
 hosts a bit-identical replica of every shard engine in worker
 processes — built once from a shipped snapshot, then kept in sync by
 the same routed update/lifecycle deltas this class applies locally.
-Either way a shard op runs the same body
-(:func:`~repro.cluster.worker.fetch_range`,
-:func:`~repro.cluster.worker.fold_shard`) and answers with a
+Either way a shard fold runs the same body
+(:func:`~repro.cluster.worker.fold_shard`) and answers with a
 ``(value, io, span)`` triple whose
 :class:`~repro.iomodel.stats.Snapshot` delta folds into
 ``scatter_io``, the cluster-total I/O of the query path, identical
@@ -90,7 +91,7 @@ import uuid
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 from ..core.interface import RangeResult
 from ..engine.advisor import Advisor, CostModel
@@ -100,7 +101,7 @@ from ..engine.engine import (
     QueryPlan,
 )
 from ..engine.registry import DYNAMISM_LEVELS, IndexSpec, get_spec
-from ..errors import InvalidParameterError, QueryError, UpdateError
+from ..errors import InvalidParameterError, QueryError
 from ..iomodel.stats import IOStats, Snapshot
 from ..obs import CacheTierStats
 from ..obs.tracer import NULL_TRACE, ObservedOps
@@ -113,8 +114,6 @@ from ..query import (
     Range,
     ShardLeafPlan,
     compile_pred,
-    evaluate,
-    evaluate_iter,
     resolve_universe,
     specialize,
 )
@@ -126,10 +125,9 @@ from .cache import (
     fold_entry,
     fold_key,
     fold_value,
-    shared_key,
 )
 from .executor import CompletedFuture, MappedFuture, SerialExecutor
-from .worker import fetch_range, fold_shard
+from .worker import fold_shard
 from .sharding import (
     ShardPlan,
     locate,
@@ -145,18 +143,6 @@ _UID_SOURCE = itertools.count()
 
 #: Sentinel for "no entry" when re-keying sparse per-shard mappings.
 _ABSENT = object()
-
-
-class _Deferred(NamedTuple):
-    """A resident cache miss held back for a grouped shipment.
-
-    Returned by :meth:`ClusterEngine._submit_fetch` with ``defer``;
-    the caller ships ``request`` — ``(uid, name, lo, hi)`` — with its
-    siblings and maps the reply through ``absorb``.
-    """
-
-    request: tuple
-    absorb: Callable
 
 
 def _remap_shard_dict(
@@ -254,11 +240,12 @@ class GatherStats:
     """Materialization accounting for the streaming gather.
 
     ``live_rids`` counts the RIDs currently buffered by active
-    streaming gathers (one shard's answer per dimension at a time);
+    streaming gathers (one shard's answer at a time, two at a
+    prefetch handoff);
     ``peak_rids`` is the high-water mark since the last
     :meth:`reset` — the number the O(block) memory claim is asserted
     against.  A fully materialized gather would peak at the whole
-    per-dimension answer instead.
+    answer instead.
     """
 
     live_rids: int = 0
@@ -459,15 +446,15 @@ class ClusterEngine(ObservedOps):
         self.merges: list[ShardMerge] = []
         self.gather_stats = GatherStats()
         #: Cluster-total I/O of the query path: the merged per-task
-        #: snapshots every scatter fetch returns, wherever it ran.  A
+        #: snapshots every shard fold returns, wherever it ran.  A
         #: fixed workload must produce identical totals under every
         #: executor — the conformance suite asserts it.
         self.scatter_io = IOStats()
-        #: Positions delivered to the coordinator by scatter replies
-        #: (gather-side RID/position traffic).  Every path that
-        #: consumes per-shard position lists counts them here; the
-        #: aggregate pushdown path never increments it — the proof
-        #: that counts, not RID lists, crossed the pipes.
+        #: Positions the gather offsets into global RIDs: every select
+        #: answer a shard fold (or the shared cache) delivers to the
+        #: coordinator counts here, so it tracks the answer size.
+        #: Aggregates never increment it — the proof that counts, not
+        #: RID lists, crossed the pipes.
         self.gather_rids = 0
         #: Observability hooks (:mod:`repro.obs`): all three default
         #: to ``None``; with no enabled tracer every operation emits
@@ -494,7 +481,7 @@ class ClusterEngine(ObservedOps):
         #: Optional hot-shard read replicas
         #: (:class:`repro.serve.ReplicaSet`), attached via
         #: :meth:`attach_replicas`.  ``None`` costs one attribute
-        #: check on the fetch path.
+        #: check on the fold path.
         self.replicas = None
         #: Optional write-ahead log (:class:`repro.persist.DeltaLog`),
         #: attached via :meth:`attach_wal`.  Every acknowledged
@@ -646,7 +633,7 @@ class ClusterEngine(ObservedOps):
 
         The set rides the same routed-delta stream the resident
         executor does (:meth:`_ship_delta` / :meth:`_ship_retire`), so
-        replicas stay in sync however updates arrive; scatter fetches
+        replicas stay in sync however updates arrive; shard folds
         consult it after a shared-cache miss and fall back to the
         primary whenever the replica is absent or stale.
         """
@@ -664,21 +651,6 @@ class ClusterEngine(ObservedOps):
             replicas, self.replicas = self.replicas, None
             if replicas is not None:
                 replicas.unbind()
-
-    def _replica_fetch(self, name: str, shard_id: int, lo: int, hi: int):
-        """One shard range from a fresh replica, or ``None``.
-
-        Returns ``(positions, io_snapshot)``, the answer and I/O a
-        primary fetch would have returned; freshness is fenced by the
-        shard-local column version, so a replica that missed a delta
-        can only ever *miss*, never answer stale.
-        """
-        replicas = self.replicas
-        if replicas is None:
-            return None
-        uid = self.shard_uids[shard_id]
-        version = self.shards[shard_id].column(name).version
-        return replicas.fetch(uid, name, lo, hi, version)
 
     # ------------------------------------------------------------------
     # Column management
@@ -883,7 +855,6 @@ class ClusterEngine(ObservedOps):
                 self._ship_delta(shard_id, ("drop_column", name))
             # Fold keys span columns, so no prefix names this column's
             # folds alone: the whole fold namespace goes with it.
-            self.shared_cache.invalidate(column=name)
             self.shared_cache.invalidate(column=FOLDS)
             del self.columns[name]
             self.mutations += 1
@@ -916,74 +887,6 @@ class ClusterEngine(ObservedOps):
                 f"invalid character range [{char_lo}, {char_hi}] for "
                 f"alphabet of size {meta.sigma}"
             )
-
-    def _submit_fetch(
-        self,
-        name: str,
-        meta: ColumnMeta,
-        shard_id: int,
-        lo: int,
-        hi: int,
-        trace=NULL_TRACE,
-        defer: bool = False,
-    ):
-        """Launch one shard fetch; resolves to ``(positions, io, span)``.
-
-        The shared cache is consulted first, here at the coordinator,
-        then a hot-shard replica; either hit records a synchronous
-        event and resolves at once, span slot ``None``.  A miss runs
-        :func:`~repro.cluster.worker.fetch_range` — as a local
-        executor task against this process's shard engine, or in the
-        shard's resident worker through the pipelined query API — and
-        its answer enters the shared cache when the gather consumes
-        the reply.  Keys carry the shard's stable *uid*, not its
-        position, so entries survive lifecycle operations on other
-        shards and a post-split shard can never alias a retired
-        shard's entries.
-
-        With ``defer`` a resident miss is not sent yet: a
-        :class:`_Deferred` comes back instead, so the caller can ship
-        the whole scatter grouped per worker
-        (:meth:`~repro.cluster.executor.ProcessExecutor.\
-submit_query_group`) instead of one message per shard.
-        """
-        uid = self.shard_uids[shard_id]
-        column = self.shards[shard_id].column(name)
-        key = shared_key(name, meta.epoch, uid, column.version, lo, hi)
-        hit = self.shared_cache.get(key)
-        if hit is not None:
-            trace.event(
-                "cache_lookup", tier="shared", hit=True,
-                column=name, shard_uid=uid, bits_read=0,
-            )
-            return CompletedFuture((hit, Snapshot(), None))
-        replica = self._replica_fetch(name, shard_id, lo, hi)
-        if replica is not None:
-            positions, io = replica
-            self.shared_cache.put(key, positions)
-            trace.event(
-                "replica_fetch", column=name, shard_uid=uid,
-                char_lo=lo, char_hi=hi, bits_read=io.bits_read,
-            )
-            return CompletedFuture((positions, io, None))
-
-        def absorb(reply: tuple) -> tuple:
-            self.shared_cache.put(key, reply[0])
-            return reply
-
-        if not self._resident:
-            future = self.executor.submit(
-                fetch_range, self.shards[shard_id], uid, name, lo, hi,
-                trace.trace_id, self._clock(), "leaf_fetch",
-            )
-        elif defer:
-            return _Deferred((uid, name, lo, hi), absorb)
-        else:
-            self._note_flush(trace, uid)
-            future = self.executor.submit_query(
-                uid, name, lo, hi, trace=trace.trace_id
-            )
-        return MappedFuture(future, absorb)
 
     def _collect(self, reply: tuple, trace):
         """Account one shard reply ``(value, io, span)``; its value.
@@ -1065,7 +968,7 @@ submit_query_group`) instead of one message per shard.
             trace.event("delta_flush", shard_uid=uid, deltas=deltas)
 
     # ------------------------------------------------------------------
-    # Predicate serving (the shared repro.query path)
+    # Plan pushdown: every read is one fold per shard
     # ------------------------------------------------------------------
 
     def _compile_pred(
@@ -1083,83 +986,20 @@ submit_query_group`) instead of one message per shard.
             universe = resolve_universe(plan, self.total_rows)
         return plan, universe
 
-    def _fetch_plan_leaves(
-        self, plan: Plan, universe: int, trace=NULL_TRACE
-    ) -> list[RangeResult]:
-        """Scatter-fetch every unique leaf of a compiled plan.
+    def _leaf_plan(self, name: str, char_lo: int, char_hi: int) -> Plan:
+        """One validated range of one column as a one-leaf plan.
 
-        Every (leaf, shard) fetch is launched before the first is
-        collected, so per-shard work overlaps under any executor that
-        buys overlap.  Under a *resident* executor the fetches are
-        additionally *batched*: every (leaf, shard) interval missing
-        from the shared cache ships in one grouped request, one
-        pipelined message per worker, so a wide IN-list over many
-        shards costs one round-trip per worker.  Per-shard answers
-        consult and populate the shared result cache, then
-        offset-translate into one global :class:`RangeResult` per
-        leaf.  The fetch order is canonical (leaf-table order within
-        each shard), so a fixed workload reads identical bits under
-        every executor.
+        Built directly, not compiled: normalization folds a
+        full-alphabet range to TRUE, whose answer would count the
+        holes of pending deletes as rows.
         """
-        per_leaf: list[list] = [[()] * self.num_shards for _ in plan.leaves]
-        metas = {col: self._meta(col) for col in {l[0] for l in plan.leaves}}
-        offsets = {
-            col: offsets_of(self.shard_lengths(col)) for col in metas
-        }
-        slots: list[tuple[int, int]] = []  # (leaf_idx, shard_id)
-        futures: list = []
-        with trace.span("scatter", leaves=len(plan.leaves)):
-            for shard_id in range(self.num_shards):
-                for leaf_idx, (col, lo, hi) in enumerate(plan.leaves):
-                    local = self._translate_range(metas[col], shard_id, lo, hi)
-                    if local is not None:
-                        slots.append((leaf_idx, shard_id))
-                        futures.append(
-                            self._submit_fetch(
-                                col, metas[col], shard_id, *local, trace,
-                                defer=True,
-                            )
-                        )
-            deferred = [
-                i for i, f in enumerate(futures) if isinstance(f, _Deferred)
-            ]
-            if deferred:
-                requests = [futures[i].request for i in deferred]
-                for uid in dict.fromkeys(request[0] for request in requests):
-                    self._note_flush(trace, uid)
-                group = self.executor.submit_query_group(
-                    requests, trace=trace.trace_id
-                )
-                for i, future in zip(deferred, group):
-                    futures[i] = MappedFuture(future, futures[i].absorb)
-            for (leaf_idx, shard_id), reply in zip(
-                slots, self._replies(futures)
-            ):
-                positions = self._collect(reply, trace)
-                self.gather_rids += len(positions)
-                per_leaf[leaf_idx][shard_id] = positions
-        with trace.span("gather_merge"):
-            results: list[RangeResult] = []
-            for leaf_idx, (col, _, _) in enumerate(plan.leaves):
-                off = offsets[col]
-                merged: list[int] = []
-                for shard_id in range(self.num_shards):
-                    positions = per_leaf[leaf_idx][shard_id]
-                    merged.extend(off[shard_id] + p for p in positions)
-                results.append(RangeResult(merged, universe))
-        return results
-
-    def _query_pred(self, pred: Pred) -> RangeResult:
-        with self._observed(
-            "query", report_fn=lambda: self._plan_report(pred)
-        ) as trace:
-            plan, universe = self._compile_pred(pred, trace)
-            leaf_results = self._fetch_plan_leaves(plan, universe, trace)
-            return evaluate(plan, leaf_results, universe)
-
-    # ------------------------------------------------------------------
-    # Aggregates (plan pushdown: counts cross the pipes, never RIDs)
-    # ------------------------------------------------------------------
+        self._check_range(self._meta(name), char_lo, char_hi)
+        return Plan(
+            normalized=Range(name, char_lo, char_hi),
+            leaves=((name, char_lo, char_hi),),
+            root=(LEAF, 0),
+            columns=(name,),
+        )
 
     def _specialize_shard(
         self, plan: Plan, metas: dict, shard_id: int
@@ -1171,6 +1011,25 @@ submit_query_group`) instead of one message per shard.
                 metas[col], shard_id, lo, hi
             ),
         )
+
+    def _fold_key(self, shard_id: int, payload: tuple):
+        """One shard fold's shared-cache key, and its columns' versions.
+
+        The :func:`~repro.cluster.cache.fold_key` carries the shard
+        uid, the specialized payload and every read column's epoch and
+        version, so a write to any of those columns on this shard
+        makes the entry unreachable.
+        """
+        engine = self.shards[shard_id]
+        versions = {col: engine.column(col).version for col in payload[1]}
+        key = fold_key(
+            self.shard_uids[shard_id], payload,
+            tuple(
+                (col, self.columns[col].epoch, version)
+                for col, version in versions.items()
+            ),
+        )
+        return key, versions
 
     def _submit_fold(self, shard_id: int, payload: tuple, trace):
         """Launch one shard's fold; resolves to ``(value, io, span)``.
@@ -1184,23 +1043,14 @@ submit_query_group`) instead of one message per shard.
         process's own shard engine, so value and measured I/O are
         executor-independent — and its value enters the shared cache,
         encoded as ints (:func:`~repro.cluster.cache.fold_entry`),
-        when the gather consumes the reply.  The
-        :func:`~repro.cluster.cache.fold_key` carries the shard uid,
-        the specialized payload and every read column's epoch and
-        version, so a write to any of those columns on this shard
-        makes the entry unreachable.
+        when the gather consumes the reply.  Keys carry the shard's
+        stable *uid*, not its position, so entries survive lifecycle
+        operations on other shards and a post-split shard can never
+        alias a retired shard's entries.
         """
         uid = self.shard_uids[shard_id]
         mode = payload[0]
-        engine = self.shards[shard_id]
-        versions = {col: engine.column(col).version for col in payload[1]}
-        key = fold_key(
-            uid, payload,
-            tuple(
-                (col, self.columns[col].epoch, version)
-                for col, version in versions.items()
-            ),
-        )
+        key, versions = self._fold_key(shard_id, payload)
         hit = self.shared_cache.get(key)
         if hit is not None:
             trace.event(
@@ -1230,10 +1080,29 @@ submit_query_group`) instead of one message per shard.
             )
         else:
             future = self.executor.submit(
-                fold_shard, engine, uid, payload,
+                fold_shard, self.shards[shard_id], uid, payload,
                 trace.trace_id, self._clock(), "shard_fold",
             )
         return MappedFuture(future, absorb)
+
+    def _check_aligned(self, columns: tuple) -> None:
+        """Refuse a multi-column read over misaligned shards.
+
+        A fold pairs rows by shard-local position, which are the same
+        rows as the global RIDs only while the columns agree on every
+        shard's length.  The last shard may differ (appends to one
+        column land there, past every offset).
+        """
+        if len(columns) < 2:
+            return
+        lengths = {tuple(self.shard_lengths(col)[:-1]) for col in columns}
+        if len(lengths) > 1:
+            raise QueryError(
+                f"columns {list(columns)} disagree on shard lengths "
+                f"{[self.shard_lengths(col) for col in columns]}; a "
+                "multi-column read needs them aligned on every shard "
+                "but the last"
+            )
 
     def _fold_futures(
         self, mode: str, plan: Plan, group: "str | None", trace
@@ -1241,32 +1110,39 @@ submit_query_group`) instead of one message per shard.
         """One fold future per shard, submitted lazily in shard order.
 
         Shards partition the RID universe and every plan operator acts
-        row-wise, so the global aggregate decomposes exactly into
+        row-wise, so the global answer decomposes exactly into
         per-shard folds.  Each shard's plan is first *specialized*
         (leaves translated onto its local alphabets, pruned leaves
         constant-folded): an ``EMPTY`` root contributes its identity
         with no round trip at all, an ``ALL`` root under
-        ``count``/``exists`` is answered from the coordinator's own
-        row count — ``Not`` over a fully-pruned leaf means *every*
-        shard row, no worker needed — and only genuinely mixed shards
-        submit a fold (:meth:`_submit_fold`), which the shared result
-        cache answers when the shard's columns have not moved.
+        ``count``/``exists``/``select`` is answered from the
+        coordinator's own row count — ``Not`` over a fully-pruned leaf
+        means *every* shard row, no worker needed — and only genuinely
+        mixed shards submit a fold (:meth:`_submit_fold`), which the
+        shared result cache answers when the shard's columns have not
+        moved.  The columns and their alignment are checked eagerly;
+        the returned iterator submits a shard's fold only when drawn.
         """
         names = set(plan.columns) if group is None else {*plan.columns, group}
         metas = {col: self._meta(col) for col in names}
         columns = tuple(sorted(metas))
-        for shard_id in range(self.num_shards):
+        self._check_aligned(columns)
+
+        def submit(shard_id: int):
             leaves, root = self._specialize_shard(plan, metas, shard_id)
             if root[0] == EMPTY:
-                value = {"count": 0, "exists": False, "count_by": {}}[mode]
+                value = {"count": 0, "exists": False, "count_by": {},
+                         "select": ()}[mode]
             elif root[0] == ALL and mode != "count_by":
                 rows = self.shards[shard_id].column(columns[0]).n
-                value = rows if mode == "count" else rows > 0
+                value = {"count": rows, "exists": rows > 0,
+                         "select": range(rows)}[mode]
             else:
                 payload = (mode, columns, leaves, root, group)
-                yield self._submit_fold(shard_id, payload, trace)
-                continue
-            yield CompletedFuture((value, Snapshot(), None))
+                return self._submit_fold(shard_id, payload, trace)
+            return CompletedFuture((value, Snapshot(), None))
+
+        return map(submit, range(self.num_shards))
 
     def _scatter_fold(
         self,
@@ -1275,13 +1151,12 @@ submit_query_group`) instead of one message per shard.
         group: "str | None" = None,
         trace=NULL_TRACE,
     ) -> list:
-        """Scatter one aggregate plan; gather per-shard fold values.
+        """Scatter one plan; gather per-shard fold values.
 
         Every shard's fold is launched before the first is collected.
         Under a resident executor a fold is the ``fold`` pipe op: the
-        whole shard-local plan evaluates in the worker and one number
-        (plus its I/O snapshot) comes back; ``gather_rids`` is
-        untouched because no positions cross.
+        whole shard-local plan evaluates in the worker and one value
+        (plus its I/O snapshot) comes back.
         """
         with trace.span("scatter", mode=mode):
             futures = list(self._fold_futures(mode, plan, group, trace))
@@ -1289,6 +1164,113 @@ submit_query_group`) instead of one message per shard.
                 self._collect(reply, trace)
                 for reply in self._replies(futures)
             ]
+
+    def _select(self, plan: Plan, trace) -> list[int]:
+        """Global RIDs of a plan: one select fold per shard, gathered.
+
+        Shards partition the RID space in order, so each shard's
+        sorted local answer shifted by the shard's offset is a run of
+        the global answer, and the gather is their concatenation.
+        """
+        answers = self._scatter_fold("select", plan, trace=trace)
+        offsets = offsets_of(self.shard_lengths(plan.columns[0]))
+        with trace.span("gather_merge"):
+            rids: list[int] = []
+            for offset, positions in zip(offsets, answers):
+                rids.extend([offset + p for p in positions])
+        self.gather_rids += len(rids)
+        return rids
+
+    def _select_stream(self, plan: Plan, op: str, **tags):
+        """A plan's global RIDs as a lazily gathered stream.
+
+        The stream walks the per-shard select folds of
+        :meth:`_fold_futures` in shard order, buffering one shard's
+        answer at a time and translating its local positions by the
+        shard's offset.  The walk is a *bounded prefetching bridge*:
+        up to ``prefetch_depth`` later shards' folds are in flight
+        while the current buffer drains, so per-shard latency overlaps
+        the drain instead of serializing behind it (the depth defaults
+        to 0 under the inline executor, where folding ahead buys
+        nothing).  ``gather_stats`` records the high-water mark: a
+        buffer is acquired when the stream takes delivery and released
+        as soon as the stream moves past it (or is closed), so the
+        peak is one shard answer at depth 0 and two — the draining
+        buffer and the next one at the handoff — with a window.
+
+        Tracing: called at depth 0 with an enabled tracer, the stream
+        *owns* one trace rooted at ``op``, finished when the stream
+        ends — exhausted or closed early.  Replies still in flight at
+        an early close are drained (FIFO hygiene) and their spans
+        offered to the already-finished trace, which drops and counts
+        them (``Tracer.dropped_spans``), so abandoned pipelined
+        replies can never leak spans into a later query's trace.
+        """
+        tracer = self.tracer
+        trace = self._active_trace
+        owned = NULL_TRACE
+        if self._op_depth == 0 and tracer is not None and tracer.enabled:
+            trace = owned = tracer.begin(op, **tags)
+        try:
+            futures = self._fold_futures("select", plan, None, trace)
+            offsets = offsets_of(self.shard_lengths(plan.columns[0]))
+        except BaseException:
+            if owned is not NULL_TRACE:
+                tracer.finish(owned)
+            raise
+
+        def gen():
+            in_flight: deque = deque()
+
+            def top_up() -> None:
+                while len(in_flight) < self.prefetch_depth + 1:
+                    future = next(futures, None)
+                    if future is None:
+                        return
+                    in_flight.append(future)
+
+            # With a prefetch window, the drained buffer is released
+            # only once the next one is delivered — the two coexist at
+            # the handoff and the accounting must say so.  Without one
+            # (depth 0, the inline executor — whose submit() runs the
+            # fold on the spot) the next fold must not even *start*
+            # until the current buffer is drained and released: that
+            # keeps the one-buffer bound of the serial walk and its
+            # lazy I/O (an early-exiting consumer never pays for
+            # shards it did not reach).
+            overlap = self.prefetch_depth > 0
+            held = 0
+            top_up()
+            try:
+                for offset in offsets:
+                    positions = self._collect(
+                        in_flight.popleft().result(), trace
+                    )
+                    self.gather_rids += len(positions)
+                    self.gather_stats.acquire(len(positions))
+                    if held:
+                        self.gather_stats.release(held)
+                    held = len(positions)
+                    if overlap:
+                        top_up()  # keep the window full while draining
+                    for p in positions:
+                        yield offset + p
+                    if not overlap:
+                        self.gather_stats.release(held)
+                        held = 0
+                        top_up()  # serial walk: fold only when needed
+            finally:
+                if held:
+                    self.gather_stats.release(held)
+                if owned is not NULL_TRACE:
+                    # The stream is over (exhausted or closed early):
+                    # finish the owned trace *first*, so the spans of
+                    # abandoned replies drained below are dropped and
+                    # counted, never leaked into a later trace.
+                    tracer.finish(owned)
+                self._drain(in_flight, owned)
+
+        return gen()
 
     def count(self, pred: Pred) -> int:
         """How many rows match — the coordinator only sums.
@@ -1399,13 +1381,27 @@ submit_query_group`) instead of one message per shard.
 
     def _plan_report(self, pred: Pred) -> PlanReport:
         plan, universe = self._compile_pred(pred)
+        metas = {col: self._meta(col) for col in plan.columns}
+        # Per shard, whether the shared cache holds the select fold a
+        # read would consult — or None when the shard's specialized
+        # plan folds to a constant and no leaf of it is read at all.
+        cached: list = []
+        for shard_id in range(self.num_shards):
+            leaves, root = self._specialize_shard(plan, metas, shard_id)
+            if root[0] in (EMPTY, ALL):
+                cached.append(None)
+                continue
+            key, _ = self._fold_key(
+                shard_id, ("select", plan.columns, leaves, root, None)
+            )
+            cached.append(key in self.shared_cache)
         leaves = []
         for col, lo, hi in plan.leaves:
             shards = []
             predicted = 0.0
             live_cached: list[bool] = []
             for shard_id, shard_plan in enumerate(self.plan(col, lo, hi)):
-                if shard_plan is None:
+                if shard_plan is None or cached[shard_id] is None:
                     shards.append(
                         ShardLeafPlan(shard_id=shard_id, pruned=True)
                     )
@@ -1417,11 +1413,11 @@ submit_query_group`) instead of one message per shard.
                         backend=shard_plan.spec.name,
                         family=shard_plan.spec.family,
                         estimated_cost_bits=shard_plan.estimated_cost_bits,
-                        cached=shard_plan.cached,
+                        cached=cached[shard_id],
                     )
                 )
-                live_cached.append(shard_plan.cached)
-                if not shard_plan.cached:
+                live_cached.append(cached[shard_id])
+                if not cached[shard_id]:
                     predicted += shard_plan.estimated_cost_bits
             # A leaf every shard prunes reads no bits and sits in no
             # cache: live_cached stays empty, so cached must collapse
@@ -1456,207 +1452,84 @@ submit_query_group`) instead of one message per shard.
         char_lo: int | None = None,
         char_hi: int | None = None,
     ) -> RangeResult:
-        """One query: a leaf scatter-gather, or a whole predicate.
+        """One query: a column range, or a whole predicate.
 
-        With a predicate, every unique leaf of the compiled plan is
-        scatter-fetched (batched per worker under a resident executor)
-        and the answers fold through the same
-        :func:`repro.query.evaluate` path the single-process engine
-        uses — the two serving layers execute the identical plan
-        object.  A leaf range runs as a one-leaf plan through the same
-        scatter.
+        Either way it is a :meth:`select` — one select fold per shard
+        (a column range runs as a one-leaf plan), gathered by offset —
+        whose RIDs come back as a :class:`RangeResult` over the
+        predicate's row universe.
         """
         if isinstance(name, Pred):
             if char_lo is not None or char_hi is not None:
                 raise InvalidParameterError(
                     "a predicate query takes no range arguments"
                 )
-            return self._query_pred(name)
+            with self._observed(
+                "query", report_fn=lambda: self._plan_report(name)
+            ) as trace:
+                plan, universe = self._compile_pred(name, trace)
+                return RangeResult(self._select(plan, trace), universe)
         if char_lo is None or char_hi is None:
             raise InvalidParameterError(
                 "query(name, char_lo, char_hi) requires both bounds; "
                 "pass a predicate for composed queries"
             )
-        meta = self._meta(name)
-        self._check_range(meta, char_lo, char_hi)
-        # Built directly, not compiled: normalization folds a
-        # full-alphabet range to TRUE, whose answer would count the
-        # holes of pending deletes as rows.
-        plan = Plan(
-            normalized=Range(name, char_lo, char_hi),
-            leaves=((name, char_lo, char_hi),),
-            root=(LEAF, 0),
-            columns=(name,),
-        )
+        plan = self._leaf_plan(name, char_lo, char_hi)
         with self._observed("query") as trace:
-            (result,) = self._fetch_plan_leaves(
-                plan, self.total_rows(name), trace
+            return RangeResult(
+                self._select(plan, trace), self.total_rows(name)
             )
-            return result
 
     def query_iter(self, name: str, char_lo: int, char_hi: int):
         """One global range query as a lazily gathered RID stream.
 
-        Shard order is global RID order, so the k-way merge of sorted
-        disjoint per-shard runs degenerates to concatenation; the
-        stream visits shards left to right, materializing one shard's
-        (individually shared-cacheable) answer at a time and
-        translating local positions by the live offset.
-
-        The walk is a *bounded prefetching bridge*: up to
-        ``prefetch_depth`` later shards' fetches are launched while
-        the current shard's buffer drains, so per-shard fetch latency
-        overlaps the drain instead of serializing behind it (the
-        depth defaults to 0 under the inline executor, where fetching
-        ahead buys nothing).  Peak intermediate memory is therefore
-        bounded by ``1 + prefetch_depth`` shard answers — still O(max
-        shard answer), never O(global answer); ``gather_stats``
-        records the high-water mark, each buffer acquired when the
-        stream takes delivery and released as soon as it moves past
-        (or is closed early).
-
-        Tracing: called at depth 0 with an enabled tracer, the stream
-        *owns* a ``query_iter`` trace, finished when the stream ends —
-        exhausted or closed early.  Replies still in flight at an
-        early close are drained (FIFO hygiene) and their spans offered
-        to the already-finished trace, which drops and counts them
-        (``Tracer.dropped_spans``) — abandoned pipelined replies can
-        never leak spans into a later query's trace.  Called inside an
-        observed op (a materialized ``select``), the fetch spans graft
-        into that op's active trace instead; abandoned replies' spans
-        are dropped there too, as their bits never reach
-        ``scatter_io``.
+        The streaming form of :meth:`query` over a column range: its
+        one-leaf plan walks the per-shard select folds through
+        :meth:`_select_stream`'s prefetching bridge, whose owned trace
+        is rooted at ``query_iter``.  The range is validated eagerly.
         """
-        meta = self._meta(name)
-        self._check_range(meta, char_lo, char_hi)
-        tracer = self.tracer
-        trace = self._active_trace
-        owned = NULL_TRACE
-        if self._op_depth == 0 and tracer is not None and tracer.enabled:
-            trace = owned = tracer.begin(
-                "query_iter", column=name, char_lo=char_lo, char_hi=char_hi
-            )
-
-        def gen():
-            lengths = self.shard_lengths(name)
-            offsets = offsets_of(lengths)
-            tasks = []
-            for shard_id in range(self.num_shards):
-                local = self._translate_range(
-                    meta, shard_id, char_lo, char_hi
-                )
-                if local is not None:
-                    tasks.append((shard_id, local))
-            in_flight: deque = deque()
-            next_task = 0
-
-            def top_up() -> None:
-                nonlocal next_task
-                while (
-                    next_task < len(tasks)
-                    and len(in_flight) < self.prefetch_depth + 1
-                ):
-                    shard_id, (lo, hi) = tasks[next_task]
-                    next_task += 1
-                    in_flight.append(
-                        (
-                            shard_id,
-                            self._submit_fetch(
-                                name, meta, shard_id, lo, hi, trace
-                            ),
-                        )
-                    )
-
-            # With a prefetch window, the drained buffer is released
-            # only once the next one is delivered — the two coexist at
-            # the handoff and the accounting must say so.  Without one
-            # (depth 0, the inline executor — whose submit() runs the
-            # fetch on the spot) the next fetch must not even *start*
-            # until the current buffer is drained and released: that
-            # preserves the exact one-buffer bound of the serial walk
-            # and its lazy I/O (an early-exiting consumer never pays
-            # for shards it did not reach).
-            overlap = self.prefetch_depth > 0
-            held = 0
-            top_up()
-            try:
-                while in_flight:
-                    shard_id, future = in_flight.popleft()
-                    positions = self._collect(future.result(), trace)
-                    self.gather_rids += len(positions)
-                    self.gather_stats.acquire(len(positions))
-                    if held:
-                        self.gather_stats.release(held)
-                    held = len(positions)
-                    if overlap:
-                        # Keep the pipeline full while this buffer
-                        # drains — the prefetch window.
-                        top_up()
-                    offset = offsets[shard_id]
-                    for p in positions:
-                        yield offset + p
-                    if not overlap:
-                        self.gather_stats.release(held)
-                        held = 0
-                        top_up()  # serial walk: fetch only when needed
-            finally:
-                if held:
-                    self.gather_stats.release(held)
-                if owned is not NULL_TRACE:
-                    # The stream is over (exhausted or closed early):
-                    # finish the owned trace *first*, so the spans of
-                    # abandoned replies drained below are dropped and
-                    # counted, never leaked into a later trace.
-                    tracer.finish(owned)
-                self._drain((future for _, future in in_flight), owned)
-
-        return gen()
+        plan = self._leaf_plan(name, char_lo, char_hi)
+        return self._select_stream(
+            plan, "query_iter", column=name, char_lo=char_lo, char_hi=char_hi
+        )
 
     def select(self, conditions: Pred) -> list[int]:
         """Global RIDs matching a predicate.
 
-        The materialized form of :meth:`select_iter` — only the final
-        answer is built as a list; every intermediate stays inside the
-        streaming plan pipeline's per-shard buffers, so peak memory
-        keeps the O(max shard answer per leaf) bound however large
-        the per-leaf answers are.  (:meth:`query` over a predicate is
-        the batch-scatter alternative: all leaves fetched upfront
-        with per-worker batching and a complement-aware
-        :class:`RangeResult` out.)
+        Each shard evaluates the predicate's specialized plan — the
+        §1 intersection and the rest of the set algebra run where the
+        data lives — and replies with its sorted answer positions,
+        which the shared result cache keeps for the next identical
+        select; the coordinator offsets and concatenates them.  Every
+        shard's fold is launched before the first is collected.
         """
         with self._observed(
             "select", report_fn=lambda: self._plan_report(conditions)
         ) as trace:
-            plan, universe = self._compile_pred(conditions, trace)
-            return list(evaluate_iter(plan, self.query_iter, universe))
+            plan, _ = self._compile_pred(conditions, trace)
+            return self._select(plan, trace)
 
     def select_iter(self, conditions: Pred):
         """Streaming select over global RIDs.
 
-        One lazy gather per plan leaf (each per-shard sub-answer
-        individually shared-cacheable, prefetched up to
-        ``prefetch_depth`` ahead), combined by the compiled plan's
-        streaming pipeline: ``And`` merge-intersects in lockstep,
-        ``Or`` merge-unions (the k-way merge-union alongside the
-        existing merge-intersect), negated children subtract.  RIDs
-        are emitted one at a time and peak intermediate memory stays
-        bounded by ``(1 + prefetch_depth)`` shard answers per live
-        leaf — O(block), not O(answer) — however huge the result.
-        Predicates are validated and compiled eagerly, before the
-        first RID is drawn.
+        The same per-shard select folds as :meth:`select`, walked in
+        shard order through :meth:`_select_stream`'s prefetching
+        bridge: RIDs are emitted one at a time and peak intermediate
+        memory stays at one shard answer (two at a prefetch handoff)
+        — O(max shard answer), not O(answer) — however huge the
+        result.  Predicates are validated and compiled eagerly, before
+        the first RID is drawn.
 
         Observability: the stream counts one ``query.count`` at call
         time (a lazy stream's end-to-end latency belongs to its
         consumer, so no latency histogram or slow-log entry is
-        recorded); under an enabled tracer each leaf's lazy gather
-        owns its own ``query_iter`` trace — there is no single
-        stitched trace for a streaming select.  Use :meth:`select`
-        (same plan, materialized) for one trace per query.
+        recorded); under an enabled tracer it owns one ``select_iter``
+        trace.
         """
-        plan, universe = self._compile_pred(conditions)
+        plan, _ = self._compile_pred(conditions)
         if self.metrics is not None and self._op_depth == 0:
             self.metrics.inc("query.count")
-        return evaluate_iter(plan, self.query_iter, universe)
+        return self._select_stream(plan, "select_iter")
 
     def plan(
         self,
@@ -1673,9 +1546,10 @@ submit_query_group`) instead of one message per shard.
         :class:`QueryPlan` list: ``None`` marks a shard the range
         cannot touch (its local alphabet has no code inside it) — the
         scatter phase skips it entirely.  The ``cached`` flag reports
-        the *shared* result cache — the tier the scatter consults
-        first under every executor — not any one engine's private
-        LRU, which under a resident executor lives in a worker
+        whether the *shared* result cache holds the fold the read
+        would consult — the range's one-leaf select fold per shard, or
+        a predicate's whole-plan select fold — not any one engine's
+        private LRU, which under a resident executor lives in a worker
         process.
         """
         if isinstance(name, Pred):
@@ -1696,11 +1570,9 @@ submit_query_group`) instead of one message per shard.
             if local is None:
                 plans.append(None)
                 continue
+            payload = ("select", (name,), ((name, *local),), (LEAF, 0), None)
+            key, _ = self._fold_key(shard_id, payload)
             plan = shard.plan(name, *local)
-            key = shared_key(
-                name, meta.epoch, self.shard_uids[shard_id],
-                shard.column(name).version, plan.char_lo, plan.char_hi,
-            )
             plans.append(replace(plan, cached=key in self.shared_cache))
         return plans
 
@@ -1725,7 +1597,6 @@ submit_query_group`) instead of one message per shard.
             return self._plan_report(name)
         cache = self.shared_cache
         if name is not None and char_lo is not None and char_hi is not None:
-            meta = self._meta(name)
             lines = [
                 f"scatter-gather over {self.num_shards} shard(s), "
                 f"merged by RID offset:"
@@ -1737,12 +1608,7 @@ submit_query_group`) instead of one message per shard.
                         "in the range)"
                     )
                     continue
-                column = self.shards[shard_id].column(name)
-                key = shared_key(
-                    name, meta.epoch, self.shard_uids[shard_id],
-                    column.version, plan.char_lo, plan.char_hi,
-                )
-                shared = "shared-cache" if key in cache else "miss"
+                shared = "shared-cache" if plan.cached else "miss"
                 lines.append(
                     f"  shard {shard_id}: {plan.describe()} [{shared}]"
                 )
@@ -1859,22 +1725,17 @@ submit_query_group`) instead of one message per shard.
     # Updates (routed to one shard; others' cache entries stay live)
     # ------------------------------------------------------------------
 
-    def _check_updatable(self, name: str) -> None:
-        # The cluster-level contract, not just the backends': after a
-        # freeze (``migrate(dynamism="static")``) a shard may well keep
-        # an update-capable backend the advisor re-picked — the column
-        # is frozen all the same.
-        if self.columns[name].dynamism == "static":
-            raise UpdateError(
-                f"column {name!r} is declared static; migrate it (or "
-                "re-add it) with a dynamism level before updating"
-            )
-
     def append(self, name: str, ch: int) -> None:
-        """Append one row to a column (the last shard absorbs growth)."""
+        """Append one row to a column (the last shard absorbs growth).
+
+        Like :meth:`change` and :meth:`delete`, refused with
+        :class:`UpdateError` by the shard engine when the column is
+        declared static — after a freeze
+        (``migrate(dynamism="static")``) too, whatever backend the
+        advisor re-picked.
+        """
         with self._serve_lock:
             self._meta(name)
-            self._check_updatable(name)
             shard_id = self.num_shards - 1
             self.shards[shard_id].append(name, ch)
             self._ship_delta(shard_id, ("append", name, ch))
@@ -1887,7 +1748,6 @@ submit_query_group`) instead of one message per shard.
     def change(self, name: str, global_pos: int, ch: int) -> None:
         with self._serve_lock:
             self._meta(name)
-            self._check_updatable(name)
             shard_id, local = self._route(name, global_pos)
             self.shards[shard_id].change(name, local, ch)
             self._ship_delta(shard_id, ("change", name, local, ch))
@@ -1898,7 +1758,6 @@ submit_query_group`) instead of one message per shard.
     def delete(self, name: str, global_pos: int) -> None:
         with self._serve_lock:
             self._meta(name)
-            self._check_updatable(name)
             shard_id, local = self._route(name, global_pos)
             self.shards[shard_id].delete(name, local)
             self._ship_delta(shard_id, ("delete", name, local))
@@ -2025,7 +1884,7 @@ submit_query_group`) instead of one message per shard.
                     f"dynamism={dynamism!r} — re-add it instead"
                 )
         # While frozen, the delete requirement is suspended with the
-        # rest of the update contract — _check_updatable blocks deletes
+        # rest of the update contract — the engines refuse deletes
         # anyway, and keeping it would confine the advisor to
         # delete-capable backends on a column that can never see
         # another delete.  The *declared* contract (meta.require_delete)
@@ -2292,8 +2151,11 @@ submit_query_group`) instead of one message per shard.
     def split_shard(self, shard_id: int) -> ShardSplit:
         """Split one shard into two halves, in place.
 
-        Every column's slice is cut at its own live midpoint (pending
-        deleted slots compact away, like any rebuild), and both halves
+        Every column's live slice (pending deleted slots compact away,
+        like any rebuild) is cut at the same row: the longest column's
+        live midpoint, clamped so each column keeps a row on each side.
+        Columns aligned on the shard stay aligned on both halves, which
+        is what a multi-column fold's row pairing needs.  Both halves
         are rebuilt through the per-shard advisor — static columns on
         fresh local dictionaries — unless a standing pin governs.  The
         halves receive fresh shard uids, so the split shard's
@@ -2315,16 +2177,21 @@ submit_query_group`) instead of one message per shard.
             raise InvalidParameterError(
                 "nothing to split: the cluster has no columns"
             )
-        halves: dict[str, tuple[list[int], list[int]]] = {}
-        for name in self.columns:
-            live = self._live_global_codes(name, shard_id)
+        lives = {
+            name: self._live_global_codes(name, shard_id)
+            for name in self.columns
+        }
+        for name, live in lives.items():
             if len(live) < 2:
                 raise InvalidParameterError(
                     f"shard {shard_id} cannot split: column {name!r} "
                     f"holds {len(live)} live row(s)"
                 )
-            mid = len(live) // 2
-            halves[name] = (live[:mid], live[mid:])
+        mid = max(len(live) for live in lives.values()) // 2
+        halves: dict[str, tuple[list[int], list[int]]] = {}
+        for name, live in lives.items():
+            cut = min(mid, len(live) - 1)
+            halves[name] = (live[:cut], live[cut:])
         record = ShardSplit(
             shard_id=shard_id,
             rows=self._live_rows(shard_id),
@@ -2363,7 +2230,6 @@ submit_query_group`) instead of one message per shard.
                 meta.shard_pins, shard_id, 1,
                 [_ABSENT, _ABSENT] if pin is None else [pin, pin],
             )
-            self.shared_cache.invalidate(column=name, shard_id=old_uid)
         self.shared_cache.invalidate(column=FOLDS, shard_id=old_uid)
         self._ship_retire(old_uid)
         self._ship_build(shard_id)
@@ -2441,8 +2307,6 @@ submit_query_group`) instead of one message per shard.
             meta.shard_pins = _remap_shard_dict(
                 meta.shard_pins, left_id, 2, [keep]
             )
-            for uid in old_uids:
-                self.shared_cache.invalidate(column=name, shard_id=uid)
         for uid in old_uids:
             self.shared_cache.invalidate(column=FOLDS, shard_id=uid)
             self._ship_retire(uid)

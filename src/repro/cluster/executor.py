@@ -25,8 +25,8 @@ shard inside a pool of worker processes: the cluster ships each
 shard's build snapshot once (codes + the locally chosen backend, all
 picklable), then keeps the replicas in sync by shipping routed
 update/lifecycle *deltas* — never re-pickling engines per call — and
-scatters queries as pipelined requests that return
-``(positions, io Snapshot, span)`` triples, so per-worker I/O counters
+scatters shard folds as pipelined requests that return
+``(value, io Snapshot, span)`` triples, so per-worker I/O counters
 aggregate back into cluster totals (the span slot is ``None`` unless
 the request carried a trace id).  Workers answer requests in FIFO
 order per pipe, which is what makes the cheap pipelined future
@@ -454,18 +454,17 @@ class ProcessExecutor:
     plus the backend verdicts its own advisor already made) exactly
     once via :meth:`build_shard`, keeps the resident replica in sync
     with :meth:`apply_delta` as updates and lifecycle operations are
-    routed, and scatters queries with :meth:`submit_query`, which
-    pipelines on the worker's pipe and resolves to
-    ``(positions, io Snapshot, span dict | None)``.  A cluster
-    scatter ships all its misses through :meth:`submit_query_group`:
-    one pipelined message per worker however many shards and plan
-    leaves it covers.  (:meth:`submit_leaves`, one message per shard
-    per column, has no caller in the library.)  Every ``submit_*``
-    message carries a trace-id slot; a worker builds its span only
-    when the slot holds an id.  Shards are assigned to
-    the least loaded worker at build time and stay there — residency
-    is the point: no engine state crosses a process boundary after
-    the build.
+    routed, and scatters every cluster read as shard folds with
+    :meth:`submit_fold`, which pipelines on the worker's pipe and
+    resolves to ``(value, io Snapshot, span dict | None)``.  The leaf
+    submitters — :meth:`submit_query`, :meth:`submit_query_group`,
+    :meth:`submit_leaves` and :meth:`query_shard` — have no caller in
+    the library; they answer range reads for direct users of the
+    executor.  Every ``submit_*`` message carries a trace-id slot; a
+    worker builds its span only when the slot holds an id.  Shards
+    are assigned to the least loaded worker at build time and stay
+    there — residency is the point: no engine state crosses a process
+    boundary after the build.
 
     Routed update deltas are *batched*: consecutive same-shard
     ``append``/``change`` ops coalesce in a coordinator-side buffer
@@ -896,12 +895,12 @@ class ProcessExecutor:
     def submit_fold(
         self, uid: int, payload: tuple, trace: str | None = None
     ) -> _PipeFuture:
-        """Pipeline one aggregate fold: a shard-local plan, one number.
+        """Pipeline one shard fold: a shard-local plan, one value.
 
         Resolves to ``(value, Snapshot, span dict | None)`` where
-        ``value`` is the shard's count, existence bit, or
-        ``{group code: count}`` dict — the pushdown op that keeps RID
-        lists off the pipe entirely.
+        ``value`` is the shard's count, existence bit,
+        ``{group code: count}`` dict, or (``select`` mode) its sorted
+        answer positions — every cluster read is this op.
         """
         worker = self._worker_of(uid)
         self._flush_uid(uid)

@@ -36,16 +36,14 @@ segment, count, names)`` with each delta packed as an ``int64`` quad.
 The worker attaches, copies the payload out, closes its mapping, and
 replies — the coordinator owns the unlink, tied to the resolution of
 the request that shipped the segment, so segment lifetime is bounded
-by the request round-trip.  The query side speaks four ops: ``query`` (one range),
-``query_multi`` (a grouped scatter: every range the coordinator wants
-from this worker's shards in one message — every leaf of every shard
-a plan scatter reaches here — answered as a list of per-request
-replies in order),
-``leaves`` (every interval of one shard's column, answered as a list
-of per-interval replies in order), and ``fold`` (the
-aggregate-pushdown op: a whole shard-local compiled plan evaluated
-resident-side in cardinality space, answered with a count, exists-bit
-or ``{group code: count}`` — positions never cross the pipe).
+by the request round-trip.  Every cluster read speaks one op, ``fold``:
+a whole shard-local compiled plan evaluated resident-side, answered
+with a count, an exists-bit, a ``{group code: count}`` dict, or (in
+``select`` mode) the shard's sorted answer positions.  The leaf ops
+``query`` (one range), ``query_multi`` (many ranges of this worker's
+shards in one message) and ``leaves`` (many intervals of one shard's
+column) have no caller in the cluster; they answer per-range reply
+triples for direct users of the executor.
 
 One wire shape serves traced and untraced queries alike: every
 query-side message ends in a trace-id slot (``None`` when untraced),
@@ -72,6 +70,7 @@ import time
 from array import array
 from multiprocessing import resource_tracker, shared_memory
 
+from ..core.interface import RangeResult
 from ..engine.engine import QueryEngine
 from ..engine.registry import get_spec
 from ..errors import InvalidParameterError
@@ -81,30 +80,52 @@ from ..query import (
     evaluate_count,
     evaluate_count_by,
     evaluate_exists,
+    evaluate_fetch,
     resolve_universe,
 )
 from .cache import shared_key
 
 #: Fold payload: (mode, columns, leaves, root, group) — a shard-local
 #: compiled plan (leaves already translated onto this shard's
-#: alphabets) plus the aggregate mode to fold it in.  The fold value
-#: is an int (count), bool (exists) or ``{local group code: count}``
-#: dict — never a RID list.
+#: alphabets) plus the mode to fold it in.  The fold value is an int
+#: (count), bool (exists), ``{local group code: count}`` dict
+#: (count_by) or the sorted shard-local answer positions (select).
+
+
+def read_range(
+    engine: QueryEngine, name: str, lo: int, hi: int, store=None, key=None
+) -> tuple[RangeResult, Snapshot, bool]:
+    """One measured range read of a shard: answer, I/O, store hit.
+
+    With a durable ``store`` and its ``key``, a stored answer is
+    served for zero bits and a decoded one feeds the store.  Every
+    shard read goes through here — :func:`fetch_range` and the leaves
+    of a fold alike — so a store serves both.
+    """
+    stored = store.get(key) if key is not None else None
+    if stored is not None:
+        universe = engine.column(name).n
+        return RangeResult(list(stored), universe), Snapshot(), True
+    result, io = engine.query_measured(name, lo, hi)
+    if key is not None:
+        store.put(key, result.positions())
+    return result, io, False
 
 
 def evaluate_shard_fold(
-    engine: QueryEngine, payload: tuple
-) -> tuple["int | bool | dict[int, int]", Snapshot]:
-    """Fold one shard-local plan in cardinality space, resident-side.
+    engine: QueryEngine, payload: tuple, key_of=None, store=None
+) -> tuple["int | bool | dict[int, int] | list[int]", Snapshot]:
+    """Fold one shard-local plan, resident-side.
 
     Shared verbatim by every fold — :func:`fold_shard` under any
-    executor, and hot-shard replicas — so the aggregate a shard
-    reports, value *and* measured I/O, is executor-independent.
-    Workers do not hold the shared result cache: the coordinator
-    consults it before submitting a fold and stores the value this
-    returns (``ClusterEngine._submit_fold``).  Inside the fold only
-    the engine's own LRU serves repeated leaves, so every executor
-    reads the same bits.
+    executor, and hot-shard replicas — so the value a shard reports,
+    and its measured I/O, is executor-independent.  Workers do not
+    hold the shared result cache: the coordinator consults it before
+    submitting a fold and stores the value this returns
+    (``ClusterEngine._submit_fold``).  Inside the fold only the
+    engine's own LRU — and a worker's durable ``store``, whose key
+    per leaf ``key_of(column, lo, hi)`` names — serves repeated
+    leaves, so every executor reads the same bits.
     """
     mode, columns, leaves, root, group = payload
     plan = Plan(
@@ -118,15 +139,19 @@ def evaluate_shard_fold(
 
     def fetch(col: str, lo: int, hi: int):
         nonlocal total
-        result, io = engine.query_measured(col, lo, hi)
+        key = key_of(col, lo, hi) if key_of is not None else None
+        result, io, _ = read_range(engine, col, lo, hi, store, key)
         total = total + io
         return result
 
-    costs = engine._leaf_costs(plan)
-    if mode == "count":
-        value: "int | bool | dict[int, int]" = evaluate_count(
+    # Costs order And legs; a one-leaf plan has none to order.
+    costs = engine._leaf_costs(plan) if len(plan.leaves) > 1 else None
+    if mode == "select":
+        value: "int | bool | dict[int, int] | list[int]" = evaluate_fetch(
             plan, fetch, universe, costs
-        )
+        ).positions()
+    elif mode == "count":
+        value = evaluate_count(plan, fetch, universe, costs)
     elif mode == "exists":
         value = evaluate_exists(plan, fetch, universe, costs)
     elif mode == "count_by":
@@ -191,11 +216,9 @@ def fetch_range(
     """One measured range read of a shard: positions, I/O, span.
 
     The body of a worker's ``query``/``leaves`` ops (span
-    ``worker_query``) and of a local executor's fetch task
-    (``leaf_fetch``).  With a durable ``store`` and its ``key``, a
-    stored answer is served for zero bits and a decoded one feeds the
-    store.  The span's ``cache`` tag says where the answer came from:
-    ``store``, the engine LRU (``hit``), or the index (``miss``).
+    ``worker_query``), read through :func:`read_range`.  The span's
+    ``cache`` tag says where the answer came from: ``store``, the
+    engine LRU (``hit``), or the index (``miss``).
     """
     if trace is not None:
         t0 = clock()
@@ -203,17 +226,11 @@ def fetch_range(
         # Peek: __contains__ skips the LRU counters, so tagging the
         # verdict never perturbs the stats the real lookup records.
         hit = (name, col.version, lo, hi) in engine.cache
-        cache = "hit" if hit else "miss"
-    stored = store.get(key) if key is not None else None
-    if stored is not None:
-        positions, io, cache = list(stored), Snapshot(), "store"
-    else:
-        result, io = engine.query_measured(name, lo, hi)
-        positions = result.positions()
-        if key is not None:
-            store.put(key, positions)
+    result, io, stored = read_range(engine, name, lo, hi, store, key)
+    positions = result.positions()
     if trace is None:
         return positions, io, None
+    cache = "store" if stored else "hit" if hit else "miss"
     return positions, io, shard_span(
         kind, trace, t0, clock(), uid, io, column=name, char_lo=lo,
         char_hi=hi, backend=col.spec.name, cache=cache,
@@ -223,16 +240,17 @@ def fetch_range(
 
 def fold_shard(
     engine: QueryEngine, uid: int, payload: tuple, trace: str | None,
-    clock, kind: str,
-) -> tuple["int | bool | dict[int, int]", Snapshot, "dict | None"]:
-    """One shard's aggregate fold: value, I/O, span.
+    clock, kind: str, key_of=None, store=None,
+) -> tuple[object, Snapshot, "dict | None"]:
+    """One shard's fold: value, I/O, span.
 
     The body of a worker's ``fold`` op (span ``worker_fold``) and of a
-    local executor's fold task (``shard_fold``).
+    local executor's fold task (``shard_fold``); ``key_of`` and
+    ``store`` reach :func:`evaluate_shard_fold`.
     """
     if trace is not None:
         t0 = clock()
-    value, io = evaluate_shard_fold(engine, payload)
+    value, io = evaluate_shard_fold(engine, payload, key_of, store)
     if trace is None:
         return value, io, None
     return value, io, shard_span(
@@ -470,16 +488,19 @@ class ShardHost:
     def fold(
         self, uid: int, payload: tuple, trace: str | None = None
     ) -> tuple:
-        """The aggregate-pushdown op: evaluate a plan, ship a number.
+        """The pushdown op: evaluate a shard-local plan, ship its value.
 
-        The whole shard-local plan executes against the resident
-        engine and only the fold — count, existence bit, or per-group
-        counts — crosses the pipe with its I/O snapshot and span;
-        positions never do.
+        The whole plan executes against the resident engine and only
+        the fold — count, existence bit, per-group counts, or the
+        shard's select answer — crosses the pipe with its I/O snapshot
+        and span.  Leaf reads consult the durable store, if attached,
+        under the keys a ``query`` op would use.
         """
+        engine = self._engine(uid)
         return fold_shard(
-            self._engine(uid), uid, payload, trace, self.clock,
-            "worker_fold",
+            engine, uid, payload, trace, self.clock, "worker_fold",
+            lambda name, lo, hi: self._store_key(uid, engine, name, lo, hi),
+            self.cache_store,
         )
 
     def io_totals(self) -> Snapshot:

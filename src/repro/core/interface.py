@@ -76,19 +76,17 @@ class RangeResult:
         answer (§2.1, ``z > n/2``) is walked as the gaps between its
         stored positions in O(1) extra memory, so a consumer that
         processes positions one at a time never pays the O(z) list the
-        materialized form costs.
+        materialized form costs.  Either way it is a generator, so a
+        consumer that stops early can ``close()`` it.
         """
         if not self.complemented:
-            return iter(self._stored)
-
-        def gaps():
-            prev = -1
-            for p in self._stored:
-                yield from range(prev + 1, p)
-                prev = p
-            yield from range(prev + 1, self.universe)
-
-        return gaps()
+            yield from self._stored
+            return
+        prev = -1
+        for p in self._stored:
+            yield from range(prev + 1, p)
+            prev = p
+        yield from range(prev + 1, self.universe)
 
     def stored_positions(self) -> list[int]:
         """The list physically held (the complement when flagged)."""

@@ -48,7 +48,6 @@ from ..query import (
     evaluate_count_by,
     evaluate_exists,
     evaluate_fetch,
-    evaluate_iter,
     resolve_universe,
 )
 from .advisor import Advisor, CostModel, WorkloadStats
@@ -409,19 +408,32 @@ class QueryEngine(ObservedOps):
     # Updates (all invalidate the column's cached results)
     # ------------------------------------------------------------------
 
-    def append(self, name: str, ch: int) -> None:
+    def _updatable(self, name: str) -> EngineColumn:
+        """The column, if its declared contract admits updates.
+
+        The declared dynamism governs, not the backend's abilities: a
+        column declared static refuses updates even on an
+        update-capable backend (a pin, or a cluster freeze's re-pick).
+        """
         col = self.column(name)
-        col.append(ch)
+        if col.stats.dynamism == "static":
+            raise UpdateError(
+                f"column {name!r} is declared static; re-add it (or "
+                "migrate a cluster column) with an update-capable "
+                "dynamism before updating"
+            )
+        return col
+
+    def append(self, name: str, ch: int) -> None:
+        self._updatable(name).append(ch)
         self._invalidate(name)
 
     def change(self, name: str, pos: int, ch: int) -> None:
-        col = self.column(name)
-        col.change(pos, ch)
+        self._updatable(name).change(pos, ch)
         self._invalidate(name)
 
     def delete(self, name: str, pos: int) -> None:
-        col = self.column(name)
-        col.delete(pos)
+        self._updatable(name).delete(pos)
         self._invalidate(name)
 
     def _invalidate(self, name: str) -> None:
@@ -825,22 +837,14 @@ class QueryEngine(ObservedOps):
     def select_iter(self, conditions: Pred):
         """Streaming select: matching RIDs yielded one at a time.
 
-        The iterator form of :meth:`select` — same answers, but the
-        compiled plan becomes a pipeline of streaming combinators
-        (``And`` merge-intersects, ``Or`` merge-unions, negated
-        children subtract), so huge answers are emitted in bounded
-        memory instead of being materialized per leaf.  Predicates are
-        validated and compiled eagerly, before the first RID is drawn.
+        The iterator form of :meth:`select` — the same folded answer,
+        streamed with :meth:`RangeResult.iter_positions`, so a
+        complemented (majority) answer is walked as the gaps between
+        its stored positions and never expanded into its O(z) list.
+        The predicate is validated, compiled and folded eagerly, before
+        the first RID is drawn.
         """
-        # Engine-level streaming fetches leaves eagerly (query_iter
-        # serves from the LRU), so the observed window closes here and
-        # the returned iterator only re-orders already-fetched bits.
-        with self._observed(
-            "select_iter",
-            report_fn=lambda: self._plan_report(conditions),
-        ) as trace:
-            plan, universe = self._compile_pred(conditions, trace)
-            return evaluate_iter(plan, self.query_iter, universe)
+        return self._query_pred(conditions, "select_iter").iter_positions()
 
     def explain(
         self,

@@ -29,12 +29,7 @@ from typing import Any, Mapping, Sequence
 from ..cluster.engine import ClusterEngine
 from ..core.approximate import ApproximatePaghRaoIndex, at_least_k_candidates
 from ..engine import QueryEngine
-from ..errors import (
-    InvalidParameterError,
-    PersistenceError,
-    QueryError,
-    UpdateError,
-)
+from ..errors import InvalidParameterError, PersistenceError, QueryError
 from ..model.alphabet import Alphabet
 from ..obs import TableStats
 from ..query import PlanReport, Pred, compile_pred, translate
@@ -191,7 +186,8 @@ class Table:
         Every column must be present so the RID spaces stay aligned,
         and every value must already occur in its column's alphabet
         (the dictionary is fixed at build time, §1.1).  Requires the
-        table to have been built with an update-capable ``dynamism``.
+        table to have been built with an update-capable ``dynamism``:
+        the engine refuses an update to a column declared static.
         """
         if set(row) != set(self.columns):
             raise InvalidParameterError(
@@ -202,11 +198,6 @@ class Table:
             name: self.columns[name].alphabet.code(value)
             for name, value in row.items()
         }  # validates every value before any column mutates
-        if self.dynamism == "static":
-            raise UpdateError(
-                f"columns {sorted(codes)} are static; build the table "
-                "with an update-capable dynamism to append rows"
-            )
         for name, code in codes.items():
             self.engine.append(name, code)
             self.columns[name].values.append(row[name])
@@ -248,10 +239,11 @@ class Table:
     def select_iter(self, conditions: Pred):
         """Streaming :meth:`select`: matching row ids, one at a time.
 
-        Same answers in the same order, produced by the engine's
-        streaming plan pipeline, so large answers are consumed in
-        bounded memory.  Predicates are validated and translated
-        eagerly, before the first row id is drawn.
+        Same answers in the same order.  A single engine streams its
+        folded answer, never expanding a complemented one; a cluster
+        streams one shard's answer at a time, so large answers are
+        consumed in bounded memory.  Predicates are validated and
+        translated eagerly, before the first row id is drawn.
         """
         return self.engine.select_iter(self._translate(conditions))
 

@@ -9,7 +9,8 @@ compiles it into a :class:`~.planner.Plan` — a DAG of backend
 ``range_query`` leaves combined by complement-aware set algebra —
 that :class:`~repro.engine.engine.QueryEngine` and
 :class:`~repro.cluster.engine.ClusterEngine` execute through one
-shared path (materialized or streaming).  ``plan()``/``explain()``
+shared fold — the cluster once per shard, on the plan specialized to
+that shard.  ``plan()``/``explain()``
 answer with the typed, JSON-serializable :class:`~.planner.PlanReport`.
 
 Value space vs code space: ``Table`` (over either engine) accepts
@@ -30,7 +31,6 @@ from .planner import (
     evaluate_count_by,
     evaluate_exists,
     evaluate_fetch,
-    evaluate_iter,
     order_children,
     resolve_universe,
     specialize,
@@ -73,7 +73,6 @@ __all__ = [
     "evaluate_count_by",
     "evaluate_exists",
     "evaluate_fetch",
-    "evaluate_iter",
     "fingerprint_pred",
     "normalize",
     "order_children",

@@ -10,20 +10,18 @@ ClusterEngine` compile through the same functions and execute the
 same plan object, so the two serving layers can never diverge on
 predicate semantics.
 
-Execution comes in two forms:
-
-* :func:`evaluate` — materialized: every unique leaf is fetched
-  (deterministically, in leaf-table order — identical I/O under every
-  executor), then the tree folds bottom-up with the complement-aware
-  set algebra of :mod:`repro.bits.ops`.  A ``Not`` is a flag flip on
-  the child's §2.1 representation — the paper's complement-threshold
-  answers are *reused*, never materialized — and mixed operands
-  rewrite into differences of the stored (small) lists.
-* :func:`evaluate_iter` — streaming: the tree compiles into a lazy
-  iterator pipeline (:mod:`.stream`) over per-leaf position
-  iterators; ``And`` runs the k-way merge-intersect, ``Or`` the k-way
-  merge-union, and an ``And`` with negated children subtracts their
-  merged stream without ever buffering a complement.
+Execution is one fold in two forms.  :func:`evaluate_fetch` (and
+its counting twins :func:`evaluate_count`, :func:`evaluate_exists`,
+:func:`evaluate_count_by`) fetches each unique leaf on demand and
+folds the tree bottom-up with the complement-aware set algebra of
+:mod:`repro.bits.ops`: a ``Not`` is a flag flip on the child's §2.1
+representation — the paper's complement-threshold answers are
+*reused*, never materialized — and mixed operands rewrite into
+differences of the stored (small) lists.  :func:`evaluate` folds
+leaves fetched up front; it is the reference the lazy form is checked
+against.  A cluster runs the same fold once per shard, on the plan
+:func:`specialize` localizes onto that shard's alphabets; a streamed
+answer is the folded one, walked.
 
 :class:`PlanReport` is the typed, JSON-serializable answer of
 ``plan()``/``explain()``: the operator tree with one
@@ -47,7 +45,6 @@ from ..bits.ops import (
 )
 from ..core.interface import RangeResult
 from ..errors import QueryError
-from . import stream
 from .predicates import (
     FALSE,
     TRUE,
@@ -331,10 +328,8 @@ def evaluate_fetch(
     leg can empty the conjunction before the expensive legs are ever
     fetched.  The demanded-leaf sequence is a deterministic function
     of the canonical plan, the cost vector, and the data.
-    Single-process serving uses this; the cluster prefers
-    :func:`evaluate` over a prefetched batch, trading the
-    short-circuit for overlapped, per-worker-batched scatter I/O that
-    is identical under every executor.
+    Every serving read uses this: the single engine on its plan, a
+    cluster shard on its specialized one.
     """
     stored, comp = _CardinalityFold(plan, fetch, universe, leaf_costs).fold(
         plan.root
@@ -634,59 +629,6 @@ def specialize(
 
     leaves = tuple(local[old] for old in sorted(used))
     return leaves, renumber(root)
-
-
-# ----------------------------------------------------------------------
-# Streaming execution
-# ----------------------------------------------------------------------
-
-
-def evaluate_iter(
-    plan: Plan,
-    leaf_iter: Callable[[str, int, int], object],
-    universe: int,
-):
-    """The streaming form of :func:`evaluate`.
-
-    ``leaf_iter(column, lo, hi)`` returns a sorted position iterator
-    for one leaf (e.g. ``QueryEngine.query_iter`` or the cluster's
-    prefetching gather).  The operator tree becomes a pipeline of the
-    combinators in :mod:`.stream`: positions are emitted one at a
-    time, and an ``And`` whose positive side runs dry ends the whole
-    select early.  Only a ``Not`` with no positive sibling walks the
-    universe (that answer *is* O(universe) long).
-    """
-
-    def build(node: tuple):
-        tag = node[0]
-        if tag == ALL:
-            return iter(range(universe))
-        if tag == EMPTY:
-            return iter(())
-        if tag == LEAF:
-            col, lo, hi = plan.leaves[node[1]]
-            return leaf_iter(col, lo, hi)
-        if tag == NOT:
-            return stream.complement_iter(build(node[1]), universe)
-        if tag == OR:
-            return stream.union_iters([build(c) for c in node[1]])
-        if tag == AND:
-            positive = [c for c in node[1] if c[0] != NOT]
-            negated = [c[1] for c in node[1] if c[0] == NOT]
-            if not positive:
-                return stream.complement_iter(
-                    stream.union_iters([build(c) for c in negated]),
-                    universe,
-                )
-            base = stream.intersect_iters([build(c) for c in positive])
-            if negated:
-                return stream.difference_iter(
-                    base, stream.union_iters([build(c) for c in negated])
-                )
-            return base
-        raise QueryError(f"unknown plan node {tag!r}")
-
-    return build(plan.root)
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,11 @@ deliberate divergences from a worker replica:
   so serving from it is genuinely cheaper than the primary under any
   configured ``io_latency_s`` (``set_latency`` deltas are ignored for
   the same reason);
-* every read is *version fenced*: the scatter path passes the
-  primary column's current ``version`` and the replica answers only
-  when its synced version matches exactly, so a replica can never
-  serve a stale answer — at worst it abstains and the primary serves.
+* every read is *version fenced*: a shard fold passes the primary's
+  current ``version`` of every column it reads and the replica
+  answers only when its synced versions match exactly, so a replica
+  can never serve a stale answer — at worst it abstains and the
+  primary serves.
 
 Synced versions are recorded from the primary *after* each applied
 delta (the cluster mutates itself first, then ships), so the fence is
@@ -27,7 +28,7 @@ top-``capacity`` shards by combined primary update heat
 and building to match.  The front end can drive this periodically
 (``replica_refresh_every``); nothing rebuilds mid-scatter.
 
-Locking: the set has one internal mutex — fetches arrive from
+Locking: the set has one internal mutex — folds arrive from
 executor pool threads while deltas arrive from the coordinator.
 :meth:`refresh` additionally takes the cluster's serve lock *first*
 (cluster → replica order everywhere), so membership churn serializes
@@ -130,7 +131,7 @@ class ReplicaSet:
 
     def _resync_locked(self, uid: int) -> None:
         # The cluster mutates itself before shipping, so the primary's
-        # per-column versions read here are exactly what fetches will
+        # per-column versions read here are exactly what folds will
         # fence against.
         shard_id = self._cluster.shard_uids.index(uid)
         shard = self._cluster.shards[shard_id]
@@ -144,29 +145,10 @@ class ReplicaSet:
 
     # -- the read path (called from scatter / executor threads) --------
 
-    def fetch(
-        self, uid: int, name: str, lo: int, hi: int, version: int
-    ) -> "tuple[tuple, Snapshot] | None":
-        """One version-fenced range read, or ``None`` to fall back."""
-        with self._lock:
-            synced = self._synced.get(uid)
-            if synced is None:
-                self.absent += 1
-                self._count("serve.replica.absent")
-                return None
-            if synced.get(name) != version:
-                self.stale += 1
-                self._count("serve.replica.stale")
-                return None
-            engine = self._host.engines[uid]
-            result, io = engine.query_measured(name, lo, hi)
-            self._note_hit(uid)
-            return result.positions(), io
-
     def fold(
         self, uid: int, payload: tuple, versions: dict[str, int]
     ) -> "tuple[object, Snapshot] | None":
-        """One version-fenced aggregate fold, or ``None`` to fall back.
+        """One version-fenced shard fold, or ``None`` to fall back.
 
         ``versions`` carries the primary's current version for every
         column the shard-local plan touches; one mismatch abstains.

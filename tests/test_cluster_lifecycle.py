@@ -6,8 +6,9 @@ neighbor when the union stays under the target — reshapes the shard
 set while serving.  The machine below interleaves appends, changes,
 deletes, queries, and selects with that policy active, mirroring it in
 a plain-Python model of per-shard strings that *independently*
-implements the same spec: split at the live midpoint (holes compact),
-merge by concatenating live codes.  After every step the cluster must
+implements the same spec: split every column at one row, the longest
+column's live midpoint (holes compact), merge by concatenating live
+codes.  After every step the cluster must
 agree bit-exactly with the model (the brute oracle) *and*, for the
 delete-free column, with a single-engine :class:`QueryEngine` fed the
 identical updates — splits must be invisible to global RIDs when no
@@ -20,11 +21,14 @@ shard's — a split or merge that leaked a retired shard's entries, or
 let a fresh shard alias one, fails here immediately.  A fold rule asks
 ``count``, ``exists`` and ``count_by`` with whatever the cache holds,
 then after ``drop_caches``, so every cached fold is checked against a
-fresh one across writes, compactions, splits and merges.
+fresh one across writes, compactions, splits and merges.  Two-column
+reads answer exactly while the columns agree on every shard's length
+but the last, and raise :class:`QueryError` otherwise.
 """
 
 from collections import Counter
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -37,7 +41,7 @@ from hypothesis.stateful import (
 from repro.cluster import ClusterEngine
 from repro.cluster.cache import FOLDS
 from repro.engine import QueryEngine
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, QueryError
 from repro.model.distributions import uniform
 from repro.queries import Table
 from repro.query import And, Range
@@ -88,10 +92,14 @@ class ClusterLifecycleMachine(RuleBasedStateMachine):
         return max(live_count(shards[sid]) for shards in self._columns())
 
     def _model_split(self, sid):
-        for shards in self._columns():
-            live = [c for c in shards[sid] if c is not None]
-            mid = len(live) // 2
-            shards[sid : sid + 1] = [live[:mid], live[mid:]]
+        lives = [
+            [c for c in shards[sid] if c is not None]
+            for shards in self._columns()
+        ]
+        mid = max(len(live) for live in lives) // 2
+        for shards, live in zip(self._columns(), lives):
+            cut = min(mid, len(live) - 1)
+            shards[sid : sid + 1] = [live[:cut], live[cut:]]
 
     def _model_merge(self, left):
         for shards in self._columns():
@@ -173,11 +181,13 @@ class ClusterLifecycleMachine(RuleBasedStateMachine):
                     yield gc
 
     def _aligned(self):
-        """Whether every shard holds both columns equally long: only
-        then does a fold's row-wise pairing match the global RIDs a
-        ``select`` pairs (a compacting delete in ``b`` breaks it)."""
+        """Whether both columns are equally long on every shard but the
+        last: only then does a fold's row-wise pairing name the same
+        rows as global RIDs (a compacting delete in ``b`` breaks it),
+        and only then does a two-column read answer."""
         return all(
-            len(a) == len(b) for a, b in zip(self.a_shards, self.b_shards)
+            len(a) == len(b)
+            for a, b in zip(self.a_shards[:-1], self.b_shards[:-1])
         )
 
     # ------------------------------------------------------------------
@@ -279,14 +289,24 @@ class ClusterLifecycleMachine(RuleBasedStateMachine):
             assert self.single.query("a", lo, hi).positions() == want
 
     @rule(data=st.data())
-    def select_and_select_iter(self, data):
+    def conjunctive_reads(self, data):
         lo = data.draw(st.integers(0, SIGMA - 2))
+        conditions = And(Range("a", lo, lo + 1), Range("b", 0, 3))
+        reads = (
+            lambda: self.cluster.select(conditions),
+            lambda: list(self.cluster.select_iter(conditions)),
+            lambda: self.cluster.query(conditions).positions(),
+            lambda: self.cluster.count(conditions),
+        )
+        if not self._aligned():
+            for read in reads:
+                with pytest.raises(QueryError):
+                    read()
+            return
         a = set(self._expected(self.a_shards, lo, lo + 1))
         b = set(self._expected(self.b_shards, 0, 3))
         want = sorted(a & b)
-        conditions = And(Range("a", lo, lo + 1), Range("b", 0, 3))
-        assert self.cluster.select(conditions) == want
-        assert list(self.cluster.select_iter(conditions)) == want
+        assert [read() for read in reads] == [want, want, want, len(want)]
 
     @rule(
         data=st.data(),
@@ -299,11 +319,12 @@ class ClusterLifecycleMachine(RuleBasedStateMachine):
         # deleted slots.
         lo, hi = bounds
         pred = Range(other, lo, hi)
+        grouped = lambda: self.cluster.count_by(group, pred)  # noqa: E731
+        aligned = self._aligned()
         asks = (
             lambda: self.cluster.count(pred),
             lambda: self.cluster.exists(pred),
-            lambda: self.cluster.count_by(group, pred),
-        )
+        ) + ((grouped,) if aligned else ())
         # With whatever the cache holds (entries stored before the
         # latest writes and reshapes included), then cold — a fresh
         # fold at the same versions — then from what the cold pass
@@ -315,9 +336,12 @@ class ClusterLifecycleMachine(RuleBasedStateMachine):
         assert [ask() for ask in asks] == fresh
         want = len(self._expected(self._shards(other), lo, hi))
         assert fresh[:2] == [want, want > 0]
-        if self._aligned():
+        if aligned:
             pairs = self._row_pairs(group, other, lo, hi)
             assert fresh[2] == dict(Counter(pairs))
+        else:
+            with pytest.raises(QueryError):
+                grouped()
 
     # ------------------------------------------------------------------
     # Invariants
@@ -477,9 +501,9 @@ def test_merge_retires_both_sides_cache_entries():
 
 
 def test_streaming_gather_memory_is_block_bounded():
-    """The k-way merge materializes one shard's answer per dimension
-    at a time: on a large, low-selectivity select the peak buffered
-    RID count stays O(max shard answer), far under the answer size."""
+    """The stream buffers one shard's answer at a time: on a large,
+    low-selectivity select the peak buffered RID count stays within
+    the largest shard, far under the answer size."""
     n, sigma, shards = 4096, 8, 16
     a = uniform(n, sigma, seed=51)
     b = uniform(n, sigma, seed=52)
@@ -498,9 +522,8 @@ def test_streaming_gather_memory_is_block_bounded():
     assert count == len(want) > n // 2  # genuinely low selectivity
     max_shard = max(cluster.shard_lengths("a"))
     peak = cluster.gather_stats.peak_rids
-    assert peak <= 2 * max_shard, (
-        f"peak {peak} exceeds the two-dimension block bound "
-        f"{2 * max_shard}"
+    assert peak <= max_shard, (
+        f"peak {peak} exceeds the one-shard bound {max_shard}"
     )
     assert peak < count, "peak must stay below the full answer"
     assert cluster.gather_stats.live_rids == 0  # all buffers released
@@ -684,16 +707,15 @@ def test_sharded_table_explain_is_typed():
 
     from repro.query import PlanReport
 
-    table.select(Range("age", 30, 45))
-    report = table.explain(
-        And(Range("age", 30, 45), Range("city", "a", "a"))
-    )
+    conditions = And(Range("age", 30, 45), Range("city", "a", "a"))
+    table.select(conditions)
+    report = table.explain(conditions)
     assert isinstance(report, PlanReport)
     assert report.kind == "cluster" and report.num_shards == 2
     assert {leaf.column for leaf in report.leaves} == {"age", "city"}
     age_leaf = next(l for l in report.leaves if l.column == "age")
     assert len(age_leaf.shards) == 2
-    assert age_leaf.cached  # the select above warmed the shared tier
+    assert age_leaf.cached  # the select above warmed its select folds
     json.dumps(report.to_dict())
     assert "and" in str(report)
     # A dimension with no value in range compiles to the empty plan —
@@ -769,8 +791,8 @@ def test_shard_heat_validates_and_sums_columns():
 
 def test_streaming_gather_prefetch_bound_under_threads():
     """The prefetching bridge widens the accounted bound to the
-    documented handoff (two delivered buffers per dimension) and no
-    further, at any depth."""
+    documented handoff (two delivered shard answers) and no further,
+    at any depth."""
     from repro.cluster import ThreadedExecutor
 
     n, sigma, shards = 2048, 8, 8
@@ -790,8 +812,8 @@ def test_streaming_gather_prefetch_bound_under_threads():
         assert got == want and len(want) > n // 2
         max_shard = max(cluster.shard_lengths("a"))
         peak = cluster.gather_stats.peak_rids
-        # One draining + one handoff buffer per dimension — still
-        # O(max shard answer), never O(answer).
-        assert peak <= 2 * 2 * max_shard
+        # One draining + one handoff buffer — still O(max shard
+        # answer), never O(answer).
+        assert peak <= 2 * max_shard
         assert peak < len(want)
         assert cluster.gather_stats.live_rids == 0

@@ -215,11 +215,11 @@ class TestPlanScatter:
             assert result.positions() == live
             assert result.universe == 40
             (scatter,) = tracer.last().find("scatter")
-            assert scatter.tags["leaves"] == 1
+            assert scatter.tags["mode"] == "select"
         finally:
             cluster.close()
 
-    def test_pred_query_ships_one_message_per_worker(self):
+    def test_pred_query_ships_one_fold_per_mixed_shard(self):
         a = uniform(400, 8, seed=41)
         b = zipf(400, 8, theta=1.2, seed=42)
         pred = And(Range("a", 1, 5), Range("b", 0, 3))
@@ -229,21 +229,70 @@ class TestPlanScatter:
             resident = ClusterEngine(num_shards=8, executor=pool)
             try:
                 for cluster in (serial, resident):
-                    cluster.add_column("a", a, 8)
-                    cluster.add_column("b", b, 8)
+                    cluster.add_column("a", a, 8, dynamism="semidynamic")
+                    cluster.add_column("b", b, 8, dynamism="semidynamic")
                 pool.reset_op_counts()
                 got = resident.query(pred).positions()
-                # 16 (leaf, shard) fetches, one grouped message per
-                # worker; no per-shard-per-column "leaves" messages.
-                assert pool.op_counts["query"] == 2
+                # Both leaves touch all 8 shards: one select fold per
+                # shard evaluates the whole plan there, and no leaf
+                # message crosses a pipe.
+                assert pool.op_counts["fold"] == 8
+                assert pool.op_counts["query"] == 0
                 assert pool.op_counts["leaves"] == 0
                 assert got == serial.query(pred).positions() == want
                 assert (
                     resident.scatter_io.snapshot()
                     == serial.scatter_io.snapshot()
                 )
+                # A repeat is served by the shared cache on every
+                # shard: no message, no bits.
+                before = resident.scatter_io.snapshot()
+                assert resident.select(pred) == want
+                assert pool.op_counts["fold"] == 8
+                assert resident.scatter_io.snapshot() == before
+                # A write re-folds its own shard only.
+                resident.append("a", 3)
+                resident.append("b", 0)
+                want.append(400)
+                assert resident.select(pred) == want
+                assert pool.op_counts["fold"] == 9
             finally:
                 resident.close()
+
+    def test_every_read_is_a_fold(self, process_pool):
+        a = uniform(240, 8, seed=45)
+        b = uniform(240, 8, seed=46)
+        pred = And(Range("a", 1, 5), Range("b", 0, 3))
+        cluster = ClusterEngine(num_shards=4, executor=process_pool)
+        cluster.add_column("a", a, 8)
+        cluster.add_column("b", b, 8)
+        want = [i for i in range(240) if 1 <= a[i] <= 5 and b[i] <= 3]
+        reads = [
+            lambda: cluster.count(pred) == len(want),
+            lambda: cluster.exists(pred),
+            lambda: sum(cluster.count_by("b", pred).values()) == len(want),
+            lambda: sum(n for _, n in cluster.topk("b", pred)) == len(want),
+            lambda: cluster.select(pred) == want,
+            lambda: list(cluster.select_iter(pred)) == want,
+            lambda: cluster.query(pred).positions() == want,
+            lambda: (
+                cluster.query("a", 2, 6).positions()
+                == brute_range(a, 2, 6)
+            ),
+            lambda: (
+                list(cluster.query_iter("b", 1, 1)) == brute_range(b, 1, 1)
+            ),
+        ]
+        try:
+            for read in reads:
+                cluster.drop_caches()
+                process_pool.reset_op_counts()
+                assert read()
+                assert process_pool.op_counts["fold"] > 0
+                assert process_pool.op_counts["query"] == 0
+                assert process_pool.op_counts["leaves"] == 0
+        finally:
+            cluster.close()
 
 
 class TestProcessLifecycle:
@@ -323,11 +372,10 @@ class TestPrefetchingGather:
             want = [i for i in range(n) if a[i] <= 6 and b[i] <= 6]
             assert got == want and len(want) > n // 2
             max_shard = max(proc.shard_lengths("a"))
-            # Delivered-buffer bound: one draining buffer per
-            # dimension, plus one handoff buffer when a prefetch
-            # window exists.
-            per_dim = 1 if depth == 0 else 2
-            assert proc.gather_stats.peak_rids <= 2 * per_dim * max_shard
+            # Delivered-buffer bound: one draining shard answer, plus
+            # one handoff answer when a prefetch window exists.
+            buffers = 1 if depth == 0 else 2
+            assert proc.gather_stats.peak_rids <= buffers * max_shard
             assert proc.gather_stats.live_rids == 0
         finally:
             proc.close()

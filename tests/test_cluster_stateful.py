@@ -18,17 +18,22 @@ Shard *splits* interleave with everything else: a split retires the
 split shard's stable uid (killing its cached entries) while every
 sibling's entries remain keyed by their unchanged uids — so hot
 entries must keep serving across the reshape, and no key may ever
-reference a retired uid.
+reference a retired uid.  A split cuts both columns at the same row.
 
-Aggregate folds share the cache under fold keys, whose version is the
-sum of every read column's version: a ``count``/``exists``/``count_by``
+Every read is a fold, cached under a fold key whose version is the sum
+of every read column's version: a ``count``/``exists``/``count_by``
 rule asks each fold with whatever the cache holds, then after
 ``drop_caches`` (a fresh fold at the same versions), so a write to
 *either* column must make the cached answer fold again on that shard.
+A fold pairs rows by shard-local position, so a two-column read
+answers exactly while the columns agree on every shard's length but
+the last, and raises :class:`QueryError` once a compacting delete has
+misaligned an earlier shard.
 """
 
 from collections import Counter
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -40,6 +45,7 @@ from hypothesis.stateful import (
 
 from repro.cluster import ClusterEngine
 from repro.cluster.cache import FOLDS
+from repro.errors import QueryError
 from repro.query import And, Range
 
 SIGMA = 8
@@ -108,11 +114,13 @@ class ClusterCacheMachine(RuleBasedStateMachine):
                     yield gc
 
     def _aligned(self):
-        """Whether every shard holds both columns equally long: only
-        then does a fold's row-wise pairing match the global RIDs a
-        ``select`` pairs (a compacting delete in ``del`` breaks it)."""
+        """Whether both columns are equally long on every shard but the
+        last: only then does a fold's row-wise pairing name the same
+        rows as global RIDs (a compacting delete in ``del`` breaks it),
+        and only then does a two-column read answer."""
         return all(
-            len(d) == len(e) for d, e in zip(self.dyn_shards, self.del_shards)
+            len(d) == len(e)
+            for d, e in zip(self.dyn_shards[:-1], self.del_shards[:-1])
         )
 
     # ------------------------------------------------------------------
@@ -181,10 +189,16 @@ class ClusterCacheMachine(RuleBasedStateMachine):
             return
         sid = data.draw(st.sampled_from(candidates))
         self.cluster.split_shard(sid)
-        for shards in (self.dyn_shards, self.del_shards):
-            live = [c for c in shards[sid] if c is not None]
-            mid = len(live) // 2
-            shards[sid : sid + 1] = [live[:mid], live[mid:]]
+        columns = (self.dyn_shards, self.del_shards)
+        lives = [
+            [c for c in shards[sid] if c is not None] for shards in columns
+        ]
+        # One cut row for both columns: the longest one's midpoint,
+        # clamped so each keeps a row on each side.
+        mid = max(len(live) for live in lives) // 2
+        for shards, live in zip(columns, lives):
+            cut = min(mid, len(live) - 1)
+            shards[sid : sid + 1] = [live[:cut], live[cut:]]
 
     # ------------------------------------------------------------------
     # Query rules (the second ask is the cache-hitting one)
@@ -204,17 +218,24 @@ class ClusterCacheMachine(RuleBasedStateMachine):
         assert self.cluster.query(name, lo, hi).positions() == want
 
     @rule(data=st.data())
-    def conjunctive_select(self, data):
-        # Both columns share the RID space only while equally long;
-        # the engine intersects whatever each dimension reports.
+    def conjunctive_reads(self, data):
         lo = data.draw(st.integers(0, SIGMA - 2))
+        pred = And(Range("dyn", lo, lo + 1), Range("del", 0, 3))
+        reads = (
+            lambda: self.cluster.select(pred),
+            lambda: list(self.cluster.select_iter(pred)),
+            lambda: self.cluster.query(pred).positions(),
+            lambda: self.cluster.count(pred),
+        )
+        if not self._aligned():
+            for read in reads:
+                with pytest.raises(QueryError):
+                    read()
+            return
         dyn = set(self._expected(self.dyn_shards, lo, lo + 1))
         dele = set(self._expected(self.del_shards, 0, 3))
         want = sorted(dyn & dele)
-        got = self.cluster.select(
-            And(Range("dyn", lo, lo + 1), Range("del", 0, 3))
-        )
-        assert got == want
+        assert [read() for read in reads] == [want, want, want, len(want)]
 
     @rule(
         data=st.data(),
@@ -229,12 +250,15 @@ class ClusterCacheMachine(RuleBasedStateMachine):
         glo = data.draw(st.sampled_from([2, 5]))
         pred = Range(other, lo, hi)
         both = And(pred, Range(group, glo, SIGMA - 1))
-        asks = (
-            lambda: self.cluster.count(pred),
-            lambda: self.cluster.exists(pred),
+        pairs = (
             lambda: self.cluster.count_by(group, pred),
             lambda: self.cluster.count(both),
         )
+        aligned = self._aligned()
+        asks = (
+            lambda: self.cluster.count(pred),
+            lambda: self.cluster.exists(pred),
+        ) + (pairs if aligned else ())
         # With whatever the cache holds (entries stored before the
         # latest writes included), then cold — a fresh fold at the
         # same versions — then from what the cold pass stored.
@@ -245,10 +269,14 @@ class ClusterCacheMachine(RuleBasedStateMachine):
         assert [ask() for ask in asks] == fresh
         want = len(self._expected(self._shards(other), lo, hi))
         assert fresh[:2] == [want, want > 0]
-        if self._aligned():
+        if aligned:
             codes = list(self._row_pairs(group, other, lo, hi))
             assert fresh[2] == dict(Counter(codes))
             assert fresh[3] == sum(1 for c in codes if c >= glo)
+        else:
+            for ask in pairs:
+                with pytest.raises(QueryError):
+                    ask()
 
     # ------------------------------------------------------------------
     # Invariants
@@ -302,6 +330,37 @@ TestClusterCacheMachine = ClusterCacheMachine.TestCase
 TestClusterCacheMachine.settings = settings(
     max_examples=12, stateful_step_count=30, deadline=None
 )
+
+
+def test_misaligned_shards_refuse_two_column_reads():
+    """A compacting delete shortens one column's shard 0, so its later
+    rows no longer pair with the other column's by shard-local
+    position: every two-column read refuses, while one-column reads
+    keep answering."""
+    cluster = ClusterEngine(num_shards=3, drift_window=None)
+    a = [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3]
+    b = [4, 5, 6, 7, 1, 2, 3, 4, 5, 6, 7, 1]
+    for name, codes in (("a", a), ("b", b)):
+        cluster.add_column(
+            name, codes, SIGMA, dynamism="fully_dynamic", require_delete=True
+        )
+    cluster.delete("a", 0)
+    cluster.delete("a", 1)
+    assert cluster.shard_lengths("a") == [2, 4, 4]
+    assert cluster.shard_lengths("b") == [4, 4, 4]
+    pred = And(Range("a", 1, 3), Range("b", 1, 6))
+    for read in (
+        cluster.count,
+        cluster.exists,
+        cluster.select,
+        cluster.select_iter,
+        cluster.query,
+        lambda p: cluster.count_by("b", p),
+    ):
+        with pytest.raises(QueryError):
+            read(pred)
+    assert cluster.select(Range("a", 1, 3)) == list(range(10))
+    assert cluster.count(Range("b", 1, 6)) == 10
 
 
 def test_interleaved_updates_never_serve_stale_rids():

@@ -455,6 +455,20 @@ class TestQueryEngine:
         ]
         assert got == want
 
+    def test_static_column_refuses_updates_on_any_backend(self):
+        # The declared dynamism governs, not the backend: "appendable"
+        # could append, but the column was declared static.
+        engine = QueryEngine()
+        engine.add_column("v", [0, 1, 0, 1], 2, backend="appendable")
+        with pytest.raises(UpdateError):
+            engine.append("v", 1)
+        with pytest.raises(UpdateError):
+            engine.change("v", 0, 1)
+        with pytest.raises(UpdateError):
+            engine.delete("v", 0)
+        assert engine.column("v").n == 4
+        assert engine.query("v", 1, 1).positions() == [1, 3]
+
     def test_select_iter_streams_the_same_answer(self):
         engine = QueryEngine()
         a = uniform(600, 8, seed=11)

@@ -3,9 +3,9 @@
 The tentpole claims, proved here end to end:
 
 * one query becomes one *stitched* trace — coordinator spans (plan,
-  scatter, gather_merge) and worker-side spans (``worker_query`` /
-  ``worker_fold``, built inside resident processes and shipped back on
-  the existing reply tuples) in a single tree whose per-span
+  scatter, gather_merge) and worker-side ``worker_fold`` spans (built
+  inside resident processes and shipped back on the existing reply
+  tuples) in a single tree whose per-span
   ``bits_read`` tags sum to exactly the cluster's ``scatter_io``
   accounting;
 * tracing never changes what a query reads: traced and untraced runs
@@ -579,10 +579,10 @@ class TestClusterTracingSerial:
         assert trace.find("plan")
         assert trace.find("scatter")
         assert trace.find("gather_merge")
-        fetches = trace.find("leaf_fetch")
-        assert fetches
+        folds = trace.find("shard_fold")
+        assert folds and all(s.tags["mode"] == "select" for s in folds)
         assert all(
-            s.tags["trace_id"] == trace.trace_id for s in fetches
+            s.tags["trace_id"] == trace.trace_id for s in folds
         )
         assert all_bits(trace) == delta.bits_read
 
@@ -700,7 +700,8 @@ class TestClusterTracingSerial:
     @pytest.mark.parametrize("kind", ["serial", "threaded", "process"])
     def test_engine_lru_hits_are_tagged(self, executor_of, kind):
         # The shared cache misses but each shard's engine LRU answers:
-        # the local leaf_fetch span says so, as worker_query does.
+        # every re-submitted select fold, local or in a worker, says
+        # so with a zero-bit span.
         tracer = Tracer(clock=ManualClock())
         cluster = make_cluster(executor=executor_of(kind), tracer=tracer)
         cluster.query("a", 2, 9)
@@ -708,12 +709,12 @@ class TestClusterTracingSerial:
         before = cluster.scatter_io.snapshot()
         cluster.query("a", 2, 9)
         assert (cluster.scatter_io.snapshot() - before).bits_read == 0
-        name = "worker_query" if kind == "process" else "leaf_fetch"
-        fetches = tracer.last().find(name)
-        assert len(fetches) == cluster.num_shards
+        name = "worker_fold" if kind == "process" else "shard_fold"
+        folds = tracer.last().find(name)
+        assert len(folds) == cluster.num_shards
         assert all(
-            s.tags["cache"] == "hit" and s.tags["bits_read"] == 0
-            for s in fetches
+            s.tags["mode"] == "select" and s.tags["bits_read"] == 0
+            for s in folds
         )
 
     def test_exists_accounts_like_count(self):
@@ -823,17 +824,17 @@ class TestProcessExecutorStitching:
         assert sum(s.tags["bits_read"] for s in folds) == delta.bits_read
         assert all_bits(trace) == delta.bits_read
 
-    def test_leaf_query_stitches_worker_query_spans(self, obs_pool):
+    def test_leaf_query_stitches_worker_fold_spans(self, obs_pool):
         tracer = Tracer()
         cluster = make_cluster(executor=obs_pool, tracer=tracer)
         before = cluster.scatter_io.snapshot()
         cluster.query("a", 2, 9)
         delta = cluster.scatter_io.snapshot() - before
         trace = tracer.last()
-        fetches = trace.find("worker_query")
-        assert fetches
+        folds = trace.find("worker_fold")
+        assert folds and all(s.tags["mode"] == "select" for s in folds)
         assert all(
-            s.tags["trace_id"] == trace.trace_id for s in fetches
+            s.tags["trace_id"] == trace.trace_id for s in folds
         )
         assert all_bits(trace) == delta.bits_read
 
@@ -842,7 +843,7 @@ class TestProcessExecutorStitching:
         cluster.query("a", 2, 9)
         assert (cluster.scatter_io.snapshot() - before).bits_read == 0
         repeat = tracer.last()
-        assert repeat.find("worker_query") == []
+        assert repeat.find("worker_fold") == []
         lookups = repeat.find("cache_lookup")
         assert lookups and all(s.tags["hit"] for s in lookups)
 

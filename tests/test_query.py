@@ -47,14 +47,6 @@ from repro.query import (
     order_children,
     specialize,
 )
-from repro.query.stream import (
-    complement_iter,
-    count_iter,
-    difference_iter,
-    first,
-    intersect_iters,
-    union_iters,
-)
 from repro.serve import FrontEnd
 
 from tests.conftest import pred_oracle, random_pred
@@ -223,34 +215,6 @@ class TestAwareAlgebra:
     def test_union_many(self):
         assert union_many([[1, 3], [2, 3], [0]]) == [0, 1, 2, 3]
         assert union_many([]) == []
-
-
-class TestStreamCombinators:
-    def test_union_intersect_difference_complement(self):
-        a, b, c = [1, 3, 5, 9], [3, 4, 5], [5, 9, 11]
-        assert list(union_iters([iter(a), iter(b), iter(c)])) == [
-            1, 3, 4, 5, 9, 11,
-        ]
-        assert list(intersect_iters([iter(a), iter(b), iter(c)])) == [5]
-        assert list(difference_iter(iter(a), iter(b))) == [1, 9]
-        assert list(complement_iter(iter([0, 2, 3]), 6)) == [1, 4, 5]
-        assert list(complement_iter(iter([]), 3)) == [0, 1, 2]
-
-    def test_close_propagates_to_producers(self):
-        closed = []
-
-        def producer(tag, items):
-            try:
-                yield from items
-            finally:
-                closed.append(tag)
-
-        merged = union_iters(
-            [producer("a", [1, 2, 9]), producer("b", [2, 5, 8])]
-        )
-        assert next(merged) == 1
-        merged.close()
-        assert sorted(closed) == ["a", "b"]
 
 
 class TestEnginePredicates:
@@ -683,38 +647,6 @@ class TestSpecialize:
 # ----------------------------------------------------------------------
 # Stream utilities
 # ----------------------------------------------------------------------
-
-
-class TestStreamUtilities:
-    def test_count_iter_counts_and_closes(self):
-        closed = []
-
-        def gen():
-            try:
-                yield from (1, 2, 3)
-            finally:
-                closed.append(True)
-
-        assert count_iter(gen()) == 3
-        assert closed == [True]
-        assert count_iter(iter(())) == 0
-
-    def test_first_pulls_at_most_one_and_closes(self):
-        pulled = []
-        closed = []
-
-        def gen():
-            try:
-                for v in (7, 8, 9):
-                    pulled.append(v)
-                    yield v
-            finally:
-                closed.append(True)
-
-        assert first(gen()) == 7
-        assert pulled == [7]
-        assert closed == [True]
-        assert first(iter(())) is None
 
 
 class TestFingerprint:

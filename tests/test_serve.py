@@ -43,6 +43,11 @@ def _make_cluster(num_shards=3, rows=120, sigma=32, **kwargs):
     return cluster, codes
 
 
+def _leaf_select(name, lo, hi):
+    """A one-leaf select fold payload: one shard-local range's RIDs."""
+    return ("select", (name,), ((name, lo, hi),), ("leaf", 0), None)
+
+
 class _GateEngine:
     """A stub engine whose ``count`` blocks until released.
 
@@ -486,22 +491,23 @@ class TestReplicaSet:
         cluster.attach_replicas(ReplicaSet(capacity=1))
         cluster.close()
 
-    def test_fetch_is_version_fenced(self):
+    def test_fold_is_version_fenced(self):
         cluster, _ = _make_cluster(num_shards=4)
         replicas = ReplicaSet(capacity=2)
         cluster.attach_replicas(replicas)
         uid = cluster.shard_uids[0]
         version = cluster.shards[0].column("v").version
-        hit = replicas.fetch(uid, "v", 0, 5, version)
+        payload = _leaf_select("v", 0, 5)
+        hit = replicas.fold(uid, payload, {"v": version})
         assert hit is not None
         positions, io = hit
         oracle, _ = cluster.shards[0].query_measured("v", 0, 5)
         assert list(positions) == list(oracle.positions())
         assert io.bits_read > 0
         # A mismatched version abstains rather than serving stale.
-        assert replicas.fetch(uid, "v", 0, 5, version + 1) is None
+        assert replicas.fold(uid, payload, {"v": version + 1}) is None
         # An unreplicated uid abstains too.
-        assert replicas.fetch(999_999, "v", 0, 5, version) is None
+        assert replicas.fold(999_999, payload, {"v": version}) is None
         stats = replicas.stats()
         assert stats.hits == 1 and stats.stale == 1 and stats.absent == 1
 
@@ -513,7 +519,7 @@ class TestReplicaSet:
         cluster.delete("v", 1)
         uid = cluster.shard_uids[0]
         version = cluster.shards[0].column("v").version
-        hit = replicas.fetch(uid, "v", 13, 13, version)
+        hit = replicas.fold(uid, _leaf_select("v", 13, 13), {"v": version})
         assert hit is not None
         oracle, _ = cluster.shards[0].query_measured("v", 13, 13)
         assert list(hit[0]) == list(oracle.positions())
@@ -528,15 +534,12 @@ class TestReplicaSet:
         replicas.on_delta(uid, ("no_such_op",))
         assert replicas.retires == retires_before + 1
         version = cluster.shards[0].column("v").version
-        assert replicas.fetch(uid, "v", 0, 5, version) is None
+        payload = _leaf_select("v", 0, 5)
+        assert replicas.fold(uid, payload, {"v": version}) is None
         # The primary is untouched and the other replica still serves.
         other = cluster.shard_uids[1]
-        assert (
-            replicas.fetch(
-                other, "v", 0, 5, cluster.shards[1].column("v").version
-            )
-            is not None
-        )
+        other_version = cluster.shards[1].column("v").version
+        assert replicas.fold(other, payload, {"v": other_version}) is not None
         cluster.close()
 
     def test_scatter_consults_replicas_after_cache_miss(self):

@@ -209,6 +209,30 @@ class TestUpdates:
         with pytest.raises(QueryError):
             table.change("v", 5, 1)
 
+    def test_sharded_split_cuts_every_column_at_one_row(self):
+        # Per-column appends trip the split mid-row: "x" has 22 rows
+        # when it fires, "y" 21.  Cutting each column at its own
+        # midpoint left shard lengths [11, 15] vs [10, 16], and count,
+        # which pairs rows by shard-local position, answered 8 where
+        # select and the oracle answer 7.
+        x = [3, 3, 0, 2, 3, 3, 2, 3, 2, 1, 1, 2, 1, 0, 2, 1, 2, 0, 0, 2]
+        y = [3, 0, 2, 3, 2, 1, 3, 3, 2, 0, 0, 0, 3, 0, 3, 2, 1, 2, 0, 1]
+        rows = [(1, 1), (1, 3), (0, 0), (2, 3), (0, 2), (2, 0)]
+        table = Table.sharded(
+            {"x": x, "y": y}, target_shard_rows=21, dynamism="semidynamic"
+        )
+        for a, b in rows:
+            table.append_row({"x": a, "y": b})
+        assert table.engine.splits
+        lengths = table.engine.shard_lengths("x")
+        assert lengths == table.engine.shard_lengths("y") == [11, 15]
+        x += [a for a, _ in rows]
+        y += [b for _, b in rows]
+        cond = And(Range("x", 1, 2), Range("y", 0, 1))
+        want = [i for i in range(26) if 1 <= x[i] <= 2 and y[i] <= 1]
+        assert table.select(cond) == want
+        assert table.count(cond) == len(want) == 7
+
     def test_single_engine_has_no_persistence(self, tmp_path):
         table = Table({"v": [5, 1, 5]}, dynamism="semidynamic")
         with pytest.raises(PersistenceError):
