@@ -138,6 +138,11 @@ def test_e20a_cold_restore_vs_rebuild(report, tmp_path):
             "resident restore diverged from the cluster that wrote "
             "the log"
         )
+        assert all(
+            column.deferred
+            for engine in resident.shards
+            for column in engine.columns.values()
+        ), "the resident coordinator built an index during replay"
         resident.close()
 
     assert speedup >= REQUIRED_RESTORE_SPEEDUP, (
@@ -160,13 +165,14 @@ def test_e20a_cold_restore_vs_rebuild(report, tmp_path):
             ["cold restore (serial)", restore_s,
              f"mmap + replay {TAIL_MUTATIONS} records"],
             ["cold restore (resident)", resident_restore_s,
-             "workers rehydrate from the same snapshots"],
+             "workers rehydrate; replay writes codes only"],
         ],
         note=(
             f"restore is {speedup:.1f}x faster than rebuild "
             f"(assert >= {REQUIRED_RESTORE_SPEEDUP}x); durable dir "
             f"holds {snap_bytes / 1e6:.1f} MB; answers identical on "
-            f"both executors"
+            f"both executors; the resident coordinator builds no index "
+            f"(replay updates its codes mirror, workers the indexes)"
         ),
     )
     _merge_consolidated(

@@ -52,11 +52,12 @@ and every per-shard reply is a triple ``(value, Snapshot, span dict
 shard op's span when a trace id rode the message.
 
 Because the coordinator applies the *same* operations to its own
-replica in the same order, and every build pins the backend the
-coordinator's advisor already chose, the resident engine is a
-bit-identical twin: queries return identical positions and identical
-I/O counter deltas, which is exactly what the conformance suite
-asserts.
+codes mirror in the same order (validating each there, so a refused
+write never ships), and every build pins the backend the
+coordinator's advisor already chose, the resident engine is the one
+built index of the shard and stays bit-identical to what a serial
+cluster builds: queries return identical positions and identical I/O
+counter deltas, which is exactly what the conformance suite asserts.
 
 The wire protocol is strict request/reply in FIFO order — one
 ``("ok", payload)`` or ``("err", exception)`` per request — which is

@@ -17,6 +17,11 @@ rebuild when a constant fraction of characters are deleted.
   range);
 * logical positions: :meth:`logical_to_physical` /
   :meth:`physical_to_logical` through the counted B-tree.
+
+When the global rebuild happens is :func:`compaction_due`, a pure
+function of the counts: a column that mirrors the string without
+building the index (an engine coordinator's codes) applies the same
+rule and so compacts at the same delete as the index does.
 """
 
 from __future__ import annotations
@@ -28,6 +33,16 @@ from ..iomodel.disk import Disk
 from ..trees.btree import BTree
 from .fully_dynamic import DynamicSecondaryIndex
 from .interface import RangeResult, SecondaryIndex, SpaceBreakdown
+
+#: Fraction of deleted positions that triggers a compaction.
+REBUILD_FRACTION = 0.5
+
+
+def compaction_due(
+    deleted: int, n: int, fraction: float = REBUILD_FRACTION
+) -> bool:
+    """True once ``deleted`` of ``n`` physical positions call for a rebuild."""
+    return deleted >= fraction * max(1, n)
 
 
 class DeletionTracker:
@@ -92,7 +107,8 @@ class DeletableIndex(SecondaryIndex):
 
     The wrapped :class:`DynamicSecondaryIndex` runs over the alphabet
     extended by one: code ``sigma`` is ∞.  A global rebuild compacts the
-    string once more than ``rebuild_fraction`` of it is deleted.
+    string once ``rebuild_fraction`` of it is deleted
+    (:func:`compaction_due`).
     """
 
     def __init__(
@@ -101,7 +117,7 @@ class DeletableIndex(SecondaryIndex):
         sigma: int,
         disk: Disk | None = None,
         branching: int = 8,
-        rebuild_fraction: float = 0.5,
+        rebuild_fraction: float = REBUILD_FRACTION,
         block_bits: int = 1024,
         mem_blocks: int = 64,
     ) -> None:
@@ -146,10 +162,18 @@ class DeletableIndex(SecondaryIndex):
         self._inner.change(pos, ch)
 
     def delete(self, pos: int) -> None:
-        """Delete the character at physical position ``pos`` (→ ∞)."""
+        """Delete the character at physical position ``pos`` (→ ∞).
+
+        A rejected delete changes nothing: the range is checked before
+        the tracker records the position.
+        """
+        if pos < 0 or pos >= self._inner.n:
+            raise UpdateError(f"position {pos} outside the string")
         self._tracker.mark_deleted(pos)  # raises if already deleted
         self._inner.change(pos, self.infinity)
-        if len(self._tracker) >= self._rebuild_fraction * max(1, self._inner.n):
+        if compaction_due(
+            len(self._tracker), self._inner.n, self._rebuild_fraction
+        ):
             self._compact()
 
     def _compact(self) -> None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+from ..core.deletions import compaction_due
 from ..core.interface import RangeResult, SecondaryIndex
 from ..errors import InvalidParameterError, QueryError, UpdateError
 from ..iomodel.stats import Snapshot
@@ -91,10 +92,18 @@ class EngineColumn:
     coordinator uses for worker-resident shards, where the replica
     that serves queries lives in another process and the coordinator
     needs only codes + stats for planning, routing, and rebuilds.  The
-    first local query or update forces the build (from codes identical
-    to the shipped snapshot, so a forced replica stays bit-identical
-    to its worker twin); latency/metrics applied while deferred stick
-    and take effect at force time.
+    first local query forces the build from the mirror (pending
+    deleted slots are deleted again, so its RIDs equal its worker
+    twin's); latency/metrics applied while deferred stick and take
+    effect at force time.
+
+    Updates never force a build.  ``append``/``change``/``delete``
+    take their capability from :attr:`spec`, validate against the
+    codes mirror, apply to the index only when one is built, and
+    compact the mirror by the deletable backend's own rule
+    (:func:`~repro.core.deletions.compaction_due`), so a deferred
+    column and a built one leave the same codes, length and version
+    behind every call, and refuse the same calls with the same error.
     """
 
     def __init__(
@@ -111,6 +120,8 @@ class EngineColumn:
         self._index = index
         self.stats = stats
         self.version = 0
+        #: Deleted slots (``None`` holes) pending compaction.
+        self._deleted = self.codes.count(None)
         self._pending_latency: float | None = None
         self._pending_metrics = None
         self._distinct: tuple[int, tuple[int, ...]] | None = None
@@ -131,10 +142,15 @@ class EngineColumn:
         self._index = value
 
     def _force_build(self) -> None:
-        live = [c for c in self.codes if c is not None]
-        self._index = self.spec.build(live, self.stats.sigma)
-        if len(live) != len(self.codes):
-            self.codes = live
+        # Pending deleted slots keep their positions: build them over a
+        # placeholder code and delete them again, so the index's RIDs
+        # equal the mirror's and a built twin's at the same version.
+        self._index = self.spec.build(
+            [0 if c is None else c for c in self.codes], self.stats.sigma
+        )
+        for pos, code in enumerate(self.codes):
+            if code is None:
+                self._index.delete(pos)
         disk = getattr(self._index, "disk", None)
         if disk is not None:
             if self._pending_latency is not None:
@@ -254,7 +270,7 @@ class EngineColumn:
             # mirror exactly as the built path would; the column stays
             # deferred (the worker replica does the real rebuild).
             self.spec = spec
-            self.codes = live
+            self._compact_mirror(live)
             self._bump()
             return
         old_disk = getattr(self.index, "disk", None)
@@ -265,46 +281,67 @@ class EngineColumn:
             # device reports into whatever registry the old one did.
             new_disk.metrics = getattr(old_disk, "metrics", None)
         self.spec = spec
-        self.codes = live
+        self._compact_mirror(live)
         self._bump()
 
+    def _compact_mirror(self, live: list[int]) -> None:
+        self.codes = live
+        self._deleted = 0
+
+    def _check_code(self, ch: int) -> None:
+        if ch < 0 or ch >= self.stats.sigma:
+            raise InvalidParameterError(
+                f"character {ch} outside alphabet [0, {self.stats.sigma})"
+            )
+
+    def _check_live(self, pos: int) -> None:
+        if pos < 0 or pos >= len(self.codes):
+            raise UpdateError(f"position {pos} outside the string")
+        if self.codes[pos] is None:
+            raise UpdateError(f"position {pos} is deleted")
+
     def append(self, ch: int) -> None:
-        if not hasattr(self.index, "append"):
+        if self.spec.dynamism == "static":
             raise UpdateError(
                 f"column {self.name!r} uses static backend "
                 f"{self.spec.name!r}; declare dynamism='semidynamic' or "
                 "stronger when adding the column"
             )
-        self.index.append(ch)
+        self._check_code(ch)
+        if self._index is not None:
+            self._index.append(ch)
         self.codes.append(ch)
         self._bump()
 
     def change(self, pos: int, ch: int) -> None:
-        if not hasattr(self.index, "change"):
+        if self.spec.dynamism != "fully_dynamic":
             raise UpdateError(
                 f"column {self.name!r} uses backend {self.spec.name!r} "
                 "without change support; declare dynamism='fully_dynamic'"
             )
-        self.index.change(pos, ch)
+        self._check_live(pos)
+        self._check_code(ch)
+        if self._index is not None:
+            self._index.change(pos, ch)
         self.codes[pos] = ch
         self._bump()
 
     def delete(self, pos: int) -> None:
-        if not hasattr(self.index, "delete"):
+        if not self.spec.supports_delete:
             raise UpdateError(
                 f"column {self.name!r} uses backend {self.spec.name!r} "
                 "without delete support; declare require_delete=True"
             )
-        compactions_before = getattr(self.index, "compactions", None)
-        self.index.delete(pos)
+        self._check_live(pos)
+        if self._index is not None:
+            self._index.delete(pos)
         self.codes[pos] = None
-        if (
-            compactions_before is not None
-            and self.index.compactions != compactions_before
-        ):
-            # The backend rewrote its position space; drop the deleted
-            # slots so the mirror's positions match the new RIDs.
-            self.codes = [c for c in self.codes if c is not None]
+        self._deleted += 1
+        if compaction_due(self._deleted, len(self.codes)):
+            # The backend rewrote its position space by the same rule;
+            # drop the deleted slots so the mirror's positions match
+            # the new RIDs.
+            self._compact_mirror([c for c in self.codes if c is not None])
         self._bump()
 
 
@@ -361,9 +398,9 @@ class QueryEngine(ObservedOps):
         scored against exact structures' larger answer reads.
 
         ``defer_index=True`` records the verdict and the codes but
-        builds no index structure until first local use — the
-        control-plane mode for coordinators whose resident worker
-        replicas do the serving.
+        builds no index structure until the first local query (updates
+        keep only the codes) — the control-plane mode for coordinators
+        whose resident worker replicas do the serving.
         """
         if name in self.columns:
             raise InvalidParameterError(f"column {name!r} already exists")

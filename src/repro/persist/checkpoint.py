@@ -173,8 +173,9 @@ def checkpoint_cluster(
     the serving path takes — so the snapshot set is a consistent cut:
     no update lands between shard 0's snapshot and shard N's.  Under a
     resident executor the *workers* write their shards' snapshots
-    (they hold the built indexes; the coordinator's are deferred),
-    after pending delta batches are flushed.
+    (they hold the only built indexes; the coordinator's columns are
+    deferred, writes included), after pending delta batches are
+    flushed.
 
     ``extra`` is an opaque JSON-serializable dict stored in the
     manifest for higher tiers (a sharded ``Table`` keeps its value
@@ -301,7 +302,9 @@ def restore_cluster(
     from the manifest, replays the WAL tail past ``applied_seq``
     through the normal public operations, and — unless ``attach_wal``
     is disabled — leaves the log attached so new mutations keep being
-    journaled.
+    journaled.  Under a resident executor the coordinator's columns
+    load deferred and replay updates their codes mirrors only; the
+    workers rehydrate the indexes and apply the replayed deltas.
 
     The advisor must match the one the WAL was written under: replay
     re-derives drift auto-migrations and auto-splits rather than

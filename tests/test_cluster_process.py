@@ -763,29 +763,151 @@ class TestSharedMemoryTransport:
         if before is not None:
             assert set(os.listdir("/dev/shm")) - before == set()
 
-    def test_coordinator_keeps_codes_and_stats_only(self, process_pool):
-        from repro.model.distributions import uniform as _uniform
+    def test_coordinator_keeps_codes_and_stats_only(
+        self, process_pool, tmp_path
+    ):
+        from repro.persist import init_persistence, restore_cluster
 
-        x = _uniform(200, 8, seed=51)
-        serial = ClusterEngine(num_shards=2, drift_window=None)
-        proc = ClusterEngine(
-            num_shards=2, drift_window=None, executor=process_pool
-        )
+        # Writes, lifecycle, migrations and a WAL replay all reach the
+        # coordinator's codes mirror only: no coordinator column ever
+        # builds its index, and every answer matches the serial
+        # cluster's, whose shards build theirs.
+        x = [0] * 80
+        y = uniform(80, 8, seed=51)
+        durable = str(tmp_path / "dur")
+
+        def build(executor):
+            cluster = ClusterEngine(
+                num_shards=2, drift_window=8, executor=executor,
+                advisor=FlipAdvisor(threshold=1.0),
+            )
+            cluster.add_column("c", x, 8, dynamism="fully_dynamic")
+            cluster.add_column(
+                "d", y, 8, dynamism="fully_dynamic", require_delete=True,
+                backend="deletable",
+            )
+            return cluster
+
+        def answers(cluster):
+            return (
+                cluster.query("c", 1, 4).positions(),
+                cluster.count(Range("c", 0, 0)),
+                cluster.select(Range("d", 2, 6)),
+                cluster.count_by("d", Range("d", 0, 7)),
+                cluster.shard_lengths("c"),
+                cluster.shard_lengths("d"),
+                cluster.backends("c"),
+                cluster.backends("d"),
+            )
+
+        def deferred(cluster):
+            return [
+                [column.deferred for column in engine.columns.values()]
+                for engine in cluster.shards
+            ]
+
+        steps = [
+            ("append", lambda c: [c.append("c", 3), c.append("d", 5)]),
+            # Shard 1 of "c" gains entropy: the drift detector migrates
+            # it off fully-dynamic.
+            ("change", lambda c: [
+                c.change("c", 40 + i, i % 8) for i in range(12)
+            ]),
+            # Half of "d"'s shard 0 goes: the last delete compacts it.
+            ("delete", lambda c: [c.delete("d", i) for i in range(20)]),
+            ("migrate", lambda c: c.migrate("c", 0, "deletable")),
+            ("split", lambda c: c.split_shard(1)),
+            ("merge", lambda c: c.merge_shards(0)),
+            ("append", lambda c: [c.append("c", i % 8) for i in range(6)]),
+        ]
+        serial = build(None)
+        proc = build(process_pool)
         try:
+            assert not any(map(any, deferred(serial)))
+            assert all(map(all, deferred(proc)))
+            init_persistence(proc, durable)
+            assert answers(proc) == answers(serial)
+            for tag, step in steps:
+                step(serial)
+                step(proc)
+                assert all(map(all, deferred(proc))), tag
+                assert answers(proc) == answers(serial), tag
+                if tag == "delete":
+                    assert proc.shard_lengths("d") == [20, 41]  # compacted
+            assert len(proc.migrations) == len(serial.migrations) >= 2
+            assert len(proc.splits) == len(proc.merges) == 1
+            want = answers(serial)
+            proc.close()
+
+            restored = restore_cluster(
+                durable, executor=process_pool,
+                advisor=FlipAdvisor(threshold=1.0),
+            )
+            try:
+                assert all(map(all, deferred(restored)))
+                assert answers(restored) == want
+            finally:
+                restored.close()
+        finally:
+            serial.close()
+            proc.close()
+
+    def test_invalid_writes_are_refused_before_the_wal(
+        self, process_pool, tmp_path
+    ):
+        from repro.persist import init_persistence
+
+        def build(executor):
+            cluster = ClusterEngine(num_shards=2, executor=executor)
+            cluster.add_column(
+                "f", [i % 2 for i in range(40)], 2, dynamism="fully_dynamic"
+            )
+            cluster.add_column(
+                "d", [i % 2 for i in range(40)], 2,
+                dynamism="fully_dynamic", require_delete=True,
+            )
+            cluster.add_column("s", [i % 2 for i in range(40)], 2)
+            cluster.delete("d", 3)
+            return cluster
+
+        invalid = [
+            (InvalidParameterError, lambda c: c.change("f", 5, 5)),
+            (UpdateError, lambda c: c.change("d", 3, 1)),
+            (UpdateError, lambda c: c.delete("f", 4)),
+            (UpdateError, lambda c: c.append("s", 1)),
+        ]
+        serial = build(None)
+        proc = build(process_pool)
+        try:
+            init_persistence(proc, str(tmp_path / "dur"))
             for cluster in (serial, proc):
-                cluster.add_column("c", x, 8, dynamism="fully_dynamic")
-            # Resident coordinators defer their local index structures
-            # (the worker replica serves); serial clusters build them.
-            assert all(
-                engine.column("c").deferred for engine in proc.shards
+                cluster.change("f", 30, 0)  # buffered for the worker
+            uids = list(proc.shard_uids)
+            before = (
+                proc.wal.last_seq,
+                [process_pool.pending_delta_count(uid) for uid in uids],
             )
-            assert not any(
-                engine.column("c").deferred for engine in serial.shards
-            )
-            # Planning still works from codes + stats alone.
-            assert proc.query("c", 1, 4).positions() == brute_range(x, 1, 4)
+            assert before[1] == [0, 1]
+            for error, write in invalid:
+                # The coordinator's mirror refuses the write before it
+                # is shipped or journaled, as a built index would.
+                for cluster in (serial, proc):
+                    with pytest.raises(error):
+                        write(cluster)
+                assert (
+                    proc.wal.last_seq,
+                    [process_pool.pending_delta_count(uid) for uid in uids],
+                ) == before
+            process_pool.flush_deltas()
+            for name, lo, hi in [("f", 0, 0), ("d", 0, 1), ("s", 1, 1)]:
+                assert (
+                    proc.query(name, lo, hi).positions()
+                    == serial.query(name, lo, hi).positions()
+                )
             assert all(
-                engine.column("c").deferred for engine in proc.shards
+                column.deferred
+                for engine in proc.shards
+                for column in engine.columns.values()
             )
         finally:
             serial.close()

@@ -6,7 +6,7 @@ import pytest
 
 from tests.conftest import brute_range
 from repro.core import DeletableIndex
-from repro.core.deletions import DeletionTracker
+from repro.core.deletions import DeletionTracker, compaction_due
 from repro.errors import InvalidParameterError, UpdateError
 from repro.iomodel import Disk
 from repro.model import distributions as dist
@@ -118,6 +118,33 @@ class TestDeletableIndex:
             idx.delete(1)
         with pytest.raises(UpdateError):
             idx.change(1, 0)
+
+    def test_rejected_delete_leaves_the_index_unchanged(self):
+        idx = DeletableIndex([0, 1, 2, 3, 1, 0, 2, 3], 4)
+        for pos in (100, -1, 8):
+            with pytest.raises(UpdateError):
+                idx.delete(pos)
+        assert idx.live_count() == 8
+        assert not idx.is_deleted(100) and not idx.is_deleted(-1)
+        # 2 of 8 deleted stays under the 0.5 rule: no compaction.
+        idx.delete(0)
+        idx.delete(1)
+        assert idx.compactions == 0
+        assert idx.n == 8
+        assert idx.live_count() == 6
+
+    def test_compaction_rule_is_a_function_of_the_counts(self):
+        assert not compaction_due(3, 8)
+        assert compaction_due(4, 8)
+        assert compaction_due(1, 1)
+        assert not compaction_due(0, 0)
+        assert not compaction_due(2, 8, fraction=0.3)
+        assert compaction_due(3, 8, fraction=0.3)
+        idx = DeletableIndex([0, 1] * 4, 2)
+        for pos in range(4):
+            assert idx.compactions == 0
+            idx.delete(pos)
+        assert compaction_due(4, 8) and idx.compactions == 1
 
     def test_infinity_outside_user_alphabet(self):
         idx = DeletableIndex([0, 1], 2)
