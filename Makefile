@@ -30,9 +30,9 @@ loc:
 # (E18: fast WAH decode >= 3x the reference, bulk payloads off the
 # pipe), the serving front-end claims (E19: single-flight
 # coalescing lifts QPS >= 1.5x on a Zipf mix, admission control
-# bounds admitted p99 under 2x offered load, hot-shard replicas
-# answer scatter reads), and the durability claims (E20: cold restore
-# from snapshot+WAL >= 3x faster than rebuilding from raw codes with
+# bounds admitted p99 under 2x offered load), and the durability
+# claims (E20: cold restore from snapshot+WAL >= 3x faster than
+# rebuilding from raw codes with
 # identical answers on both executors, WAL replay throughput,
 # checkpoint pause vs the serving path) end-to-end (asserts inside
 # the benchmarks) in well under 150 seconds.  --durations=0 prints

@@ -1,6 +1,6 @@
-"""E19 — serving front-end QPS: coalescing, admission, replicas.
+"""E19 — serving front-end QPS: coalescing and admission.
 
-Three claims, each against a serial oracle so throughput never buys
+Two claims, each against a serial oracle so throughput never buys
 wrong answers.
 
 (a) **Single-flight coalescing** lifts closed-loop QPS >= 1.5x on a
@@ -14,10 +14,6 @@ requests arriving at ~2x the serving capacity, a shed-enabled front
 end keeps admitted-request p99 within 3x the uncontended p99, while
 a no-admission run (same arrivals) lets the queue grow without bound
 and blows far past it.
-
-(c) **Hot-shard replicas** absorb scatter reads after cache drops:
-the replica consult serves from RAM copies with answers identical to
-the primary's.
 
 Every test folds its numbers into one consolidated
 ``benchmarks/results/BENCH_E19.json`` (QPS, p50/p99, coalesce rate)
@@ -40,7 +36,7 @@ from repro.errors import Overloaded
 from repro.iomodel.cache import LRUBlockCache
 from repro.obs import MetricsRegistry
 from repro.query import Range
-from repro.serve import FrontEnd, ReplicaSet
+from repro.serve import FrontEnd
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 CONSOLIDATED = os.path.join(RESULTS_DIR, "BENCH_E19.json")
@@ -84,13 +80,13 @@ def _percentile(samples, q):
     return ordered[index]
 
 
-def _make_cluster(rows=N, io_latency_s=0.0, store=None, sigma=SIGMA,
+def _make_cluster(io_latency_s=0.0, store=None, sigma=SIGMA,
                   cache_size=128):
     # At 40k rows the per-request cost is real plan evaluation (a few
     # ms), not a disk-block-cache artifact — tiny columns go fully
     # resident after one touch and would make every repeat free.
     random.seed(190)
-    codes = [random.randrange(sigma) for _ in range(rows)]
+    codes = [random.randrange(sigma) for _ in range(N)]
     cluster = ClusterEngine(
         num_shards=SHARDS,
         io_latency_s=io_latency_s,
@@ -371,43 +367,6 @@ def test_e19b_admission_bounds_p99(report):
             },
             "bound": P99_BOUND,
             "attempts": attempt + 1,
-        },
-    )
-    cluster.close()
-
-
-def test_e19c_replica_offload(report):
-    cluster, codes = _make_cluster(rows=600, io_latency_s=0.0004)
-    replicas = ReplicaSet(capacity=SHARDS)
-    cluster.attach_replicas(replicas)
-    pred = Range("v", 3, 12)
-    oracle = cluster.select(pred)
-    for _ in range(4):
-        cluster.drop_caches()
-        assert cluster.select(pred) == oracle
-    stats = replicas.stats()
-    assert stats.hits > 0, "cache drops never reached the replicas"
-    report.table(
-        "E19c  hot-shard replicas: scatter reads after cache drops",
-        ["replicas", "hits", "stale", "absent", "builds"],
-        [
-            [
-                f"{stats.capacity} resident",
-                stats.hits,
-                stats.stale,
-                stats.absent,
-                stats.builds,
-            ]
-        ],
-        note="answers identical to the primary's on every pass",
-    )
-    _merge_consolidated(
-        "replicas",
-        {
-            "capacity": stats.capacity,
-            "hits": stats.hits,
-            "stale": stats.stale,
-            "absent": stats.absent,
         },
     )
     cluster.close()

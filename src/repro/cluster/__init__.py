@@ -23,7 +23,6 @@ from .cache import (
     InMemorySharedCache,
     SharedResultCache,
     TTLStore,
-    shared_key,
 )
 from .engine import (
     ClusterEngine,
@@ -66,5 +65,4 @@ __all__ = [
     "offsets_of",
     "plan_from_lengths",
     "plan_shards",
-    "shared_key",
 ]

@@ -6,39 +6,29 @@ any one process, so this module defines the *abstraction* an external
 store (memcached, Redis, a sidecar) would implement, plus in-memory
 reference implementations the tests and benchmarks run against.
 
-Keys extend the engine's proven ``(column, version, lo, hi)`` scheme
-with the shard's identity and the column's *epoch*:
-``(column, shard_id, epoch, version, lo, hi)``.  The ``shard_id`` slot
-holds the shard's stable *uid* (``ClusterEngine.shard_uids``), not its
-position: positions shift when shards split or merge, uids never do.
-The slot order is deliberate — every invalidation the cluster performs
-("this column", "this column on this shard") is a *key-prefix* drop,
-which is the one bulk-eviction primitive real external stores can hope
-to offer (Redis ``SCAN MATCH prefix*``, a namespace flush).  The
-version is the shard-local column version; the epoch is a random token
-stamped once per ``add_column``, so dropping a column and re-adding
-one under the same name can never resurrect the old incarnation's
-entries even though shard versions restart at zero — and same-named
-columns of *different engines* (or processes) sharing one store never
-collide.
-
-Every cluster read is a shard fold, cached at the coordinator under a
-*fold key* (:func:`fold_key`), laid out in the same six slots:
-``(FOLDS, shard_id, digest, version, 0, 0)``.  The digest names the
-shard-specialized plan the fold evaluates and the epochs of the
-columns it reads; the version is the sum of those columns' shard-local
-versions.  A fold spans columns, so
-its entries live in one namespace of their own, :data:`FOLDS`, with
-the shard uid second: ``(FOLDS, shard_id)`` is a retired shard's fold
-prefix.  Together they yield the cluster's invalidation protocol:
+Every cluster read is a shard fold, and the coordinator caches each
+fold's value under one key family, the *fold key* (:func:`fold_key`):
+``(shard_id, digest, version)``.  The ``shard_id`` slot holds the
+shard's stable *uid* (``ClusterEngine.shard_uids``), not its position:
+positions shift when shards split or merge, uids never do.  The digest
+names the shard-specialized plan the fold evaluates and the *epochs*
+of the columns it reads — an epoch is a random token stamped once per
+``add_column``, so dropping a column and re-adding one under the same
+name can never resurrect the old incarnation's entries even though
+shard versions restart at zero, and same-named columns of *different
+engines* (or processes) sharing one store never collide.  The version
+is the sum of those columns' shard-local versions.  With the uid
+first, "this shard" is a *key-prefix* drop, the one bulk-eviction
+primitive real external stores can hope to offer (Redis ``SCAN MATCH
+prefix*``, a namespace flush).  Together they yield the cluster's
+invalidation protocol:
 
 * an update routed to shard ``s`` bumps only that shard's version, so
   only shard ``s``'s entries — the folds that read the column — become
   unreachable; every other shard's cached results stay
   live and keep serving.  Nothing is evicted on the write: a bounded
-  store reclaims the dead entries' space (the LRU's replacement, a
-  TTL, or a store that drops a key's older versions when it stores a
-  newer one);
+  store reclaims the dead entries' space (the LRU's replacement, or
+  a TTL);
 * a lifecycle operation (split/merge) retires the participating
   shards' uids and mints fresh ones for their replacements, so the
   retired entries can never be served again while sibling shards' hot
@@ -61,8 +51,7 @@ defensive copies a *shared* cache needs.
 Every value is a list of ints (JSON/msgpack friendly): a fold value
 encoded by :func:`fold_entry` — a select fold's entry is the shard's
 sorted local answer positions, which the gather offsets into global
-RIDs — or, under a :func:`shared_key`, one range's sorted shard-local
-positions, which is what a worker's durable store holds.
+RIDs.
 """
 
 from __future__ import annotations
@@ -75,36 +64,12 @@ from abc import ABC, abstractmethod
 from ..engine.cache import LRUCache
 from ..errors import InvalidParameterError
 
-#: Cache key: (column, shard uid, epoch, shard-local version, lo, hi).
-SharedKey = tuple[str, int, str, int, int, int]
-
-#: Slot 0 of every fold key: the namespace aggregate folds share.  A
-#: fold key's digest slot is 40 hex digits and an epoch 32, so even a
-#: column of this name could never alias a fold entry — it would only
-#: share its prefix drops.
-FOLDS = "\x00folds"
-
-
-def shared_key(
-    column: str,
-    epoch: str,
-    shard_id: int,
-    version: int,
-    char_lo: int,
-    char_hi: int,
-) -> SharedKey:
-    """The canonical shared-cache key for one per-shard range query.
-
-    ``shard_id`` is the shard's stable uid, which outlives positional
-    reshuffles from shard splits and merges.  The tuple is laid out
-    ``(column, shard_id, ...)`` so both invalidation granularities the
-    cluster uses are key prefixes.
-    """
-    return (column, shard_id, epoch, version, char_lo, char_hi)
+#: Cache key: (shard uid, digest of plan and epochs, version sum).
+SharedKey = tuple[int, str, int]
 
 
 def fold_key(shard_id: int, payload: tuple, versions: tuple) -> SharedKey:
-    """The shared-cache key of one shard's aggregate fold.
+    """The shared-cache key of one shard's fold.
 
     ``payload`` is the shard-specialized ``(mode, columns, leaves,
     root, group)`` the fold evaluates; ``versions`` holds ``(column,
@@ -113,14 +78,13 @@ def fold_key(shard_id: int, payload: tuple, versions: tuple) -> SharedKey:
     a new incarnation of a column changes it; the version slot is the
     sum of the versions.  Versions only grow, so under one digest that
     sum names the whole version vector and rises with every write to
-    any of the columns: the write makes the key unreachable, and a
-    store that drops a key's older versions drops the fold's too.
+    any of the columns: the write makes the key unreachable.
     """
     epochs = [(column, epoch) for column, epoch, _ in versions]
     digest = hashlib.blake2b(
         repr((payload, epochs)).encode(), digest_size=20
     ).hexdigest()
-    return (FOLDS, shard_id, digest, sum(v for _, _, v in versions), 0, 0)
+    return (shard_id, digest, sum(v for _, _, v in versions))
 
 
 def fold_entry(mode: str, value) -> list[int]:
@@ -161,8 +125,7 @@ class CacheStore(ABC):
 
     @abstractmethod
     def put(self, key: SharedKey, positions: list[int]) -> None:
-        """Store one shard-local answer, a list of ints (positions, or
-        an encoded fold value under a fold key)."""
+        """Store one shard's encoded fold value, a list of ints."""
 
     def invalidate_prefix(self, prefix: tuple) -> int:
         """Drop every key starting with ``prefix``; returns the count.
@@ -332,9 +295,8 @@ class SharedResultCache(ABC):
 
     @abstractmethod
     def put(self, key: SharedKey, positions: list[int]) -> None:
-        """Store one shard-local answer: sorted positions under a
-        :func:`shared_key`, an encoded fold value (:func:`fold_entry`)
-        under a :func:`fold_key`."""
+        """Store one shard's fold value under its :func:`fold_key`,
+        encoded by :func:`fold_entry`."""
 
     def __contains__(self, key: SharedKey) -> bool:
         """Non-destructive presence probe (used by ``explain``).
@@ -345,16 +307,12 @@ class SharedResultCache(ABC):
         """
         return False
 
-    def invalidate(
-        self, column: str | None = None, shard_id: int | None = None
-    ) -> int:
-        """Eagerly drop entries for a column (optionally one shard).
+    def invalidate(self, shard_id: int | None = None) -> int:
+        """Eagerly drop every entry, or with ``shard_id`` one shard's.
 
-        ``column=FOLDS`` names the fold namespace: every fold entry,
-        or with ``shard_id`` one shard's.  Purely an optimization —
-        version-carrying keys already make stale entries unreachable —
-        so the default is a no-op, which is all a store without key
-        enumeration can offer.
+        Purely an optimization — version-carrying keys already make
+        stale entries unreachable — so the default is a no-op, which
+        is all a store without key enumeration can offer.
         """
         return 0
 
@@ -437,18 +395,7 @@ class InMemorySharedCache(SharedResultCache):
         with self._lock:
             self._store.put(key, list(positions))
 
-    def invalidate(
-        self, column: str | None = None, shard_id: int | None = None
-    ) -> int:
-        if column is None and shard_id is not None:
-            raise InvalidParameterError(
-                "shard-level invalidation requires the column"
-            )
-        if column is None:
-            prefix: tuple = ()
-        elif shard_id is None:
-            prefix = (column,)
-        else:
-            prefix = (column, shard_id)
+    def invalidate(self, shard_id: int | None = None) -> int:
+        prefix = () if shard_id is None else (shard_id,)
         with self._lock:
             return self._store.invalidate_prefix(prefix)

@@ -119,7 +119,6 @@ from ..query import (
 )
 from ..query.planner import ALL, EMPTY, LEAF
 from .cache import (
-    FOLDS,
     InMemorySharedCache,
     SharedResultCache,
     fold_entry,
@@ -331,7 +330,6 @@ class ClusterStats:
     metrics: dict | None = None
     slow_queries: int = 0
     worker_deaths: int = 0
-    replicas: dict | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -353,7 +351,6 @@ class ClusterStats:
             "metrics": self.metrics,
             "slow_queries": self.slow_queries,
             "worker_deaths": self.worker_deaths,
-            "replicas": self.replicas,
         }
 
 
@@ -478,11 +475,6 @@ class ClusterEngine(ObservedOps):
         #: completed can never be served a scatter dispatched before
         #: it — the coalescing window closes at every write.
         self.mutations = 0
-        #: Optional hot-shard read replicas
-        #: (:class:`repro.serve.ReplicaSet`), attached via
-        #: :meth:`attach_replicas`.  ``None`` costs one attribute
-        #: check on the fold path.
-        self.replicas = None
         #: Optional write-ahead log (:class:`repro.persist.DeltaLog`),
         #: attached via :meth:`attach_wal`.  Every acknowledged
         #: answer-changing operation is journaled before the lock
@@ -493,11 +485,6 @@ class ClusterEngine(ObservedOps):
         #: :class:`repro.persist.Checkpointer` installs itself here).
         self.wal_listener = None
         self._wal_suspended = False
-        #: Shard uid -> snapshot path recorded at restore time, while
-        #: the snapshot still equals the live shard.  The replica set
-        #: rehydrates from these instead of rebuilding; any delta or
-        #: retirement invalidates the entry (see :meth:`_ship_delta`).
-        self._snap_sources: dict[int, str] = {}
         if metrics is not None:
             if getattr(self.shared_cache, "metrics", False) is None:
                 self.shared_cache.metrics = metrics
@@ -521,13 +508,9 @@ class ClusterEngine(ObservedOps):
         The backend is pinned to the spec the local advisor already
         chose, so the replica is bit-identical by construction — the
         worker never re-runs (and so can never disagree with) the
-        advisor.  The trailing epoch is the column's incarnation stamp
-        (see :class:`ColumnMeta`): workers key any durable cache-store
-        entries by it, so a re-added column never reads a
-        predecessor's persisted results.
+        advisor.
         """
         stats = column.stats
-        meta = self.columns.get(column.name)
         return (
             column.name,
             list(column.codes),
@@ -537,7 +520,6 @@ class ClusterEngine(ObservedOps):
             stats.require_exact,
             stats.require_delete,
             column.spec.name,
-            meta.epoch if meta is not None else "",
         )
 
     def _shard_payload(self, shard_id: int) -> tuple:
@@ -555,18 +537,10 @@ class ClusterEngine(ObservedOps):
             )
 
     def _ship_retire(self, uid: int) -> None:
-        self._snap_sources.pop(uid, None)
-        if self.replicas is not None:
-            self.replicas.retire(uid)
         if self._resident:
             self.executor.retire_shard(uid)
 
     def _ship_delta(self, shard_id: int, delta: tuple) -> None:
-        # The first delta makes any restore-time snapshot stale for
-        # this shard: replicas must build from the live payload again.
-        self._snap_sources.pop(self.shard_uids[shard_id], None)
-        if self.replicas is not None:
-            self.replicas.on_delta(self.shard_uids[shard_id], delta)
         if self._resident:
             self.executor.apply_delta(self.shard_uids[shard_id], delta)
 
@@ -623,34 +597,6 @@ class ClusterEngine(ObservedOps):
             yield
         finally:
             self._wal_suspended = previous
-
-    # ------------------------------------------------------------------
-    # Hot-shard read replicas
-    # ------------------------------------------------------------------
-
-    def attach_replicas(self, replica_set) -> None:
-        """Attach a :class:`repro.serve.ReplicaSet` to this cluster.
-
-        The set rides the same routed-delta stream the resident
-        executor does (:meth:`_ship_delta` / :meth:`_ship_retire`), so
-        replicas stay in sync however updates arrive; shard folds
-        consult it after a shared-cache miss and fall back to the
-        primary whenever the replica is absent or stale.
-        """
-        with self._serve_lock:
-            if self.replicas is not None:
-                raise InvalidParameterError(
-                    "a ReplicaSet is already attached; detach it first"
-                )
-            self.replicas = replica_set
-            replica_set.bind(self)
-
-    def detach_replicas(self) -> None:
-        """Drop the attached replica set (a no-op when none is)."""
-        with self._serve_lock:
-            replicas, self.replicas = self.replicas, None
-            if replicas is not None:
-                replicas.unbind()
 
     # ------------------------------------------------------------------
     # Column management
@@ -755,8 +701,7 @@ class ClusterEngine(ObservedOps):
             epoch=uuid.uuid4().hex,
             updates_since_stat={s: 0 for s in range(self.num_shards)},
         )
-        # Register the metadata before building: the worker shipments
-        # below read the column's epoch through it.  The unwind path
+        # Register the metadata before building; the unwind path
         # removes it again, so a failed add_column still leaves the
         # name unclaimed.
         self.columns[name] = meta
@@ -854,8 +799,8 @@ class ClusterEngine(ObservedOps):
                 shard.drop_column(name)
                 self._ship_delta(shard_id, ("drop_column", name))
             # Fold keys span columns, so no prefix names this column's
-            # folds alone: the whole fold namespace goes with it.
-            self.shared_cache.invalidate(column=FOLDS)
+            # folds alone: every fold entry goes with it.
+            self.shared_cache.invalidate()
             del self.columns[name]
             self.mutations += 1
             self._log(("drop_column", name))
@@ -1013,7 +958,7 @@ class ClusterEngine(ObservedOps):
         )
 
     def _fold_key(self, shard_id: int, payload: tuple):
-        """One shard fold's shared-cache key, and its columns' versions.
+        """One shard fold's shared-cache key.
 
         The :func:`~repro.cluster.cache.fold_key` carries the shard
         uid, the specialized payload and every read column's epoch and
@@ -1021,24 +966,21 @@ class ClusterEngine(ObservedOps):
         makes the entry unreachable.
         """
         engine = self.shards[shard_id]
-        versions = {col: engine.column(col).version for col in payload[1]}
-        key = fold_key(
+        return fold_key(
             self.shard_uids[shard_id], payload,
             tuple(
-                (col, self.columns[col].epoch, version)
-                for col, version in versions.items()
+                (col, self.columns[col].epoch, engine.column(col).version)
+                for col in payload[1]
             ),
         )
-        return key, versions
 
     def _submit_fold(self, shard_id: int, payload: tuple, trace):
         """Launch one shard's fold; resolves to ``(value, io, span)``.
 
-        The shared cache is consulted first, here at the coordinator,
-        then a fresh hot-shard replica; either hit records a
-        synchronous event and resolves at once, span slot ``None`` —
-        a cache hit sends no message and reads no bits.  A miss runs
-        :func:`~repro.cluster.worker.fold_shard` — the resident
+        The shared cache is consulted first, here at the coordinator;
+        a hit records a synchronous event and resolves at once, span
+        slot ``None`` — it sends no message and reads no bits.  A miss
+        runs :func:`~repro.cluster.worker.fold_shard` — the resident
         worker's ``fold`` op, or a local executor task against this
         process's own shard engine, so value and measured I/O are
         executor-independent — and its value enters the shared cache,
@@ -1050,7 +992,7 @@ class ClusterEngine(ObservedOps):
         """
         uid = self.shard_uids[shard_id]
         mode = payload[0]
-        key, versions = self._fold_key(shard_id, payload)
+        key = self._fold_key(shard_id, payload)
         hit = self.shared_cache.get(key)
         if hit is not None:
             trace.event(
@@ -1058,16 +1000,6 @@ class ClusterEngine(ObservedOps):
                 shard_uid=uid, bits_read=0,
             )
             return CompletedFuture((fold_value(mode, hit), Snapshot(), None))
-        if self.replicas is not None:
-            replica = self.replicas.fold(uid, payload, versions)
-            if replica is not None:
-                value, io = replica
-                self.shared_cache.put(key, fold_entry(mode, value))
-                trace.event(
-                    "replica_fold", mode=mode, shard_uid=uid,
-                    bits_read=io.bits_read,
-                )
-                return CompletedFuture((value, io, None))
 
         def absorb(reply: tuple) -> tuple:
             self.shared_cache.put(key, fold_entry(mode, reply[0]))
@@ -1391,7 +1323,7 @@ class ClusterEngine(ObservedOps):
             if root[0] in (EMPTY, ALL):
                 cached.append(None)
                 continue
-            key, _ = self._fold_key(
+            key = self._fold_key(
                 shard_id, ("select", plan.columns, leaves, root, None)
             )
             cached.append(key in self.shared_cache)
@@ -1571,7 +1503,7 @@ class ClusterEngine(ObservedOps):
                 plans.append(None)
                 continue
             payload = ("select", (name,), ((name, *local),), (LEAF, 0), None)
-            key, _ = self._fold_key(shard_id, payload)
+            key = self._fold_key(shard_id, payload)
             plan = shard.plan(name, *local)
             plans.append(replace(plan, cached=key in self.shared_cache))
         return plans
@@ -1655,10 +1587,8 @@ class ClusterEngine(ObservedOps):
         per-shard rows/heat/backends, the shared cache's tier
         counters, lifecycle history lengths, and, when attached, the
         metrics registry dump and slow-query-log depth.  Resident
-        executors contribute their ``worker_deaths`` count; an
-        attached :class:`~repro.serve.ReplicaSet` contributes its
-        ``stats().to_dict()`` snapshot.  Call ``.to_dict()`` to feed
-        ``json.dumps``.
+        executors contribute their ``worker_deaths`` count.  Call
+        ``.to_dict()`` to feed ``json.dumps``.
         """
         with self._serve_lock:
             return self._stats_impl()
@@ -1714,11 +1644,6 @@ class ClusterEngine(ObservedOps):
                 len(self.slow_log) if self.slow_log is not None else 0
             ),
             worker_deaths=getattr(self.executor, "worker_deaths", 0),
-            replicas=(
-                self.replicas.stats().to_dict()
-                if self.replicas is not None
-                else None
-            ),
         )
 
     # ------------------------------------------------------------------
@@ -2018,8 +1943,6 @@ class ClusterEngine(ObservedOps):
                 engine.cache.invalidate()
                 for column in engine.columns.values():
                     column.flush_disk_cache()
-            if self.replicas is not None:
-                self.replicas.drop_caches()
             if self._resident:
                 # One broadcast per worker, not one delta per shard.
                 self.executor.drop_caches_all()
@@ -2063,8 +1986,6 @@ class ClusterEngine(ObservedOps):
             wal = self.detach_wal()
             if wal is not None:
                 wal.close()
-            if self.replicas is not None:
-                self.replicas.close()
             if self._resident:
                 for uid in self.shard_uids:
                     try:
@@ -2230,7 +2151,7 @@ class ClusterEngine(ObservedOps):
                 meta.shard_pins, shard_id, 1,
                 [_ABSENT, _ABSENT] if pin is None else [pin, pin],
             )
-        self.shared_cache.invalidate(column=FOLDS, shard_id=old_uid)
+        self.shared_cache.invalidate(old_uid)
         self._ship_retire(old_uid)
         self._ship_build(shard_id)
         self._ship_build(shard_id + 1)
@@ -2308,7 +2229,7 @@ class ClusterEngine(ObservedOps):
                 meta.shard_pins, left_id, 2, [keep]
             )
         for uid in old_uids:
-            self.shared_cache.invalidate(column=FOLDS, shard_id=uid)
+            self.shared_cache.invalidate(uid)
             self._ship_retire(uid)
         self._ship_build(left_id)
         self._refresh_plan()

@@ -429,12 +429,10 @@ def _pack_codes_flat(columns: list) -> tuple[array, list]:
     """
     codes = array("q")
     metas = []
-    for (name, col_codes, sigma, dyn, sel, exact, delete, backend,
-         *rest) in columns:
+    for name, col_codes, sigma, dyn, sel, exact, delete, backend in columns:
         codes.extend(-1 if c is None else c for c in col_codes)
         metas.append(
-            (name, len(col_codes), sigma, dyn, sel, exact, delete, backend,
-             *rest)
+            (name, len(col_codes), sigma, dyn, sel, exact, delete, backend)
         )
     return codes, metas
 
@@ -507,7 +505,6 @@ class ProcessExecutor:
         max_workers: int = 4,
         start_method: str | None = None,
         shutdown_timeout_s: float = 10.0,
-        cache_store=None,
     ) -> None:
         if max_workers <= 0:
             raise InvalidParameterError("max_workers must be >= 1")
@@ -557,9 +554,6 @@ class ProcessExecutor:
         #: flush sizes are observed into ``delta.flush_size`` when
         #: attached (``None`` costs one attribute check per flush).
         self.metrics = None
-        self.cache_store = None
-        if cache_store is not None:
-            self.attach_cache_store(cache_store)
 
     def reset_op_counts(self) -> None:
         """Zero :attr:`op_counts` — the *only* way it ever resets.
@@ -664,12 +658,7 @@ class ProcessExecutor:
         return worker.call(("snap", uid, path))
 
     def rehydrate_shard(
-        self,
-        uid: int,
-        path: str,
-        cache_size: int,
-        latency_s: float,
-        epochs: dict,
+        self, uid: int, path: str, cache_size: int, latency_s: float
     ) -> None:
         """Adopt one restored shard from its snapshot file — no rebuild.
 
@@ -682,22 +671,9 @@ class ProcessExecutor:
         if uid in self._by_uid:
             raise InvalidParameterError(f"shard uid {uid} already resident")
         worker = min(self._workers, key=lambda w: (len(w.uids), w.index))
-        worker.call(("rehydrate", uid, path, cache_size, latency_s, epochs))
+        worker.call(("rehydrate", uid, path, cache_size, latency_s))
         worker.uids.add(uid)
         self._by_uid[uid] = worker
-
-    def attach_cache_store(self, store) -> None:
-        """Broadcast a durable result store to every worker.
-
-        ``store`` must be picklable (``repro.persist.FileCacheStore``
-        is by construction); workers consult it before decoding index
-        pages and feed it on every miss.  Workers started later do not
-        exist — the pool is fixed at construction — so one broadcast
-        covers the executor's lifetime.
-        """
-        for worker in self._workers:
-            worker.call(("cache_store", store))
-        self.cache_store = store
 
     # ------------------------------------------------------------------
     # Routed deltas (batched)

@@ -71,7 +71,6 @@ import time
 from array import array
 from multiprocessing import resource_tracker, shared_memory
 
-from ..core.interface import RangeResult
 from ..engine.engine import QueryEngine
 from ..engine.registry import get_spec
 from ..errors import InvalidParameterError
@@ -84,7 +83,6 @@ from ..query import (
     evaluate_fetch,
     resolve_universe,
 )
-from .cache import shared_key
 
 #: Fold payload: (mode, columns, leaves, root, group) — a shard-local
 #: compiled plan (leaves already translated onto this shard's
@@ -93,40 +91,18 @@ from .cache import shared_key
 #: (count_by) or the sorted shard-local answer positions (select).
 
 
-def read_range(
-    engine: QueryEngine, name: str, lo: int, hi: int, store=None, key=None
-) -> tuple[RangeResult, Snapshot, bool]:
-    """One measured range read of a shard: answer, I/O, store hit.
-
-    With a durable ``store`` and its ``key``, a stored answer is
-    served for zero bits and a decoded one feeds the store.  Every
-    shard read goes through here — :func:`fetch_range` and the leaves
-    of a fold alike — so a store serves both.
-    """
-    stored = store.get(key) if key is not None else None
-    if stored is not None:
-        universe = engine.column(name).n
-        return RangeResult(list(stored), universe), Snapshot(), True
-    result, io = engine.query_measured(name, lo, hi)
-    if key is not None:
-        store.put(key, result.positions())
-    return result, io, False
-
-
 def evaluate_shard_fold(
-    engine: QueryEngine, payload: tuple, key_of=None, store=None
+    engine: QueryEngine, payload: tuple
 ) -> tuple["int | bool | dict[int, int] | list[int]", Snapshot]:
     """Fold one shard-local plan, resident-side.
 
-    Shared verbatim by every fold — :func:`fold_shard` under any
-    executor, and hot-shard replicas — so the value a shard reports,
-    and its measured I/O, is executor-independent.  Workers do not
-    hold the shared result cache: the coordinator consults it before
-    submitting a fold and stores the value this returns
-    (``ClusterEngine._submit_fold``).  Inside the fold only the
-    engine's own LRU — and a worker's durable ``store``, whose key
-    per leaf ``key_of(column, lo, hi)`` names — serves repeated
-    leaves, so every executor reads the same bits.
+    The body of :func:`fold_shard` under every executor, so the value
+    a shard reports, and its measured I/O, is executor-independent.
+    Workers do not hold the shared result cache: the coordinator
+    consults it before submitting a fold and stores the value this
+    returns (``ClusterEngine._submit_fold``).  Inside the fold only
+    the engine's own LRU serves repeated leaves, so every executor
+    reads the same bits.
     """
     mode, columns, leaves, root, group = payload
     plan = Plan(
@@ -140,8 +116,7 @@ def evaluate_shard_fold(
 
     def fetch(col: str, lo: int, hi: int):
         nonlocal total
-        key = key_of(col, lo, hi) if key_of is not None else None
-        result, io, _ = read_range(engine, col, lo, hi, store, key)
+        result, io = engine.query_measured(col, lo, hi)
         total = total + io
         return result
 
@@ -212,14 +187,13 @@ def shard_span(
 
 def fetch_range(
     engine: QueryEngine, uid: int, name: str, lo: int, hi: int,
-    trace: str | None, clock, kind: str, store=None, key=None,
+    trace: str | None, clock, kind: str,
 ) -> tuple[list[int], Snapshot, "dict | None"]:
     """One measured range read of a shard: positions, I/O, span.
 
     The body of a worker's ``query``/``leaves`` ops (span
-    ``worker_query``), read through :func:`read_range`.  The span's
-    ``cache`` tag says where the answer came from: ``store``, the
-    engine LRU (``hit``), or the index (``miss``).
+    ``worker_query``).  The span's ``cache`` tag says where the answer
+    came from: the engine LRU (``hit``) or the index (``miss``).
     """
     if trace is not None:
         t0 = clock()
@@ -227,43 +201,44 @@ def fetch_range(
         # Peek: __contains__ skips the LRU counters, so tagging the
         # verdict never perturbs the stats the real lookup records.
         hit = (name, col.version, lo, hi) in engine.cache
-    result, io, stored = read_range(engine, name, lo, hi, store, key)
+    result, io = engine.query_measured(name, lo, hi)
     positions = result.positions()
     if trace is None:
         return positions, io, None
-    cache = "store" if stored else "hit" if hit else "miss"
     return positions, io, shard_span(
         kind, trace, t0, clock(), uid, io, column=name, char_lo=lo,
-        char_hi=hi, backend=col.spec.name, cache=cache,
+        char_hi=hi, backend=col.spec.name, cache="hit" if hit else "miss",
         rids=len(positions),
     )
 
 
 def fold_shard(
     engine: QueryEngine, uid: int, payload: tuple, trace: str | None,
-    clock, kind: str, key_of=None, store=None,
+    clock, kind: str,
 ) -> tuple[object, Snapshot, "dict | None"]:
     """One shard's fold: value, I/O, span.
 
     The body of a worker's ``fold`` op (span ``worker_fold``) and of a
-    local executor's fold task (``shard_fold``); ``key_of`` and
-    ``store`` reach :func:`evaluate_shard_fold`.
+    local executor's fold task (``shard_fold``).  The span's
+    ``lru_hits``/``lru_misses`` tags count what the engine LRU
+    answered: every leaf, group leaves included, makes exactly one
+    ``cache.get``, so the counters' delta over the fold is exact.
     """
     if trace is not None:
         t0 = clock()
-    value, io = evaluate_shard_fold(engine, payload, key_of, store)
+        cache = engine.cache
+        hits, misses = cache.hits, cache.misses
+    value, io = evaluate_shard_fold(engine, payload)
     if trace is None:
         return value, io, None
     return value, io, shard_span(
-        kind, trace, t0, clock(), uid, io, mode=payload[0]
+        kind, trace, t0, clock(), uid, io, mode=payload[0],
+        lru_hits=cache.hits - hits, lru_misses=cache.misses - misses,
     )
 
 #: Build payload: (cache_size, io_latency_s, [column payload, ...]).
 #: Column payload: (name, codes, sigma, dynamism, expected_selectivity,
-#: require_exact, require_delete, backend_name[, epoch]).  The optional
-#: trailing epoch is the column's cluster-level incarnation stamp —
-#: durable cache-store keys carry it; payloads without one (older
-#: producers, tests) default to "" and simply never match a store.
+#: require_exact, require_delete, backend_name).
 
 
 def _apply_latency(engine: QueryEngine, latency_s: float) -> None:
@@ -271,8 +246,8 @@ def _apply_latency(engine: QueryEngine, latency_s: float) -> None:
         column.index.disk.latency_s = latency_s
 
 
-def _add_column(engine: QueryEngine, column_payload: tuple) -> str:
-    """Build one payload column into ``engine``; returns its epoch."""
+def _add_column(engine: QueryEngine, column_payload: tuple) -> None:
+    """Build one payload column into ``engine``."""
     (
         name,
         codes,
@@ -282,7 +257,6 @@ def _add_column(engine: QueryEngine, column_payload: tuple) -> str:
         require_exact,
         require_delete,
         backend,
-        *rest,
     ) = column_payload
     engine.add_column(
         name,
@@ -294,7 +268,6 @@ def _add_column(engine: QueryEngine, column_payload: tuple) -> str:
         require_delete=require_delete,
         backend=backend,
     )
-    return rest[0] if rest else ""
 
 
 class ShardHost:
@@ -306,20 +279,9 @@ class ShardHost:
     :func:`fetch_range` / :func:`fold_shard`.
     """
 
-    def __init__(self, clock=None, cache_store=None) -> None:
+    def __init__(self, clock=None) -> None:
         self.engines: dict[int, QueryEngine] = {}
         self.latencies: dict[int, float] = {}
-        #: Per-shard column epochs (incarnation stamps): durable
-        #: cache-store keys carry them, so a re-added or re-epoched
-        #: column can never read a predecessor's persisted results.
-        self.epochs: dict[int, dict[str, str]] = {}
-        #: Optional durable result store
-        #: (:class:`repro.persist.FileCacheStore` or any
-        #: :class:`~repro.cluster.cache.CacheStore`): consulted on
-        #: every range read *before* decoding index pages, fed on
-        #: every miss.  Version-stamped keys make staleness impossible
-        #: — a mutated column's old entries simply stop matching.
-        self.cache_store = cache_store
         self.clock = clock if clock is not None else time.monotonic
 
     def _engine(self, uid: int) -> QueryEngine:
@@ -333,18 +295,15 @@ class ShardHost:
     def build(self, uid: int, payload: tuple) -> None:
         cache_size, latency_s, columns = payload
         engine = QueryEngine(cache_size=cache_size)
-        epochs: dict[str, str] = {}
         for column_payload in columns:
-            epochs[column_payload[0]] = _add_column(engine, column_payload)
+            _add_column(engine, column_payload)
         _apply_latency(engine, latency_s)
         self.engines[uid] = engine
         self.latencies[uid] = latency_s
-        self.epochs[uid] = epochs
 
     def retire(self, uid: int) -> None:
         self.engines.pop(uid, None)
         self.latencies.pop(uid, None)
-        self.epochs.pop(uid, None)
 
     def snap(self, uid: int, path: str) -> int:
         """Write one resident shard's snapshot to ``path`` (checkpoint).
@@ -362,21 +321,13 @@ class ShardHost:
         return len(engine.columns)
 
     def rehydrate(
-        self,
-        uid: int,
-        path: str,
-        cache_size: int,
-        latency_s: float,
-        epochs: dict,
+        self, uid: int, path: str, cache_size: int, latency_s: float
     ) -> None:
         """Adopt a shard from its snapshot file — no index rebuild.
 
         The mirror image of :meth:`build` for restores: the engine is
         mmap-loaded from ``path`` (index pages fault in on demand), so
         bringing a worker back costs file opens, not construction.
-        ``epochs`` carries the restored columns' incarnation stamps so
-        durable cache-store entries from before the restart keep
-        matching.
         """
         from ..persist.snapshot import load_shard_engine  # late: cycle
 
@@ -388,7 +339,6 @@ class ShardHost:
             column.apply_latency(latency_s)
         self.engines[uid] = engine
         self.latencies[uid] = latency_s
-        self.epochs[uid] = dict(epochs)
 
     def delta(self, uid: int, delta: tuple) -> None:
         engine = self._engine(uid)
@@ -411,12 +361,10 @@ class ShardHost:
             engine.cache.invalidate(lambda key: key[0] == name)
             _apply_latency(engine, self.latencies.get(uid, 0.0))
         elif op == "add_column":
-            epoch = _add_column(engine, delta[1])
-            self.epochs.setdefault(uid, {})[delta[1][0]] = epoch
+            _add_column(engine, delta[1])
             _apply_latency(engine, self.latencies.get(uid, 0.0))
         elif op == "drop_column":
             engine.drop_column(delta[1])
-            self.epochs.get(uid, {}).pop(delta[1], None)
         elif op == "set_latency":
             self.latencies[uid] = delta[1]
             _apply_latency(engine, delta[1])
@@ -444,17 +392,6 @@ class ShardHost:
             for column in engine.columns.values():
                 column.index.disk.flush_cache()
 
-    def _store_key(self, uid: int, engine: QueryEngine, name, lo, hi):
-        """The durable store key of one range, or ``None`` for none."""
-        if self.cache_store is None:
-            return None
-        epoch = self.epochs.get(uid, {}).get(name)
-        if not epoch:
-            # No incarnation stamp means no safe durable key: the
-            # payload predates epochs, or the column is local-only.
-            return None
-        return shared_key(name, epoch, uid, engine.column(name).version, lo, hi)
-
     def query(
         self,
         uid: int,
@@ -464,11 +401,9 @@ class ShardHost:
         trace: str | None = None,
     ) -> tuple:
         """One measured range query: ``(positions, Snapshot, span)``."""
-        engine = self._engine(uid)
         return fetch_range(
-            engine, uid, name, char_lo, char_hi, trace, self.clock,
-            "worker_query", self.cache_store,
-            self._store_key(uid, engine, name, char_lo, char_hi),
+            self._engine(uid), uid, name, char_lo, char_hi, trace,
+            self.clock, "worker_query",
         )
 
     def leaves(
@@ -494,14 +429,11 @@ class ShardHost:
         The whole plan executes against the resident engine and only
         the fold — count, existence bit, per-group counts, or the
         shard's select answer — crosses the pipe with its I/O snapshot
-        and span.  Leaf reads consult the durable store, if attached,
-        under the keys a ``query`` op would use.
+        and span.
         """
-        engine = self._engine(uid)
         return fold_shard(
-            engine, uid, payload, trace, self.clock, "worker_fold",
-            lambda name, lo, hi: self._store_key(uid, engine, name, lo, hi),
-            self.cache_store,
+            self._engine(uid), uid, payload, trace, self.clock,
+            "worker_fold",
         )
 
     def io_totals(self) -> Snapshot:
@@ -566,15 +498,13 @@ def _unpack_build_shm(
         shm.close()
     columns = []
     offset = 0
-    for (col_name, count, sigma, dyn, sel, exact, delete, backend,
-         *rest) in metas:
+    for col_name, count, sigma, dyn, sel, exact, delete, backend in metas:
         col_codes = [
             None if c < 0 else c for c in codes[offset : offset + count]
         ]
         offset += count
         columns.append(
-            (col_name, col_codes, sigma, dyn, sel, exact, delete, backend,
-             *rest)
+            (col_name, col_codes, sigma, dyn, sel, exact, delete, backend)
         )
     return (cache_size, latency_s, columns)
 
@@ -665,9 +595,6 @@ def shard_worker_main(conn) -> None:
                 reply = host.snap(message[1], message[2])
             elif op == "rehydrate":
                 host.rehydrate(*message[1:])
-                reply = None
-            elif op == "cache_store":
-                host.cache_store = message[1]
                 reply = None
             else:
                 raise InvalidParameterError(f"unknown worker op {op!r}")

@@ -12,7 +12,6 @@ from .stats import (
     ColumnStats,
     EngineStats,
     FrontEndStats,
-    ReplicaSetStats,
     TableStats,
 )
 from .tracer import NULL_TRACE, ManualClock, Span, Trace, Tracer
@@ -28,7 +27,6 @@ __all__ = [
     "Histogram",
     "ManualClock",
     "MetricsRegistry",
-    "ReplicaSetStats",
     "SlowQuery",
     "SlowQueryLog",
     "Span",

@@ -22,7 +22,6 @@ __all__ = [
     "ColumnStats",
     "EngineStats",
     "FrontEndStats",
-    "ReplicaSetStats",
     "TableStats",
 ]
 
@@ -136,41 +135,6 @@ class FrontEndStats:
             "inflight": self.inflight,
             "inflight_peak": self.inflight_peak,
             "max_inflight": self.max_inflight,
-        }
-
-
-@dataclass(frozen=True)
-class ReplicaSetStats:
-    """One ``ReplicaSet.stats()`` snapshot.
-
-    ``resident`` lists the shard uids currently replicated;
-    ``hits``/``stale``/``absent`` classify fetch consults (a stale
-    consult found the uid resident but version-fenced behind the
-    primary — the caller fell back); ``builds``/``retires``/
-    ``refreshes`` count membership churn.
-    """
-
-    capacity: int
-    resident: tuple[int, ...]
-    hits: int
-    stale: int
-    absent: int
-    builds: int
-    retires: int
-    refreshes: int
-    deltas: int
-
-    def to_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "resident": list(self.resident),
-            "hits": self.hits,
-            "stale": self.stale,
-            "absent": self.absent,
-            "builds": self.builds,
-            "retires": self.retires,
-            "refreshes": self.refreshes,
-            "deltas": self.deltas,
         }
 
 

@@ -17,9 +17,6 @@ Three cooperating pieces:
   ``applied_seq`` replay fencing, and the background
   :class:`Checkpointer` policy.
 
-Plus :class:`FileCacheStore`, the durable implementation of the
-shared result cache's external-store protocol.
-
 ``python -m repro.persist inspect <dir>`` prints a human-readable
 audit of a durable directory (manifest, per-snapshot sections, WAL
 length, checksum verdicts).
@@ -44,7 +41,6 @@ from .snapshot import (
     unflatten_codes,
     write_shard_snapshot,
 )
-from .store import FileCacheStore
 from .wal import DeltaLog, wal_segments
 
 __all__ = [
@@ -52,7 +48,6 @@ __all__ = [
     "CheckpointPolicy",
     "Checkpointer",
     "DeltaLog",
-    "FileCacheStore",
     "SnapshotFile",
     "checkpoint_cluster",
     "current_manifest",

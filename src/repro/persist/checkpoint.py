@@ -373,20 +373,11 @@ def restore_cluster(
     }
     if cluster.columns:
         cluster._refresh_plan()
-    for shard_id, path in enumerate(snap_paths):
-        uid = cluster.shard_uids[shard_id]
-        if resident:
-            epochs = {
-                col_name: meta.epoch
-                for col_name, meta in cluster.columns.items()
-            }
+    if resident:
+        for uid, path in zip(cluster.shard_uids, snap_paths):
             cluster.executor.rehydrate_shard(
-                uid, path, cluster.cache_size, cluster.io_latency_s, epochs
+                uid, path, cluster.cache_size, cluster.io_latency_s
             )
-        # Replicas can rehydrate from the same snapshot — until the
-        # first delta or retirement touches the shard, at which point
-        # the source goes stale and is dropped (see _ship_delta).
-        cluster._snap_sources[uid] = path
     applied_seq = manifest["applied_seq"]
     log, records = DeltaLog.open(
         os.path.join(directory, WAL_DIRNAME), sync=wal_sync

@@ -2,13 +2,12 @@
 
 A :class:`DeltaLog` records every answer-changing *logical* operation
 a cluster performs — the same routed-delta vocabulary the
-``ProcessExecutor`` and ``ReplicaSet`` already speak, lifted to
-cluster scope (global positions, column DDL, lifecycle ops).  Derived
-work is deliberately **not** logged: drift auto-migrations and
-auto-splits are deterministic functions of the logical stream given
-the same advisor, so replay re-derives them — the log stays small and
-a replayed cluster converges to the identical shard set and backend
-verdicts.
+``ProcessExecutor`` already speaks, lifted to cluster scope (global
+positions, column DDL, lifecycle ops).  Derived work is deliberately
+**not** logged: drift auto-migrations and auto-splits are
+deterministic functions of the logical stream given the same advisor,
+so replay re-derives them — the log stays small and a replayed
+cluster converges to the identical shard set and backend verdicts.
 
 Wire format, one file per segment::
 

@@ -1,26 +1,18 @@
 """The asyncio serving tier: front-end coordination over clusters.
 
-Two pieces, composable and independently usable:
-
-* :class:`FrontEnd` — an asyncio coordinator that accepts concurrent
-  read requests and multiplexes them onto one or more
-  :class:`~repro.cluster.engine.ClusterEngine` s through a bounded
-  worker-thread bridge, with single-flight coalescing (keyed by the
-  normalized-plan fingerprint, fenced by the engines' mutation
-  counters), reject-newest admission control with typed
-  :class:`~repro.errors.Overloaded` / :class:`~repro.errors.\
+:class:`FrontEnd` is an asyncio coordinator that accepts concurrent
+read requests and multiplexes them onto one or more
+:class:`~repro.cluster.engine.ClusterEngine` s through a bounded
+worker-thread bridge, with single-flight coalescing (keyed by the
+normalized-plan fingerprint, fenced by the engines' mutation
+counters), reject-newest admission control with typed
+:class:`~repro.errors.Overloaded` / :class:`~repro.errors.\
 RequestTimeout`, and per-outcome metrics.
-* :class:`ReplicaSet` — up to N RAM-resident, version-fenced read
-  replicas of the hottest shards, attached via
-  :meth:`ClusterEngine.attach_replicas`, kept in sync by the same
-  routed-delta stream the resident executor rides, and consulted by
-  the scatter path after a shared-cache miss.
 
 See ``README.md`` in this package for architecture, knobs, and
 failure modes.
 """
 
 from .frontend import FrontEnd
-from .replicas import ReplicaSet
 
-__all__ = ["FrontEnd", "ReplicaSet"]
+__all__ = ["FrontEnd"]

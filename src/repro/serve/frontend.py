@@ -8,7 +8,7 @@ blocking the event loop — every engine call crosses a bounded
 worker-thread bridge (``loop.run_in_executor``), and the engines'
 internal serve lock makes the concurrent bridge calls safe.
 
-Three independently switchable mechanisms, each metered:
+Two independently switchable mechanisms, each metered:
 
 **Single-flight coalescing** (``coalesce=True``).  Requests are keyed
 by ``(op, plan fingerprint, extras, mutation fence)`` — the
@@ -33,11 +33,6 @@ Followers ride their leader's slot.  A per-request deadline
 :class:`~repro.errors.RequestTimeout`; the leader's work is shielded,
 so a follower's timeout or disconnect never cancels the shared
 execution.
-
-**Hot-shard read replicas** (``replica_refresh_every``).  Engines
-with an attached :class:`~repro.serve.ReplicaSet` get their replica
-membership refreshed every N completed executions, keeping the
-replicated set tracking the observed heat.
 
 Every admitted request resolves exactly once — a value or a typed
 error — and ``drain()`` / ``close()`` settle all in-flight work, so
@@ -94,7 +89,6 @@ class FrontEnd:
         coalesce: bool = True,
         metrics=None,
         tracer=None,
-        replica_refresh_every: int | None = None,
     ) -> None:
         engines = (
             [engines] if not isinstance(engines, (list, tuple))
@@ -106,17 +100,12 @@ class FrontEnd:
             raise InvalidParameterError("max_inflight must be >= 1")
         if timeout_s is not None and timeout_s <= 0:
             raise InvalidParameterError("timeout_s must be > 0")
-        if replica_refresh_every is not None and replica_refresh_every < 1:
-            raise InvalidParameterError(
-                "replica_refresh_every must be >= 1"
-            )
         self.engines = engines
         self.max_inflight = max_inflight
         self.timeout_s = timeout_s
         self.coalesce = coalesce
         self.metrics = metrics
         self.tracer = tracer
-        self.replica_refresh_every = replica_refresh_every
         self._pool = ThreadPoolExecutor(
             max_workers=(
                 max_workers
@@ -128,7 +117,6 @@ class FrontEnd:
         self._singleflight: dict[tuple, _Entry] = {}
         self._tasks: set[asyncio.Task] = set()
         self._engine_load = [0] * len(engines)
-        self._since_refresh = 0
         self._closed = False
         self.requests = 0
         self.admitted = 0
@@ -296,7 +284,6 @@ class FrontEnd:
             future.set_exception(error)
         else:
             future.set_result(value)
-            await self._maybe_refresh_replicas(loop)
 
     async def _await_result(self, op, entry, timeout_s):
         timeout = timeout_s if timeout_s is not None else self.timeout_s
@@ -330,18 +317,6 @@ class FrontEnd:
             # future resolved.
             value = value.copy()
         return value
-
-    async def _maybe_refresh_replicas(self, loop) -> None:
-        if self.replica_refresh_every is None:
-            return
-        self._since_refresh += 1
-        if self._since_refresh < self.replica_refresh_every:
-            return
-        self._since_refresh = 0
-        for engine in self.engines:
-            replicas = engine.replicas
-            if replicas is not None:
-                await loop.run_in_executor(self._pool, replicas.refresh)
 
     def _count(self, name: str) -> None:
         if self.metrics is not None:

@@ -10,7 +10,6 @@ from repro.cluster import (
     locate,
     offsets_of,
     plan_shards,
-    shared_key,
 )
 from repro.engine import Advisor, CostModel, WorkloadStats, get_spec
 from repro.errors import InvalidParameterError, QueryError, UpdateError
@@ -60,7 +59,7 @@ class TestShardPlan:
 class TestSharedCache:
     def test_get_put_roundtrip_returns_copy(self):
         cache = InMemorySharedCache(8)
-        key = shared_key("c", "e", 0, 0, 1, 3)
+        key = (0, "d", 0)
         cache.put(key, [1, 2, 3])
         got = cache.get(key)
         assert got == [1, 2, 3]
@@ -70,27 +69,44 @@ class TestSharedCache:
 
     def test_lru_eviction(self):
         cache = InMemorySharedCache(2)
-        cache.put(shared_key("c", "e", 0, 0, 0, 0), [0])
-        cache.put(shared_key("c", "e", 1, 0, 0, 0), [1])
-        cache.get(shared_key("c", "e", 0, 0, 0, 0))
-        cache.put(shared_key("c", "e", 2, 0, 0, 0), [2])
-        assert shared_key("c", "e", 1, 0, 0, 0) not in cache
+        cache.put((0, "d", 0), [0])
+        cache.put((1, "d", 0), [1])
+        cache.get((0, "d", 0))
+        cache.put((2, "d", 0), [2])
+        assert (1, "d", 0) not in cache
         assert cache.evictions == 1
 
-    def test_invalidate_by_column_and_shard(self):
+    def test_invalidate_by_shard_and_all(self):
         cache = InMemorySharedCache(8)
-        cache.put(shared_key("a", "e", 0, 0, 0, 0), [0])
-        cache.put(shared_key("a", "e", 1, 0, 0, 0), [1])
-        cache.put(shared_key("b", "e", 0, 0, 0, 0), [2])
-        assert cache.invalidate(column="a", shard_id=1) == 1
-        assert shared_key("a", "e", 0, 0, 0, 0) in cache
-        assert cache.invalidate(column="a") == 1
+        cache.put((0, "d", 0), [0])
+        cache.put((0, "f", 2), [1])
+        cache.put((1, "d", 0), [2])
+        assert cache.invalidate(0) == 2
+        assert (1, "d", 0) in cache
+        assert cache.invalidate(7) == 0
         assert len(cache) == 1
         assert cache.invalidate() == 1
 
+    def test_fold_key_digest_names_the_plan_and_epochs(self):
+        from repro.cluster.cache import fold_key
+
+        payload = ("count", ("a",), (("a", 1, 3),), ("leaf", 0), None)
+        key = fold_key(4, payload, (("a", "e1", 2),))
+        assert len(key) == 3 and key[0] == 4 and key[2] == 2
+        # A write moves only the version slot; a new incarnation of the
+        # column, or another plan over it, moves the digest.
+        assert fold_key(4, payload, (("a", "e1", 5),))[:2] == key[:2]
+        assert fold_key(4, payload, (("a", "e2", 2),))[1] != key[1]
+        exists = ("exists",) + payload[1:]
+        assert fold_key(4, exists, (("a", "e1", 2),))[1] != key[1]
+        # The version slot sums every read column's version.
+        pair = ("count", ("a", "b"), payload[2], ("leaf", 0), None)
+        versions = (("a", "e1", 2), ("b", "e3", 5))
+        assert fold_key(4, pair, versions)[2] == 7
+
     def test_zero_capacity_stores_nothing(self):
         cache = InMemorySharedCache(0)
-        cache.put(shared_key("c", "e", 0, 0, 0, 0), [0])
+        cache.put((0, "d", 0), [0])
         assert len(cache) == 0
 
     def test_minimal_external_cache_satisfies_the_cluster(self):
@@ -109,8 +125,8 @@ class TestSharedCache:
                 self.data[key] = list(positions)
 
         def folds(codes):
-            # Aggregate folds go through the same get/put: their keys
-            # have the same six slots and their values are int lists.
+            # Aggregate folds go through the same get/put: their
+            # values are int lists too.
             hits = [c for c in codes if 1 <= c <= 4]
             by_code = {c: hits.count(c) for c in set(hits)}
             for _ in range(2):  # the repeat is served by the cache
@@ -642,22 +658,37 @@ class TestCacheStores:
         from repro.cluster import DictStore
 
         store = DictStore(capacity=16)
-        store.put(shared_key("a", "e", 0, 0, 0, 0), [0])
-        store.put(shared_key("a", "e", 1, 0, 0, 0), [1])
-        store.put(shared_key("b", "e", 0, 0, 0, 0), [2])
-        # Keys are laid out (column, shard uid, ...), so both cluster
-        # invalidation granularities are literal prefixes.
-        assert store.invalidate_prefix(("a", 1)) == 1
-        assert store.invalidate_prefix(("a",)) == 1
+        store.put((0, "d", 0), [0])
+        store.put((0, "f", 1), [1])
+        store.put((1, "d", 0), [2])
+        # Keys are laid out (shard uid, digest, version), so both
+        # cluster invalidation granularities are literal prefixes.
+        assert store.invalidate_prefix((0, "f")) == 1
+        assert store.invalidate_prefix((0,)) == 1
         assert store.invalidate_prefix(()) == 1
         assert len(store) == 0
+
+    @pytest.mark.parametrize("kind", ["dict", "ttl"])
+    def test_store_round_trips_fold_entries(self, kind):
+        from repro.cluster import DictStore, TTLStore
+
+        store = DictStore(capacity=8) if kind == "dict" else TTLStore(60.0)
+        key = (7, "d", 3)
+        assert store.get(key) is None and key not in store
+        # A count, an empty select answer, a count_by's flat pairs.
+        for value in ([4], [], [1, 5, 2, 9]):
+            store.put(key, value)
+            assert store.get(key) == value and key in store
+        # Another version or another shard is another key.
+        assert store.get((7, "d", 4)) is None
+        assert store.get((8, "d", 3)) is None
 
     def test_ttl_store_expires_without_enumeration(self):
         from repro.cluster import TTLStore
 
         clock = [0.0]
         store = TTLStore(ttl_s=10.0, clock=lambda: clock[0])
-        key = shared_key("c", "e", 0, 0, 1, 3)
+        key = (0, "d", 0)
         store.put(key, [1, 2, 3])
         assert store.get(key) == [1, 2, 3]
         assert key in store
@@ -667,7 +698,7 @@ class TestCacheStores:
         assert store.expirations == 1
         # No key enumeration: prefix invalidation is an honest no-op.
         store.put(key, [4])
-        assert store.invalidate_prefix(("c",)) == 0
+        assert store.invalidate_prefix((0,)) == 0
         assert store.get(key) == [4]
 
     def test_ttl_store_len_excludes_expired_entries(self):
@@ -677,13 +708,13 @@ class TestCacheStores:
 
         clock = [0.0]
         store = TTLStore(ttl_s=10.0, clock=lambda: clock[0])
-        store.put(shared_key("a", "e", 0, 0, 0, 0), [1])
-        store.put(shared_key("b", "e", 0, 0, 0, 0), [2])
+        store.put((0, "d", 0), [1])
+        store.put((1, "d", 0), [2])
         assert len(store) == 2
         clock[0] = 11.0
         # Nothing swept or lazily dropped yet — still invisible.
         assert len(store) == 0
-        store.put(shared_key("c", "e", 0, 0, 0, 0), [3])
+        store.put((2, "d", 0), [3])
         assert len(store) == 1
 
     def test_ttl_store_counts_overwrite_expirations(self):
@@ -695,7 +726,7 @@ class TestCacheStores:
 
         clock = [0.0]
         store = TTLStore(ttl_s=5.0, clock=lambda: clock[0])
-        key = shared_key("c", "e", 0, 0, 1, 3)
+        key = (0, "d", 0)
         store.put(key, [1])
         clock[0] = 6.0
         store.put(key, [2])  # overwrite of an already-dead entry
@@ -720,9 +751,7 @@ class TestCacheStores:
         store = TTLStore(
             ttl_s=10.0, clock=lambda: clock[0], max_entries=2
         )
-        k1 = shared_key("a", "e", 0, 0, 0, 0)
-        k2 = shared_key("b", "e", 0, 0, 0, 0)
-        k3 = shared_key("c", "e", 0, 0, 0, 0)
+        k1, k2, k3 = (0, "d", 0), (1, "d", 0), (2, "d", 0)
         store.put(k1, [1])
         clock[0] = 1.0
         store.put(k2, [2])
@@ -741,11 +770,11 @@ class TestCacheStores:
         store = TTLStore(
             ttl_s=5.0, clock=lambda: clock[0], max_entries=2
         )
-        dead = shared_key("a", "e", 0, 0, 0, 0)
+        dead = (0, "d", 0)
         store.put(dead, [1])
         clock[0] = 6.0  # the first entry is now expired
-        store.put(shared_key("b", "e", 0, 0, 0, 0), [2])
-        store.put(shared_key("c", "e", 0, 0, 0, 0), [3])
+        store.put((1, "d", 0), [2])
+        store.put((2, "d", 0), [3])
         # The sweep reclaimed the dead entry; no live one was evicted.
         assert store.expirations == 1 and store.evictions == 0
         assert len(store) == 2
@@ -757,15 +786,14 @@ class TestCacheStores:
         store = TTLStore(
             ttl_s=10.0, clock=lambda: clock[0], max_entries=2
         )
-        k1 = shared_key("a", "e", 0, 0, 0, 0)
-        k2 = shared_key("b", "e", 0, 0, 0, 0)
+        k1, k2 = (0, "d", 0), (1, "d", 0)
         store.put(k1, [1])
         clock[0] = 1.0
         store.put(k2, [2])
         clock[0] = 2.0
         store.put(k1, [10])  # overwrite: k1 now expires *after* k2
         clock[0] = 3.0
-        store.put(shared_key("c", "e", 0, 0, 0, 0), [3])
+        store.put((2, "d", 0), [3])
         assert store.get(k2) is None  # k2 became soonest-expiring
         assert store.get(k1) == [10]
         assert store.evictions == 1
@@ -794,7 +822,8 @@ class TestCacheStores:
         from repro.cluster import TTLStore
 
         clock = [0.0]
-        cache = InMemorySharedCache(store=TTLStore(5.0, clock=lambda: clock[0]))
+        store = TTLStore(5.0, clock=lambda: clock[0])
+        cache = InMemorySharedCache(store=store)
         cluster = ClusterEngine(
             num_shards=2, shared_cache=cache, drift_window=None
         )
@@ -802,20 +831,15 @@ class TestCacheStores:
         cluster.add_column("c", x, 8, dynamism="fully_dynamic")
         model = list(x)
         assert cluster.query("c", 1, 4).positions() == brute_range(model, 1, 4)
+        # Shard 0's select fold: the entry the write below makes stale.
+        (stale,) = [k for k in store._data if k[0] == cluster.shard_uids[0]]
         cluster.change("c", 0, 7)
         model[0] = 7
         # The stale entry still sits in the store (invalidation is a
         # no-op there), yet can never be served again.
         assert cluster.query("c", 1, 4).positions() == brute_range(model, 1, 4)
-        before = len(cache)
+        assert stale in store and len(cache) == 3
         clock[0] = 6.0
-        stale = shared_key(
-            "c", cluster.columns["c"].epoch, cluster.shard_uids[0], 0, 1, 4
-        )
-        assert cache.get(stale) is None  # aged out
-        assert len(cache) < before or before == 0
-
-    def test_invalidate_requires_column_for_shard_scope(self):
-        cache = InMemorySharedCache(8)
-        with pytest.raises(InvalidParameterError):
-            cache.invalidate(shard_id=3)
+        assert stale not in store  # aged out
+        assert cache.get(stale) is None and len(cache) == 0
+        assert cluster.query("c", 1, 4).positions() == brute_range(model, 1, 4)

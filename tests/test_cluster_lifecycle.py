@@ -39,7 +39,6 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster import ClusterEngine
-from repro.cluster.cache import FOLDS
 from repro.engine import QueryEngine
 from repro.errors import InvalidParameterError, QueryError
 from repro.model.distributions import uniform
@@ -358,26 +357,23 @@ class ClusterLifecycleMachine(RuleBasedStateMachine):
 
     @invariant()
     def cached_entries_reference_live_uids_and_versions(self):
-        # The key lifecycle: every shared-cache key must carry a
-        # *current* shard uid (retired uids are evicted eagerly) and
-        # the column's live epoch, at a version no newer than the
-        # shard's (writes evict nothing; versions only grow, so an
-        # older key is never looked up again).
+        # The key lifecycle: every shared-cache key is a fold key,
+        # (shard uid, digest, version sum), and must carry a *current*
+        # shard uid (retired uids are evicted eagerly) at a version no
+        # newer than the shard's (writes evict nothing; versions only
+        # grow, so an older key is never looked up again).
         uids = self.cluster.shard_uids
         for key in list(self.cluster.shared_cache.store._lru._data):
-            name, uid, epoch, version = key[0], key[1], key[2], key[3]
+            assert len(key) == 3 and isinstance(key[1], str), key
+            uid, _, version = key
             assert uid in uids
             position = uids.index(uid)
-            if name == FOLDS:
-                # A fold key's digest hides which columns it read; the
-                # sum of their versions cannot pass the sum of all.
-                current = sum(
-                    self.cluster.shard_column(col, position).version
-                    for col in self.cluster.columns
-                )
-            else:
-                assert epoch == self.cluster.columns[name].epoch
-                current = self.cluster.shard_column(name, position).version
+            # The digest hides which columns the fold read; the sum of
+            # their versions cannot pass the sum of all.
+            current = sum(
+                self.cluster.shard_column(col, position).version
+                for col in self.cluster.columns
+            )
             assert version <= current
 
     @invariant()

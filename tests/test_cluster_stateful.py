@@ -44,7 +44,6 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster import ClusterEngine
-from repro.cluster.cache import FOLDS
 from repro.errors import QueryError
 from repro.query import And, Range
 
@@ -299,21 +298,19 @@ class ClusterCacheMachine(RuleBasedStateMachine):
         # (versions only grow, so they are never looked up again).
         # Keys carry stable uids and a split drops the retired uid's
         # entries eagerly, so none may reference a retired shard.
+        # Every key is a fold key: (shard uid, digest, version sum).
         uids = self.cluster.shard_uids
         for key in list(self.cluster.shared_cache.store._lru._data):
-            name, uid, epoch, version = key[0], key[1], key[2], key[3]
+            assert len(key) == 3 and isinstance(key[1], str), key
+            uid, _, version = key
             assert uid in uids
             position = uids.index(uid)
-            if name == FOLDS:
-                # A fold key's digest hides which columns it read; the
-                # sum of their versions cannot pass the sum of all.
-                current = sum(
-                    self.cluster.shard_column(col, position).version
-                    for col in self.cluster.columns
-                )
-            else:
-                assert epoch == self.cluster.columns[name].epoch
-                current = self.cluster.shard_column(name, position).version
+            # The digest hides which columns the fold read; the sum of
+            # their versions cannot pass the sum of all.
+            current = sum(
+                self.cluster.shard_column(col, position).version
+                for col in self.cluster.columns
+            )
             assert version <= current
 
     @invariant()

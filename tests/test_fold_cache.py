@@ -1,14 +1,13 @@
 """Aggregate folds in the coordinator's shared result cache.
 
 A shard's ``count``/``exists``/``count_by`` fold is cached under a fold
-key with the leaf key's six slots: the shard uid, a digest of the
-specialized plan and the read columns' epochs, and the sum of their
-versions.  Its value is a list of ints, so any store holds it.  A
-repeat at unchanged versions is answered at the coordinator — no pipe
-message, no bits — while a write makes only its own shard fold again.
-The fold entries live in the same tier as leaf answers, so a store
-that caches nothing turns them off too, and ``drop_caches`` empties
-them.
+key: the shard uid, a digest of the specialized plan and the read
+columns' epochs, and the sum of their versions.  Its value is a list
+of ints, so any store holds it.  A repeat at unchanged versions is
+answered at the coordinator — no pipe message, no bits — while a write
+makes only its own shard fold again.  The fold entries live in the
+same tier as select answers, so a store that caches nothing turns them
+off too, and ``drop_caches`` empties them.
 """
 
 import random
@@ -19,15 +18,14 @@ import pytest
 from repro.cluster import (
     CacheStore,
     ClusterEngine,
+    DictStore,
     InMemorySharedCache,
     ProcessExecutor,
     SerialExecutor,
     ThreadedExecutor,
     TTLStore,
 )
-from repro.cluster.cache import FOLDS
 from repro.obs import ManualClock, MetricsRegistry, Tracer
-from repro.persist import FileCacheStore
 from repro.query import And, In, Range
 
 SHARDS = 4
@@ -114,7 +112,7 @@ def window(cluster, fn):
 
 
 def fold_entries(cluster):
-    return [k for k in cluster.shared_cache.store._lru._data if k[0] == FOLDS]
+    return list(cluster.shared_cache.store._lru._data)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -201,17 +199,79 @@ def test_readded_column_never_serves_the_old_fold(executor_of, kind, store):
         cluster.close()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_stale_fold_entry_is_never_served(executor_of, kind):
+    # The coordinator trusts the value under a key it finds, so a
+    # forged value under shard 0's current key is what the next read
+    # answers.  A write to that shard moves its version sum: the
+    # forged entry stays in the store but is never served again.
+    cluster = make_cluster(executor_of(kind))
+    try:
+        want = window(cluster, OPS["count"])[0]
+        uid = cluster.shard_uids[0]
+        (key,) = [k for k in fold_entries(cluster) if k[0] == uid]
+        (value,) = cluster.shared_cache.get(key)
+        cluster.shared_cache.put(key, [value + 1000])
+        assert window(cluster, OPS["count"])[0] == want + 1000
+        lo, _ = cluster.plan_.slices()[0]
+        current = cluster.shards[0].column("a").codes[0]
+        cluster.change("a", lo, (current + 1) % 16)
+        answer, _, bits, hits, misses = window(cluster, OPS["count"])
+        assert answer == oracle(cluster, "count")
+        assert (hits, misses) == (SHARDS - 1, 1) and bits > 0
+        assert key in fold_entries(cluster)
+    finally:
+        cluster.close()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("op", ["select", "count_by"])
+def test_empty_fold_answer_is_a_hit(executor_of, kind, op):
+    # Every shard holds both codes of both columns, so neither leaf is
+    # pruned and each shard folds, yet no row has a == 0 and b == 1.
+    # The fold's entry is then the empty list, which must count as a
+    # hit: the repeat folds no shard, sends nothing and reads nothing.
+    tracer = Tracer(clock=ManualClock())
+    cluster = ClusterEngine(
+        num_shards=SHARDS, executor=executor_of(kind), drift_window=None,
+        tracer=tracer,
+    )
+    parity = [i % 2 for i in range(ROWS)]
+    cluster.add_column("a", parity, 2, dynamism="fully_dynamic")
+    cluster.add_column("b", parity, 2, dynamism="fully_dynamic")
+    pred = And(Range("a", 0, 0), Range("b", 1, 1))
+    fn = {
+        "select": lambda c: c.select(pred),
+        "count_by": lambda c: c.count_by("b", pred),
+    }[op]
+    try:
+        answer, _, bits, hits, misses = window(cluster, fn)
+        assert not answer and bits > 0 and (hits, misses) == (0, SHARDS)
+        assert all(
+            cluster.shared_cache.store._lru._data[k] == []
+            for k in fold_entries(cluster)
+        )
+        again, msgs, bits, hits, misses = window(cluster, fn)
+        assert again == answer
+        assert (msgs, bits, hits, misses) == (0, 0, SHARDS, 0)
+        trace = tracer.last()
+        assert len(trace.find("cache_lookup")) == SHARDS
+        assert not trace.find("shard_fold") and not trace.find("worker_fold")
+    finally:
+        cluster.close()
+
+
 def test_split_and_merge_drop_retired_fold_entries():
     cluster = make_cluster()
     window(cluster, OPS["count"])
     retired = cluster.shard_uids[1]
     cluster.split_shard(1)
-    uids = {k[1] for k in fold_entries(cluster)}
+    uids = {k[0] for k in fold_entries(cluster)}
     assert retired not in uids and uids <= set(cluster.shard_uids)
     assert window(cluster, OPS["count"])[0] == oracle(cluster, "count")
     left, right = cluster.shard_uids[1:3]
     cluster.merge_shards(1)
-    uids = {k[1] for k in fold_entries(cluster)}
+    uids = {k[0] for k in fold_entries(cluster)}
     assert not uids & {left, right}
     assert window(cluster, OPS["count"])[0] == oracle(cluster, "count")
 
@@ -263,9 +323,12 @@ def test_null_store_turns_fold_caching_off(executor_of, kind):
         cluster.close()
 
 
-@pytest.mark.parametrize("kind", ["serial", "process"])
-def test_file_cache_store_cluster_answers_folds(executor_of, kind, tmp_path):
-    store = FileCacheStore(str(tmp_path))
+@pytest.mark.parametrize("kind", KINDS)
+def test_caller_store_holds_folds_until_retired(executor_of, kind):
+    # A store the caller keeps a handle on: every fold answer lands in
+    # it and serves the repeat, a split drops the retired uid's
+    # entries from it by key prefix, and DDL empties it.
+    store = DictStore(capacity=64)
     shared = InMemorySharedCache(store=store)
     cluster = make_cluster(executor_of(kind), shared_cache=shared)
     try:
@@ -274,33 +337,15 @@ def test_file_cache_store_cluster_answers_folds(executor_of, kind, tmp_path):
             answer, msgs, bits, hits, misses = window(cluster, OPS[op])
             assert answer == oracle(cluster, op)
             assert (msgs, bits, misses) == (0, 0, 0) and hits > 0
-        # Retirement and DDL drop the fold entries from disk as well.
         retired = cluster.shard_uids[0]
         cluster.split_shard(0)
-        assert store.invalidate_prefix((FOLDS, retired)) == 0
-        assert store.invalidate_prefix((FOLDS,)) > 0
-        window(cluster, OPS["count"])
+        assert store.invalidate_prefix((retired,)) == 0
+        assert len(store) > 0
+        assert window(cluster, OPS["count"])[0] == oracle(cluster, "count")
         cluster.drop_column("a")
-        assert store.invalidate_prefix((FOLDS,)) == 0
+        assert len(store) == 0
     finally:
         cluster.close()
-
-
-def test_file_cache_store_keeps_one_version_per_key(tmp_path):
-    # The store has no LRU and writes evict nothing: each put unlinks
-    # the older versions in its directory, so entry files follow the
-    # live keys, not the number of writes.
-    store = FileCacheStore(str(tmp_path))
-    cluster = make_cluster(shared_cache=InMemorySharedCache(store=store))
-    row, _ = cluster.plan_.slices()[1]
-    for step in range(12):
-        cluster.change("a", row, step % 16)
-        a = [c for s in cluster.shards for c in s.column("a").codes]
-        want = [i for i, c in enumerate(a) if 3 <= c <= 11]
-        assert cluster.query("a", 3, 11).positions() == want
-        assert cluster.count(PRED) == oracle(cluster, "count")
-    # One range answer and one count fold per shard.
-    assert store.entry_count() == 2 * SHARDS
 
 
 def test_fold_hits_are_traced_and_counted():

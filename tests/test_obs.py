@@ -10,8 +10,8 @@ The tentpole claims, proved here end to end:
   accounting;
 * tracing never changes what a query reads: traced and untraced runs
   of every read op answer alike and read the same bits under every
-  executor, with or without a durable result store, and with tracing
-  off no shard op reads a clock or builds a span;
+  executor and in an in-process worker runtime, and with tracing off
+  no shard op reads a clock or builds a span;
 * abandoned pipelined replies from an early-closed streaming gather
   are dropped and counted, never grafted into a later query's trace;
 * delta-batch flushes are attributed to the query that triggered them;
@@ -45,10 +45,8 @@ from repro.obs import (
     Trace,
     Tracer,
 )
-from repro.persist import FileCacheStore
 from repro.queries import Table
 from repro.query import And, Or, PlanReport, Range
-from repro.serve import ReplicaSet
 
 from tests.conftest import pred_oracle
 
@@ -701,26 +699,63 @@ class TestClusterTracingSerial:
     def test_engine_lru_hits_are_tagged(self, executor_of, kind):
         # The shared cache misses but each shard's engine LRU answers:
         # every re-submitted select fold, local or in a worker, says
-        # so with a zero-bit span.
+        # so with a zero-bit span and its LRU hit/miss counts.
         tracer = Tracer(clock=ManualClock())
         cluster = make_cluster(executor=executor_of(kind), tracer=tracer)
+        name = "worker_fold" if kind == "process" else "shard_fold"
         cluster.query("a", 2, 9)
+        first = tracer.last().find(name)
+        assert len(first) == cluster.num_shards
+        assert all(
+            (s.tags["lru_hits"], s.tags["lru_misses"]) == (0, 1)
+            for s in first
+        )
         cluster.shared_cache.invalidate()
         before = cluster.scatter_io.snapshot()
         cluster.query("a", 2, 9)
         assert (cluster.scatter_io.snapshot() - before).bits_read == 0
-        name = "worker_fold" if kind == "process" else "shard_fold"
         folds = tracer.last().find(name)
         assert len(folds) == cluster.num_shards
         assert all(
             s.tags["mode"] == "select" and s.tags["bits_read"] == 0
+            and (s.tags["lru_hits"], s.tags["lru_misses"]) == (1, 0)
             for s in folds
         )
+
+    @pytest.mark.parametrize("kind", ["serial", "threaded", "process"])
+    def test_count_by_fold_tags_every_group_leaf(self, executor_of, kind):
+        # A count_by fold makes one engine-LRU lookup for its predicate
+        # leaf and one per group code on the shard, so its span counts
+        # exactly that many: all misses on a cold shard, all hits on
+        # the repeat once the shared cache is dropped.
+        tracer = Tracer(clock=ManualClock())
+        cluster = make_cluster(executor=executor_of(kind), tracer=tracer)
+        name = "worker_fold" if kind == "process" else "shard_fold"
+        pred = Range("a", 2, 9)
+        lookups = {
+            uid: 1 + len(set(shard.column("b").codes))
+            for uid, shard in zip(cluster.shard_uids, cluster.shards)
+        }
+
+        def tags():
+            return {
+                s.tags["shard_uid"]: (
+                    s.tags["lru_hits"], s.tags["lru_misses"],
+                    s.tags["bits_read"] > 0,
+                )
+                for s in tracer.last().find(name)
+            }
+
+        answer = cluster.count_by("b", pred)
+        assert tags() == {uid: (0, n, True) for uid, n in lookups.items()}
+        cluster.shared_cache.invalidate()
+        assert cluster.count_by("b", pred) == answer
+        assert tags() == {uid: (n, 0, False) for uid, n in lookups.items()}
 
     def test_exists_accounts_like_count(self):
         # exists walks shards through the same fold submission count
         # uses: its bits reach query.bits_read, exactly its scatter_io
-        # delta, and a replica hit is a replica_fold event.
+        # delta, and its shard_fold spans carry them.
         pred = And(Range("a", 3, 12), Range("b", 0, 4))
         for op in ("count", "exists"):
             metrics = MetricsRegistry()
@@ -733,13 +768,12 @@ class TestClusterTracingSerial:
 
             tracer = Tracer(clock=ManualClock())
             cluster = make_cluster(tracer=tracer)
-            cluster.attach_replicas(ReplicaSet(capacity=cluster.num_shards))
             before = cluster.scatter_io.snapshot()
             getattr(cluster, op)(pred)
             delta = cluster.scatter_io.snapshot() - before
             trace = tracer.last()
-            folds = trace.find("replica_fold")
-            assert folds and all(e.tags["mode"] == op for e in folds), op
+            folds = trace.find("shard_fold")
+            assert folds and all(s.tags["mode"] == op for s in folds), op
             assert all_bits(trace) == delta.bits_read > 0, op
 
 
@@ -748,44 +782,55 @@ class TestClusterTracingSerial:
 # ---------------------------------------------------------------------------
 
 
-def store_host(directory):
-    host = ShardHost(
-        clock=ManualClock(), cache_store=FileCacheStore(str(directory))
-    )
+def make_host():
+    host = ShardHost(clock=ManualClock())
     rng = random.Random(5)
     codes = [rng.randrange(16) for _ in range(400)]
     host.build(0, (16, 0.0, [("c", codes, 16, "static", 0.1, True,
-                              False, "pagh-rao", "epoch-1")]))
+                              False, "pagh-rao")]))
     return host
 
 
-class TestShardHostStore:
-    @pytest.mark.parametrize("op", ["query", "leaves"])
-    def test_traced_and_untraced_read_the_same_bits(self, tmp_path, op):
+class TestShardHostReads:
+    @pytest.mark.parametrize("op", ["query", "leaves", "fold"])
+    def test_traced_and_untraced_read_the_same_bits(self, op):
         def read(host, lo, hi, trace):
             if op == "query":
                 return host.query(0, "c", lo, hi, trace)
-            (reply,) = host.leaves(0, "c", [(lo, hi)], trace)
-            return reply
+            if op == "leaves":
+                (reply,) = host.leaves(0, "c", [(lo, hi)], trace)
+                return reply
+            leaf = ("select", ("c",), (("c", lo, hi),), ("leaf", 0), None)
+            return host.fold(0, leaf, trace)
 
-        plain = store_host(tmp_path / "plain")
-        traced = store_host(tmp_path / "traced")
-        # A miss decodes and feeds the store; after the engine LRU is
-        # dropped, the repeat is a store hit.  Then the traced host's
-        # store answers what it was fed by a traced miss.
-        for lo, hi, cache in [(2, 9, "miss"), (2, 9, "store"),
-                              (3, 5, "miss"), (3, 5, "store")]:
+        plain = make_host()
+        traced = make_host()
+        # A miss decodes and fills the engine LRU, and the repeat is an
+        # LRU hit that reads nothing.  Once the caches are dropped no
+        # tier is left to answer, so the next read decodes again.
+        steps = [(2, 9, "miss"), (2, 9, "hit"), None, (3, 5, "miss"),
+                 (3, 5, "hit"), None, (2, 9, "miss")]
+        for step in steps:
+            if step is None:
+                plain.drop_caches_all()
+                traced.drop_caches_all()
+                continue
+            lo, hi, cache = step
             positions, io, span = read(plain, lo, hi, None)
-            t_positions, t_io, t_span = read(traced, lo, hi, "t-store")
+            t_positions, t_io, t_span = read(traced, lo, hi, "t-host")
             assert span is None
             assert t_positions == positions
             assert t_io == io
             assert (io.bits_read > 0) == (cache == "miss")
-            assert t_span["name"] == "worker_query"
-            assert t_span["tags"]["cache"] == cache
             assert t_span["tags"]["bits_read"] == io.bits_read
-            plain.drop_caches_all()
-            traced.drop_caches_all()
+            if op == "fold":
+                assert t_span["name"] == "worker_fold"
+                tags = t_span["tags"]
+                lru = (tags["lru_hits"], tags["lru_misses"])
+                assert lru == ((1, 0) if cache == "hit" else (0, 1))
+            else:
+                assert t_span["name"] == "worker_query"
+                assert t_span["tags"]["cache"] == cache
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ and crashes actually do to files, a byte at a time.
 """
 
 import os
-import pickle
 import random
 import struct
 import time
@@ -40,7 +39,6 @@ from repro.persist import (
     CheckpointPolicy,
     Checkpointer,
     DeltaLog,
-    FileCacheStore,
     SnapshotFile,
     checkpoint_cluster,
     current_manifest,
@@ -457,8 +455,9 @@ class TestCheckpointRestore:
             restored.close()
 
     def test_epochs_survive_restart(self, durable_cluster):
-        """Durable cache keys: the column epoch a FileCacheStore keys
-        by is identical after a cold restore."""
+        """Fold keys digest the column epochs, so an external shared
+        cache can serve a restored cluster only if they are identical
+        after a cold restore."""
         cluster, _mirror, directory, _rand = durable_cluster
         epochs = {n: m.epoch for n, m in cluster.columns.items()}
         cluster.append("a", 3)
@@ -590,6 +589,50 @@ class TestProcessExecutorRestore:
             back.close()
 
 
+class TestWritesAfterRestore:
+    @pytest.mark.parametrize("kind", ["serial", "process"])
+    def test_a_write_refolds_only_its_shard(self, tmp_path, kind):
+        """A restored cluster starts with a cold fold cache: its first
+        read folds every shard and the repeat is served at the
+        coordinator.  A write after the restore, applied to the
+        rehydrated shard under a resident executor, refolds only its
+        own shard, and every answer stays exact."""
+        rng = random.Random(71)
+        codes = [rng.randrange(16) for _ in range(900)]
+        cluster = ClusterEngine(num_shards=3)
+        cluster.add_column("a", codes, 16, dynamism="fully_dynamic")
+        d = str(tmp_path / "dur")
+        init_persistence(cluster, d)
+        cluster.close()
+
+        pool = ProcessExecutor(max_workers=1) if kind == "process" else None
+        restored = restore_cluster(d, executor=pool)
+        cache = restored.shared_cache
+        pred = Range("a", 2, 9)
+
+        def count():
+            hits, misses = cache.hits, cache.misses
+            n = restored.count(pred)
+            return n, cache.hits - hits, cache.misses - misses
+
+        try:
+            want = sum(2 <= c <= 9 for c in codes)
+            assert count() == (want, 0, 3)
+            assert count() == (want, 3, 0)
+            row, _ = restored.plan_.slices()[1]
+            codes[row] = 12 if 2 <= codes[row] <= 9 else 5
+            restored.change("a", row, codes[row])
+            want = sum(2 <= c <= 9 for c in codes)
+            assert count() == (want, 2, 1)
+            assert _answers_one(restored) == [
+                i for i, c in enumerate(codes) if 2 <= c <= 9
+            ]
+        finally:
+            restored.close()
+            if pool is not None:
+                pool.close()
+
+
 # ----------------------------------------------------------------------
 # Checkpoint policy
 # ----------------------------------------------------------------------
@@ -658,130 +701,8 @@ class TestCheckpointer:
 
 
 # ----------------------------------------------------------------------
-# FileCacheStore
+# Tables, front ends
 # ----------------------------------------------------------------------
-
-
-def _key(column="c", uid=7, epoch="e" * 12, version=3, lo=1, hi=5):
-    return (column, uid, epoch, version, lo, hi)
-
-
-class TestFileCacheStore:
-    def test_put_get_round_trip(self, tmp_path):
-        store = FileCacheStore(str(tmp_path))
-        assert store.get(_key()) is None
-        store.put(_key(), (1, 5, 9, 200))
-        assert store.get(_key()) == (1, 5, 9, 200)
-        assert _key() in store
-        assert store.get(_key(version=4)) is None
-
-    def test_empty_positions_round_trip(self, tmp_path):
-        store = FileCacheStore(str(tmp_path))
-        store.put(_key(), ())
-        assert store.get(_key()) == ()
-
-    def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
-        store = FileCacheStore(str(tmp_path))
-        store.put(_key(), (1, 2, 3))
-        path = store._path(_key())
-        flip_byte(path, os.path.getsize(path) - 1)
-        assert store.get(_key()) is None
-        assert not os.path.exists(path)
-
-    def test_invalidate_granularities(self, tmp_path):
-        store = FileCacheStore(str(tmp_path))
-        store.put(_key(uid=1, lo=0, hi=1), (1,))
-        store.put(_key(uid=1, lo=2, hi=3), (2,))
-        store.put(_key(uid=2), (3,))
-        store.put(_key(column="d"), (4,))
-        assert store.invalidate_prefix(("c", 1)) == 2
-        assert store.get(_key(uid=1, lo=0, hi=1)) is None
-        assert store.get(_key(uid=2)) == (3,)
-        assert store.invalidate_prefix(("c",)) == 1
-        assert store.get(_key(column="d")) == (4,)
-        assert store.invalidate_prefix(()) == 1
-        assert store.entry_count() == 0
-
-    def test_put_reclaims_older_versions_of_its_epoch(self, tmp_path):
-        store = FileCacheStore(str(tmp_path))
-        store.put(_key(lo=0, hi=1), (1,))
-        store.put(_key(), (2,))
-        store.put(_key(epoch="f" * 12, version=1), (3,))
-        store.put(_key(uid=8, version=1), (4,))
-        store.put(_key(version=4), (5,))
-        assert store.get(_key(lo=0, hi=1)) is None
-        assert store.get(_key()) is None
-        assert store.get(_key(version=4)) == (5,)
-        # Other epochs and other shards keep their entries.
-        assert store.get(_key(epoch="f" * 12, version=1)) == (3,)
-        assert store.get(_key(uid=8, version=1)) == (4,)
-        # A late put of an older version reclaims nothing newer.
-        store.put(_key(version=2), (6,))
-        assert store.get(_key(version=4)) == (5,)
-        assert store.entry_count() == 4
-
-    def test_pickles_to_same_directory(self, tmp_path):
-        store = FileCacheStore(str(tmp_path))
-        store.put(_key(), (8,))
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.get(_key()) == (8,)
-
-    def test_worker_side_store_serves_across_drop_caches(self, tmp_path):
-        """The resident query path consults the store: a second cold
-        query (caches dropped) answers from durable entries."""
-        rng = random.Random(61)
-        store_dir = str(tmp_path / "store")
-        with ProcessExecutor(max_workers=2) as pool:
-            pool.attach_cache_store(FileCacheStore(store_dir))
-            cluster = ClusterEngine(num_shards=4, executor=pool)
-            cluster.add_column(
-                "a", [rng.randrange(16) for _ in range(600)],
-                dynamism="semidynamic",
-            )
-            expected = sorted(cluster.query("a", 2, 9).positions())
-            probe = FileCacheStore(store_dir)
-            assert probe.entry_count() >= 4  # one entry per shard
-            cluster.drop_caches()
-            assert sorted(cluster.query("a", 2, 9).positions()) == expected
-            cluster.close()
-
-
-# ----------------------------------------------------------------------
-# Replicas, tables, front ends
-# ----------------------------------------------------------------------
-
-
-class TestReplicaRehydrate:
-    def test_replicas_adopt_restore_snapshots(self, tmp_path):
-        from repro.obs import MetricsRegistry
-        from repro.serve import ReplicaSet
-
-        rng = random.Random(71)
-        cluster = ClusterEngine(target_shard_rows=256)
-        cluster.add_column(
-            "a", [rng.randrange(16) for _ in range(900)],
-            dynamism="semidynamic",
-        )
-        d = str(tmp_path / "dur")
-        init_persistence(cluster, d)
-        expected = _answers_one(cluster)
-        cluster.close()
-
-        metrics = MetricsRegistry()
-        restored = restore_cluster(d, metrics=metrics)
-        try:
-            replicas = ReplicaSet(capacity=2, metrics=metrics)
-            restored.attach_replicas(replicas)
-            assert len(replicas._synced) == 2
-            assert metrics.counter("serve.replica.rehydrated").value == 2
-            assert _answers_one(restored) == expected
-            # A mutation drops the touched shard's snapshot source so
-            # a later refresh can never adopt a stale file.
-            restored.append("a", 1)
-            last_uid = restored.shard_uids[-1]
-            assert last_uid not in restored._snap_sources
-        finally:
-            restored.close()
 
 
 class TestTablePersistence:

@@ -1,4 +1,4 @@
-"""Unit tests for the asyncio serving front end and hot-shard replicas.
+"""Unit tests for the asyncio serving front end.
 
 ``pytest-asyncio`` is deliberately not a dependency: every async test
 drives its own event loop through ``asyncio.run`` from a synchronous
@@ -28,7 +28,7 @@ from repro.errors import (
 )
 from repro.obs import MetricsRegistry, Tracer
 from repro.query import Range
-from repro.serve import FrontEnd, ReplicaSet
+from repro.serve import FrontEnd
 
 from tests.conftest import brute_range
 
@@ -43,21 +43,15 @@ def _make_cluster(num_shards=3, rows=120, sigma=32, **kwargs):
     return cluster, codes
 
 
-def _leaf_select(name, lo, hi):
-    """A one-leaf select fold payload: one shard-local range's RIDs."""
-    return ("select", (name,), ((name, lo, hi),), ("leaf", 0), None)
-
-
 class _GateEngine:
     """A stub engine whose ``count`` blocks until released.
 
     Implements exactly the surface the front end touches: ``count``,
-    ``mutations``, ``replicas``, and ``_meta`` (for fingerprinting).
+    ``mutations``, and ``_meta`` (for fingerprinting).
     """
 
     def __init__(self) -> None:
         self.mutations = 0
-        self.replicas = None
         self.gate = threading.Event()
         self.calls = 0
         self._lock = threading.Lock()
@@ -134,8 +128,6 @@ class TestFrontEndOps:
             FrontEnd(cluster, max_inflight=0)
         with pytest.raises(InvalidParameterError):
             FrontEnd(cluster, timeout_s=0)
-        with pytest.raises(InvalidParameterError):
-            FrontEnd(cluster, replica_refresh_every=0)
 
     def test_closed_front_end_rejects_requests(self):
         cluster, _ = _make_cluster()
@@ -280,6 +272,27 @@ class TestCoalescing:
 
         asyncio.run(main())
         assert engine.calls == 3 and fe.coalesced == 0
+
+    def test_sequential_repeats_are_fold_cache_hits(self):
+        # Coalescing joins only requests in flight together: a repeat
+        # that arrives after its twin completed executes again, and
+        # the cluster's fold cache answers it, one hit per shard.
+        cluster, codes = _make_cluster()
+        fe = FrontEnd(cluster)
+        pred = Range("v", 2, 9)
+        cache = cluster.shared_cache
+        hits, misses = cache.hits, cache.misses
+
+        async def main():
+            answers = [await fe.count(pred) for _ in range(3)]
+            await fe.close()
+            return answers
+
+        assert asyncio.run(main()) == [len(brute_range(codes, 2, 9))] * 3
+        assert fe.coalesced == 0 and fe.stats().completed == 3
+        assert cache.misses - misses == cluster.num_shards
+        assert cache.hits - hits == 2 * cluster.num_shards
+        cluster.close()
 
 
 class TestAdmission:
@@ -471,124 +484,3 @@ class TestStress:
         )
         # Six writes landed mid-flight.
         assert cluster.total_rows("v") == 156
-
-
-class TestReplicaSet:
-    def test_attach_detach_lifecycle(self):
-        cluster, _ = _make_cluster(num_shards=4)
-        with pytest.raises(InvalidParameterError):
-            ReplicaSet(capacity=0)
-        replicas = ReplicaSet(capacity=2)
-        cluster.attach_replicas(replicas)
-        with pytest.raises(InvalidParameterError):
-            cluster.attach_replicas(ReplicaSet())
-        with pytest.raises(InvalidParameterError):
-            ReplicaSet().refresh()  # unbound
-        assert len(replicas.stats().resident) == 2
-        cluster.detach_replicas()
-        assert replicas.stats().resident == ()
-        # Re-attachable after a clean detach.
-        cluster.attach_replicas(ReplicaSet(capacity=1))
-        cluster.close()
-
-    def test_fold_is_version_fenced(self):
-        cluster, _ = _make_cluster(num_shards=4)
-        replicas = ReplicaSet(capacity=2)
-        cluster.attach_replicas(replicas)
-        uid = cluster.shard_uids[0]
-        version = cluster.shards[0].column("v").version
-        payload = _leaf_select("v", 0, 5)
-        hit = replicas.fold(uid, payload, {"v": version})
-        assert hit is not None
-        positions, io = hit
-        oracle, _ = cluster.shards[0].query_measured("v", 0, 5)
-        assert list(positions) == list(oracle.positions())
-        assert io.bits_read > 0
-        # A mismatched version abstains rather than serving stale.
-        assert replicas.fold(uid, payload, {"v": version + 1}) is None
-        # An unreplicated uid abstains too.
-        assert replicas.fold(999_999, payload, {"v": version}) is None
-        stats = replicas.stats()
-        assert stats.hits == 1 and stats.stale == 1 and stats.absent == 1
-
-    def test_routed_deltas_keep_replicas_fresh(self):
-        cluster, codes = _make_cluster(num_shards=4)
-        replicas = ReplicaSet(capacity=4)  # replicate everything
-        cluster.attach_replicas(replicas)
-        cluster.change("v", 0, 13)
-        cluster.delete("v", 1)
-        uid = cluster.shard_uids[0]
-        version = cluster.shards[0].column("v").version
-        hit = replicas.fold(uid, _leaf_select("v", 13, 13), {"v": version})
-        assert hit is not None
-        oracle, _ = cluster.shards[0].query_measured("v", 13, 13)
-        assert list(hit[0]) == list(oracle.positions())
-        cluster.close()
-
-    def test_failed_delta_drops_the_replica(self):
-        cluster, _ = _make_cluster(num_shards=2)
-        replicas = ReplicaSet(capacity=2)
-        cluster.attach_replicas(replicas)
-        uid = cluster.shard_uids[0]
-        retires_before = replicas.retires
-        replicas.on_delta(uid, ("no_such_op",))
-        assert replicas.retires == retires_before + 1
-        version = cluster.shards[0].column("v").version
-        payload = _leaf_select("v", 0, 5)
-        assert replicas.fold(uid, payload, {"v": version}) is None
-        # The primary is untouched and the other replica still serves.
-        other = cluster.shard_uids[1]
-        other_version = cluster.shards[1].column("v").version
-        assert replicas.fold(other, payload, {"v": other_version}) is not None
-        cluster.close()
-
-    def test_scatter_consults_replicas_after_cache_miss(self):
-        cluster, codes = _make_cluster(
-            num_shards=3, io_latency_s=0.0002
-        )
-        replicas = ReplicaSet(capacity=3)
-        cluster.attach_replicas(replicas)
-        pred = Range("v", 2, 9)
-        oracle = brute_range(codes, 2, 9)
-        # Cold shared cache both times: the second pass is served from
-        # the replicas, answer identical.
-        assert cluster.select(pred) == oracle
-        cluster.drop_caches()
-        assert cluster.select(pred) == oracle
-        assert replicas.hits > 0
-        assert cluster.count(pred) == len(oracle)
-        stats = cluster.stats()
-        assert stats.replicas is not None
-        assert stats.replicas["hits"] == replicas.hits
-        assert stats.to_dict()["replicas"]["capacity"] == 3
-        cluster.close()
-
-    def test_refresh_promotes_hot_shards(self):
-        cluster, _ = _make_cluster(num_shards=4, drift_window=None)
-        replicas = ReplicaSet(capacity=1)
-        cluster.attach_replicas(replicas)
-        # Heat shard 2 with routed writes, then refresh membership.
-        lo, hi = cluster.plan_.slices()[2]
-        for _ in range(8):
-            cluster.change("v", lo, 7)
-        assert cluster.shard_heat(2) >= 8
-        resident = replicas.refresh()
-        assert resident == (cluster.shard_uids[2],)
-        assert replicas.stats().resident == (cluster.shard_uids[2],)
-        cluster.close()
-
-    def test_front_end_drives_periodic_refresh(self):
-        cluster, _ = _make_cluster(num_shards=3)
-        replicas = ReplicaSet(capacity=2)
-        cluster.attach_replicas(replicas)
-        fe = FrontEnd(cluster, replica_refresh_every=2, coalesce=False)
-        refreshes_before = replicas.refreshes
-
-        async def main():
-            for lo in range(5):
-                await fe.count(Range("v", lo, lo + 3))
-            await fe.close()
-
-        asyncio.run(main())
-        assert replicas.refreshes >= refreshes_before + 2
-        cluster.close()
