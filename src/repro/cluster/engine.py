@@ -99,12 +99,13 @@ from ..engine.engine import (
     EngineColumn,
     QueryEngine,
     QueryPlan,
+    ReadSurface,
 )
 from ..engine.registry import DYNAMISM_LEVELS, IndexSpec, get_spec
 from ..errors import InvalidParameterError, QueryError
 from ..iomodel.stats import IOStats, Snapshot
 from ..obs import CacheTierStats
-from ..obs.tracer import NULL_TRACE, ObservedOps
+from ..obs.tracer import NULL_TRACE
 from ..query import (
     TRUE,
     LeafPlan,
@@ -354,7 +355,7 @@ class ClusterStats:
         }
 
 
-class ClusterEngine(ObservedOps):
+class ClusterEngine(ReadSurface):
     """Shards columns by RID range and serves them scatter-gather."""
 
     def __init__(
@@ -799,8 +800,11 @@ class ClusterEngine(ObservedOps):
                 shard.drop_column(name)
                 self._ship_delta(shard_id, ("drop_column", name))
             # Fold keys span columns, so no prefix names this column's
-            # folds alone: every fold entry goes with it.
-            self.shared_cache.invalidate()
+            # folds alone: every fold entry of this cluster's shards
+            # goes with it (one prefix per uid, so the entries of other
+            # engines sharing the cache stay).
+            for uid in self.shard_uids:
+                self.shared_cache.invalidate(uid)
             del self.columns[name]
             self.mutations += 1
             self._log(("drop_column", name))
@@ -917,17 +921,25 @@ class ClusterEngine(ObservedOps):
     # ------------------------------------------------------------------
 
     def _compile_pred(
-        self, pred: Pred, trace=NULL_TRACE
+        self, pred: "Pred | None", trace=NULL_TRACE, group=None
     ) -> tuple[Plan, int]:
         """Compile a code-space predicate against the cluster's columns.
 
         Mirrors ``QueryEngine._compile_pred``: eager validation of
         every leaf's column, one shared row universe across the
         predicate's columns (drifted columns serve positive plans
-        against the widest universe, ``Not``/``TRUE`` are rejected).
+        against the widest universe, ``Not``/``TRUE`` are rejected),
+        and the group column joined to the plan's columns.
         """
         with trace.span("plan", predicate=pred):
-            plan = compile_pred(pred, lambda name: self._meta(name).sigma)
+            plan = compile_pred(
+                TRUE if pred is None and group else pred,
+                lambda name: self._meta(name).sigma,
+            )
+            if group is not None:
+                plan = replace(
+                    plan, columns=tuple(sorted({*plan.columns, group}))
+                )
             universe = resolve_universe(plan, self.total_rows)
         return plan, universe
 
@@ -1055,9 +1067,8 @@ class ClusterEngine(ObservedOps):
         moved.  The columns and their alignment are checked eagerly;
         the returned iterator submits a shard's fold only when drawn.
         """
-        names = set(plan.columns) if group is None else {*plan.columns, group}
-        metas = {col: self._meta(col) for col in names}
-        columns = tuple(sorted(metas))
+        columns = plan.columns
+        metas = {col: self._meta(col) for col in columns}
         self._check_aligned(columns)
 
         def submit(shard_id: int):
@@ -1076,42 +1087,54 @@ class ClusterEngine(ObservedOps):
 
         return map(submit, range(self.num_shards))
 
-    def _scatter_fold(
-        self,
-        mode: str,
-        plan: Plan,
-        group: "str | None" = None,
-        trace=NULL_TRACE,
-    ) -> list:
-        """Scatter one plan; gather per-shard fold values.
+    def _fold(
+        self, mode: str, plan: Plan, universe: int, group, trace=NULL_TRACE
+    ):
+        """Scatter one plan as a fold per shard; gather by ``mode``.
 
-        Every shard's fold is launched before the first is collected.
-        Under a resident executor a fold is the ``fold`` pipe op: the
-        whole shard-local plan evaluates in the worker and one value
-        (plus its I/O snapshot) comes back.
+        ``exists`` walks the shards in order and stops at the first
+        evidence: later shards' folds are never submitted, so the bits
+        read are the same under every executor.  Every other mode
+        launches every shard's fold before collecting the first — under
+        a resident executor the ``fold`` pipe op, whose whole
+        shard-local plan evaluates in the worker — then ``count`` sums,
+        ``select`` shifts each shard's sorted answer by the shard's
+        offset and concatenates (shard order is global order, so no
+        merge), and ``count_by`` maps each static shard's local group
+        codes back through its domain and sums.
         """
         with trace.span("scatter", mode=mode):
-            futures = list(self._fold_futures(mode, plan, group, trace))
-            return [
+            futures = self._fold_futures(mode, plan, group, trace)
+            if mode == "exists":
+                return any(
+                    self._collect(future.result(), trace)
+                    for future in futures
+                )
+            folds = [
                 self._collect(reply, trace)
-                for reply in self._replies(futures)
+                for reply in self._replies(list(futures))
             ]
-
-    def _select(self, plan: Plan, trace) -> list[int]:
-        """Global RIDs of a plan: one select fold per shard, gathered.
-
-        Shards partition the RID space in order, so each shard's
-        sorted local answer shifted by the shard's offset is a run of
-        the global answer, and the gather is their concatenation.
-        """
-        answers = self._scatter_fold("select", plan, trace=trace)
-        offsets = offsets_of(self.shard_lengths(plan.columns[0]))
+        if mode == "count":
+            return sum(folds)
         with trace.span("gather_merge"):
-            rids: list[int] = []
-            for offset, positions in zip(offsets, answers):
-                rids.extend([offset + p for p in positions])
-        self.gather_rids += len(rids)
-        return rids
+            if mode == "select":
+                offsets = offsets_of(self.shard_lengths(plan.columns[0]))
+                rids = [
+                    offset + p
+                    for offset, positions in zip(offsets, folds)
+                    for p in positions
+                ]
+                self.gather_rids += len(rids)
+                return RangeResult(rids, universe)
+            domains = self.columns[group].domains
+            merged: dict[int, int] = {}
+            for shard_id, counts in enumerate(folds):
+                domain = domains.get(shard_id)
+                for code, n in counts.items():
+                    if domain is not None:
+                        code = domain[code]
+                    merged[code] = merged.get(code, 0) + n
+            return merged
 
     def _select_stream(self, plan: Plan, op: str, **tags):
         """A plan's global RIDs as a lazily gathered stream.
@@ -1204,113 +1227,6 @@ class ClusterEngine(ObservedOps):
 
         return gen()
 
-    def count(self, pred: Pred) -> int:
-        """How many rows match — the coordinator only sums.
-
-        Each shard folds its localized plan in cardinality space
-        (worker-resident under a process executor) and reports one
-        integer; fully-pruned shards, shards a complement fully
-        covers, and shards whose fold sits in the shared result cache
-        at their current column versions are answered without any
-        round trip.  No RID list is materialized anywhere — not per
-        shard, not globally.
-        """
-        with self._observed(
-            "count", report_fn=lambda: self._plan_report(pred)
-        ) as trace:
-            plan, _ = self._compile_pred(pred, trace)
-            return sum(self._scatter_fold("count", plan, trace=trace))
-
-    def exists(self, pred: Pred) -> bool:
-        """Does any row match?  Walks shards and stops at first evidence.
-
-        Shards are probed one at a time in shard order — each fold
-        itself short-circuits inside the shard — and the walk ends at
-        the first non-empty fold, so later shards are never queried.
-        The walk order is deterministic, making the bits read
-        identical under every executor.
-        """
-        with self._observed(
-            "exists", report_fn=lambda: self._plan_report(pred)
-        ) as trace:
-            plan, _ = self._compile_pred(pred, trace)
-            with trace.span("scatter", mode="exists"):
-                return any(
-                    self._collect(future.result(), trace)
-                    for future in self._fold_futures(
-                        "exists", plan, None, trace
-                    )
-                )
-
-    def count_by(
-        self, group: str, pred: "Pred | None" = None
-    ) -> dict[int, int]:
-        """Matching-row counts per *global* code of ``group``.
-
-        Every shard folds the predicate once, hashes that answer once
-        and counts all its local group-equality leaves against it in
-        one pass (O(z + sum of group leaf sizes) per shard), shipping
-        a ``{local code: count}`` dict; the coordinator translates local
-        codes through each static shard's domain back into global
-        codes and sums.  Codes, counts and snapshots cross the pipes —
-        positions never do.  ``pred=None`` counts all rows by group.
-        """
-        meta = self._meta(group)
-        report_fn = (
-            (lambda: self._plan_report(pred)) if pred is not None else None
-        )
-        with self._observed("count_by", report_fn=report_fn) as trace:
-            if pred is None:
-                plan = Plan(
-                    normalized=TRUE,
-                    leaves=(),
-                    root=(ALL,),
-                    columns=(group,),
-                )
-            else:
-                with trace.span("plan", predicate=pred):
-                    plan = compile_pred(
-                        pred, lambda name: self._meta(name).sigma
-                    )
-                    # The group column joins universe validation: its
-                    # equality leaves execute in the same position
-                    # space as the pred.
-                    resolve_universe(
-                        replace(
-                            plan,
-                            columns=tuple(
-                                sorted(set(plan.columns) | {group})
-                            ),
-                        ),
-                        self.total_rows,
-                    )
-            folds = self._scatter_fold("count_by", plan, group, trace=trace)
-            with trace.span("gather_merge"):
-                merged: dict[int, int] = {}
-                for shard_id, shard_counts in enumerate(folds):
-                    domain = meta.domains.get(shard_id)
-                    for local_code, n in shard_counts.items():
-                        code = (
-                            local_code
-                            if domain is None
-                            else domain[local_code]
-                        )
-                        merged[code] = merged.get(code, 0) + n
-            return merged
-
-    def topk(
-        self, group: str, pred: "Pred | None" = None, k: int = 10
-    ) -> list[tuple[int, int]]:
-        """The ``k`` most frequent group codes among matching rows.
-
-        ``(code, count)`` pairs, count-descending, code ascending on
-        ties — computed from one :meth:`count_by` pushdown.
-        """
-        if k <= 0:
-            raise InvalidParameterError("topk requires k >= 1")
-        counts = self.count_by(group, pred)
-        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-
     def _plan_report(self, pred: Pred) -> PlanReport:
         plan, universe = self._compile_pred(pred)
         metas = {col: self._meta(col) for col in plan.columns}
@@ -1332,7 +1248,9 @@ class ClusterEngine(ObservedOps):
             shards = []
             predicted = 0.0
             live_cached: list[bool] = []
-            for shard_id, shard_plan in enumerate(self.plan(col, lo, hi)):
+            for shard_id, shard_plan in enumerate(
+                self._plan_range(col, lo, hi)
+            ):
                 if shard_plan is None or cached[shard_id] is None:
                     shards.append(
                         ShardLeafPlan(shard_id=shard_id, pruned=True)
@@ -1378,38 +1296,15 @@ class ClusterEngine(ObservedOps):
             ),
         )
 
-    def query(
-        self,
-        name: "str | Pred",
-        char_lo: int | None = None,
-        char_hi: int | None = None,
+    def _query_range(
+        self, name: str, char_lo: int, char_hi: int
     ) -> RangeResult:
-        """One query: a column range, or a whole predicate.
-
-        Either way it is a :meth:`select` — one select fold per shard
-        (a column range runs as a one-leaf plan), gathered by offset —
-        whose RIDs come back as a :class:`RangeResult` over the
-        predicate's row universe.
-        """
-        if isinstance(name, Pred):
-            if char_lo is not None or char_hi is not None:
-                raise InvalidParameterError(
-                    "a predicate query takes no range arguments"
-                )
-            with self._observed(
-                "query", report_fn=lambda: self._plan_report(name)
-            ) as trace:
-                plan, universe = self._compile_pred(name, trace)
-                return RangeResult(self._select(plan, trace), universe)
-        if char_lo is None or char_hi is None:
-            raise InvalidParameterError(
-                "query(name, char_lo, char_hi) requires both bounds; "
-                "pass a predicate for composed queries"
-            )
+        # The one-leaf plan through the same select folds as a
+        # predicate; validated before the op is observed.
         plan = self._leaf_plan(name, char_lo, char_hi)
         with self._observed("query") as trace:
-            return RangeResult(
-                self._select(plan, trace), self.total_rows(name)
+            return self._fold(
+                "select", plan, self.total_rows(name), None, trace
             )
 
     def query_iter(self, name: str, char_lo: int, char_hi: int):
@@ -1424,22 +1319,6 @@ class ClusterEngine(ObservedOps):
         return self._select_stream(
             plan, "query_iter", column=name, char_lo=char_lo, char_hi=char_hi
         )
-
-    def select(self, conditions: Pred) -> list[int]:
-        """Global RIDs matching a predicate.
-
-        Each shard evaluates the predicate's specialized plan — the
-        §1 intersection and the rest of the set algebra run where the
-        data lives — and replies with its sorted answer positions,
-        which the shared result cache keeps for the next identical
-        select; the coordinator offsets and concatenates them.  Every
-        shard's fold is launched before the first is collected.
-        """
-        with self._observed(
-            "select", report_fn=lambda: self._plan_report(conditions)
-        ) as trace:
-            plan, _ = self._compile_pred(conditions, trace)
-            return self._select(plan, trace)
 
     def select_iter(self, conditions: Pred):
         """Streaming select over global RIDs.
@@ -1463,38 +1342,18 @@ class ClusterEngine(ObservedOps):
             self.metrics.inc("query.count")
         return self._select_stream(plan, "select_iter")
 
-    def plan(
-        self,
-        name: "str | Pred",
-        char_lo: int | None = None,
-        char_hi: int | None = None,
-    ) -> "list[QueryPlan | None] | PlanReport":
-        """Per-shard plans for one leaf query, or a predicate's report.
+    def _plan_range(
+        self, name: str, char_lo: int, char_hi: int
+    ) -> "list[QueryPlan | None]":
+        """Per-shard plans for one range of one column.
 
-        With a predicate, the typed :class:`~repro.query.PlanReport`
-        whose leaf entries carry the full shard fan-out (per-shard
-        backend verdict, predicted bits, shared-cache state, pruning).
-        With ``(name, char_lo, char_hi)``, the per-shard
-        :class:`QueryPlan` list: ``None`` marks a shard the range
-        cannot touch (its local alphabet has no code inside it) — the
-        scatter phase skips it entirely.  The ``cached`` flag reports
-        whether the *shared* result cache holds the fold the read
-        would consult — the range's one-leaf select fold per shard, or
-        a predicate's whole-plan select fold — not any one engine's
-        private LRU, which under a resident executor lives in a worker
-        process.
+        ``None`` marks a shard the range cannot touch (its local
+        alphabet has no code inside it) — the scatter phase skips it
+        entirely.  The ``cached`` flag reports whether the *shared*
+        result cache holds the range's one-leaf select fold on that
+        shard, not any one engine's private LRU, which under a
+        resident executor lives in a worker process.
         """
-        if isinstance(name, Pred):
-            if char_lo is not None or char_hi is not None:
-                raise InvalidParameterError(
-                    "a predicate plan takes no range arguments"
-                )
-            return self._plan_report(name)
-        if char_lo is None or char_hi is None:
-            raise InvalidParameterError(
-                "plan(name, char_lo, char_hi) requires both bounds; "
-                "pass a predicate for composed queries"
-            )
         meta = self._meta(name)
         plans: list[QueryPlan | None] = []
         for shard_id, shard in enumerate(self.shards):
@@ -1508,32 +1367,17 @@ class ClusterEngine(ObservedOps):
             plans.append(replace(plan, cached=key in self.shared_cache))
         return plans
 
-    def explain(
-        self,
-        name: "str | Pred | None" = None,
-        char_lo: int | None = None,
-        char_hi: int | None = None,
-    ) -> "str | PlanReport":
-        """Cluster-level report: a predicate, one leaf query, one
-        column, or everything.
-
-        Predicates answer with the typed
-        :class:`~repro.query.PlanReport` (shard fan-out per leaf); the
-        legacy string forms are unchanged.
-        """
-        if isinstance(name, Pred):
-            if char_lo is not None or char_hi is not None:
-                raise InvalidParameterError(
-                    "a predicate explain takes no range arguments"
-                )
-            return self._plan_report(name)
+    def _explain(self, name, char_lo, char_hi) -> str:
+        # Cluster-level strings: one leaf query's shard fan-out, one
+        # column's shards, or the whole cluster.
         cache = self.shared_cache
         if name is not None and char_lo is not None and char_hi is not None:
             lines = [
                 f"scatter-gather over {self.num_shards} shard(s), "
                 f"merged by RID offset:"
             ]
-            for shard_id, plan in enumerate(self.plan(name, char_lo, char_hi)):
+            plans = self._plan_range(name, char_lo, char_hi)
+            for shard_id, plan in enumerate(plans):
                 if plan is None:
                     lines.append(
                         f"  shard {shard_id}: pruned (no local code "
@@ -1932,13 +1776,15 @@ class ClusterEngine(ObservedOps):
     def drop_caches(self) -> None:
         """Run the next queries cold: flush every result and block cache.
 
-        Clears the shared result cache, each shard engine's LRU, and
-        each disk's internal-memory residency — locally and in any
-        resident replicas.  A benchmarking/repro aid; answers are
-        unaffected.
+        Clears this cluster's entries in the shared result cache (one
+        prefix per shard uid; other engines sharing it keep theirs),
+        each shard engine's LRU, and each disk's internal-memory
+        residency — locally and in any resident replicas.  A
+        benchmarking/repro aid; answers are unaffected.
         """
         with self._serve_lock:
-            self.shared_cache.invalidate()
+            for uid in self.shard_uids:
+                self.shared_cache.invalidate(uid)
             for engine in self.shards:
                 engine.cache.invalidate()
                 for column in engine.columns.values():

@@ -37,9 +37,11 @@ The worker attaches, copies the payload out, closes its mapping, and
 replies — the coordinator owns the unlink, tied to the resolution of
 the request that shipped the segment, so segment lifetime is bounded
 by the request round-trip.  Every cluster read speaks one op, ``fold``:
-a whole shard-local compiled plan evaluated resident-side, answered
-with a count, an exists-bit, a ``{group code: count}`` dict, or (in
-``select`` mode) the shard's sorted answer positions.  The leaf ops
+a whole shard-local compiled plan evaluated resident-side by the shard
+engine's own ``QueryEngine._fold`` — the evaluator a single engine
+serves its reads with — answered with a count, an exists-bit, a
+``{group code: count}`` dict, or (in ``select`` mode) the shard's
+sorted answer positions.  The leaf ops
 ``query`` (one range), ``query_multi`` (many ranges of this worker's
 shards in one message) and ``leaves`` (many intervals of one shard's
 column) have no caller in the cluster; they answer per-range reply
@@ -75,84 +77,15 @@ from ..engine.engine import QueryEngine
 from ..engine.registry import get_spec
 from ..errors import InvalidParameterError
 from ..iomodel.stats import Snapshot
-from ..query import (
-    Plan,
-    evaluate_count,
-    evaluate_count_by,
-    evaluate_exists,
-    evaluate_fetch,
-    resolve_universe,
-)
+from ..obs.tracer import NULL_TRACE
+from ..query import Plan, resolve_universe
 
 #: Fold payload: (mode, columns, leaves, root, group) — a shard-local
 #: compiled plan (leaves already translated onto this shard's
-#: alphabets) plus the mode to fold it in.  The fold value is an int
-#: (count), bool (exists), ``{local group code: count}`` dict
-#: (count_by) or the sorted shard-local answer positions (select).
-
-
-def evaluate_shard_fold(
-    engine: QueryEngine, payload: tuple
-) -> tuple["int | bool | dict[int, int] | list[int]", Snapshot]:
-    """Fold one shard-local plan, resident-side.
-
-    The body of :func:`fold_shard` under every executor, so the value
-    a shard reports, and its measured I/O, is executor-independent.
-    Workers do not hold the shared result cache: the coordinator
-    consults it before submitting a fold and stores the value this
-    returns (``ClusterEngine._submit_fold``).  Inside the fold only
-    the engine's own LRU serves repeated leaves, so every executor
-    reads the same bits.
-    """
-    mode, columns, leaves, root, group = payload
-    plan = Plan(
-        normalized=None,
-        leaves=tuple(leaves),
-        root=root,
-        columns=tuple(columns),
-    )
-    universe = resolve_universe(plan, lambda name: engine.column(name).n)
-    total = Snapshot()
-
-    def fetch(col: str, lo: int, hi: int):
-        nonlocal total
-        result, io = engine.query_measured(col, lo, hi)
-        total = total + io
-        return result
-
-    # Costs order And legs; a one-leaf plan has none to order.
-    costs = engine._leaf_costs(plan) if len(plan.leaves) > 1 else None
-    if mode == "select":
-        value: "int | bool | dict[int, int] | list[int]" = evaluate_fetch(
-            plan, fetch, universe, costs
-        ).positions()
-    elif mode == "count":
-        value = evaluate_count(plan, fetch, universe, costs)
-    elif mode == "exists":
-        value = evaluate_exists(plan, fetch, universe, costs)
-    elif mode == "count_by":
-        group_col = engine.column(group)
-        start = None
-
-        def group_fetch(code: int):
-            # The group leaves come after the predicate has folded, and
-            # counting reads nothing, so one delta from the first leaf
-            # to the end of the fold is their per-leaf sum, without
-            # two snapshots per leaf.
-            nonlocal start
-            if start is None:
-                start = group_col.index.stats.snapshot()
-            return engine.query(group, code, code)
-
-        value = evaluate_count_by(
-            plan, fetch, universe, group_col.distinct_codes(), group_fetch,
-            costs,
-        )
-        if start is not None:
-            total = total + (group_col.index.stats.snapshot() - start)
-    else:
-        raise InvalidParameterError(f"unknown fold mode {mode!r}")
-    return value, total
+#: alphabets; ``columns`` includes a ``count_by`` group column) plus
+#: the mode :meth:`QueryEngine._fold` evaluates it in.  The fold value
+#: is an int (count), bool (exists), ``{local group code: count}``
+#: dict (count_by) or the sorted shard-local answer positions (select).
 
 
 # ----------------------------------------------------------------------
@@ -219,20 +152,45 @@ def fold_shard(
     """One shard's fold: value, I/O, span.
 
     The body of a worker's ``fold`` op (span ``worker_fold``) and of a
-    local executor's fold task (``shard_fold``).  The span's
-    ``lru_hits``/``lru_misses`` tags count what the engine LRU
-    answered: every leaf, group leaves included, makes exactly one
-    ``cache.get``, so the counters' delta over the fold is exact.
+    local executor's fold task (``shard_fold``), so the value a shard
+    reports, and its measured I/O, is executor-independent.  It
+    rebuilds the payload's plan and evaluates it with the shard
+    engine's ``_fold``.  The I/O is each read column's device delta
+    over the whole fold: only leaf reads touch a device inside it, so
+    the sum equals one measurement per leaf, without two snapshots
+    per leaf.  Workers do not hold the shared result cache: the
+    coordinator consults it before submitting a fold and stores the
+    value this returns (``ClusterEngine._submit_fold``).  Inside the
+    fold only the engine's own LRU serves repeated leaves, so every
+    executor reads the same bits.  The span's ``lru_hits``/
+    ``lru_misses`` tags count what that LRU answered: every leaf,
+    group leaves included, makes exactly one ``cache.get``, so the
+    counters' delta over the fold is exact.
     """
     if trace is not None:
         t0 = clock()
         cache = engine.cache
         hits, misses = cache.hits, cache.misses
-    value, io = evaluate_shard_fold(engine, payload)
+    mode, columns, leaves, root, group = payload
+    plan = Plan(
+        normalized=None,
+        leaves=tuple(leaves),
+        root=root,
+        columns=tuple(columns),
+    )
+    devices = [engine.column(col).index.stats for col in columns]
+    before = [device.snapshot() for device in devices]
+    universe = resolve_universe(plan, lambda name: engine.column(name).n)
+    value = engine._fold(mode, plan, universe, group, NULL_TRACE)
+    if mode == "select":
+        value = value.positions()
+    io = Snapshot()
+    for device, start in zip(devices, before):
+        io = io + (device.snapshot() - start)
     if trace is None:
         return value, io, None
     return value, io, shard_span(
-        kind, trace, t0, clock(), uid, io, mode=payload[0],
+        kind, trace, t0, clock(), uid, io, mode=mode,
         lru_hits=cache.hits - hits, lru_misses=cache.misses - misses,
     )
 

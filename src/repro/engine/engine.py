@@ -7,16 +7,19 @@ backend by name), serves alphabet range queries through a shared
 backend supports (``append``/``change``/``delete``), every one of which
 bumps the column's version and so invalidates its cached results.
 
-Composed queries speak the predicate algebra of :mod:`repro.query`:
-:meth:`QueryEngine.query`, :meth:`QueryEngine.select` and
-:meth:`QueryEngine.select_iter` accept any ``Range``/``Eq``/``In``/
-``And``/``Or``/``Not`` tree in code space, compile it once
-(:func:`repro.query.compile_pred`), fetch every *unique* leaf interval
-through the LRU cache — disjuncts sharing a leaf share its cache
-entry — and fold the answers with complement-aware set algebra (a
-``Not`` reuses §2.1 complement-threshold representations instead of
-materializing).  :meth:`QueryEngine.plan` / :meth:`QueryEngine.explain`
-answer predicates with the typed, JSON-serializable
+Composed queries speak the predicate algebra of :mod:`repro.query`.
+:class:`ReadSurface` writes the reads once for both engines:
+``count``, ``exists``, ``select``, ``count_by``, ``topk`` and
+``query(pred)`` compile a ``Range``/``Eq``/``In``/``And``/``Or``/
+``Not`` tree in code space once (:func:`repro.query.compile_pred`)
+and evaluate the plan with the engine's ``_fold``.  Here that fold
+fetches every *unique* leaf interval through the LRU cache —
+disjuncts sharing a leaf share its cache entry — and combines the
+answers with complement-aware set algebra (a ``Not`` reuses §2.1
+complement-threshold representations instead of materializing); a
+cluster shard runs the same ``_fold`` on its specialized plan.
+:meth:`ReadSurface.plan` / :meth:`ReadSurface.explain` answer
+predicates with the typed, JSON-serializable
 :class:`~repro.query.PlanReport`; the single-leaf ``(name, lo, hi)``
 forms keep returning :class:`QueryPlan` / strings.
 """
@@ -40,6 +43,7 @@ from ..obs import (
 )
 from ..obs.tracer import NULL_TRACE, ObservedOps
 from ..query import (
+    TRUE,
     LeafPlan,
     Plan,
     PlanReport,
@@ -345,7 +349,160 @@ class EngineColumn:
         self._bump()
 
 
-class QueryEngine(ObservedOps):
+def _predicate_form(verb: str, name, char_lo, char_hi) -> bool:
+    """True for a predicate call, False for a full range; else raises."""
+    if isinstance(name, Pred):
+        if char_lo is not None or char_hi is not None:
+            raise InvalidParameterError(
+                f"a predicate {verb} takes no range arguments"
+            )
+        return True
+    if char_lo is None or char_hi is None:
+        raise InvalidParameterError(
+            f"{verb}(name, char_lo, char_hi) requires both bounds; "
+            "pass a predicate for composed queries"
+        )
+    return False
+
+
+class ReadSurface(ObservedOps):
+    """The reads both engines serve, each written once: one fold.
+
+    Every predicate read compiles with the engine's ``_compile_pred(
+    pred, trace, group)`` — the plan and its row universe; ``group``,
+    ``count_by``'s group column, joins the universe, and ``pred=None``
+    with a group means every row — and evaluates with its ``_fold(
+    mode, plan, universe, group, trace)``, ``mode`` one of ``count``,
+    ``exists``, ``select`` (a :class:`RangeResult`) and ``count_by``.
+    :class:`QueryEngine` folds against its own columns, and so does
+    every cluster shard; :class:`~repro.cluster.engine.ClusterEngine`
+    folds by scatter/gather over its shards.  An engine also supplies
+    ``_plan_report(pred)`` and the single-leaf forms the argument
+    checks of :meth:`query`/:meth:`plan`/:meth:`explain` hand ranges
+    to: ``_query_range``, ``_plan_range`` and ``_explain``.
+    """
+
+    def _read(self, op: str, mode: str, pred, group: "str | None" = None):
+        report_fn = None if pred is None else lambda: self._plan_report(pred)
+        with self._observed(op, report_fn=report_fn) as trace:
+            plan, universe = self._compile_pred(pred, trace, group)
+            return self._fold(mode, plan, universe, group, trace)
+
+    def count(self, pred: Pred) -> int:
+        """How many rows match, folded in cardinality space.
+
+        The same compiled plan and cached leaf fetches as
+        :meth:`select`, but the root combines with the counting twins
+        of the set algebra: no RID list is built, a complemented
+        majority answer counts as ``universe - len(stored)`` in O(1),
+        and a wide ``Or`` stops fetching once its union saturates the
+        universe.  A cluster sums one count per shard.
+        """
+        return self._read("count", "count", pred)
+
+    def exists(self, pred: Pred) -> bool:
+        """Does at least one row match?  Stops at the first evidence.
+
+        ``Or`` disjuncts are probed cheapest-predicted-first; other
+        shapes reduce to a short-circuiting count.  A cluster walks
+        its shards in order and never submits the shards after the
+        first non-empty fold, so every executor reads the same bits.
+        """
+        return self._read("exists", "exists", pred)
+
+    def select(self, conditions: Pred) -> list[int]:
+        """The sorted RIDs matching a predicate.
+
+        Every unique leaf is read (or served from cache) once, ``And``
+        legs cheapest-first, and the plan folds with complement-aware
+        set algebra.  A cluster concatenates its shards' sorted
+        answers, each shifted by its shard's offset.
+        """
+        return self._read("select", "select", conditions).positions()
+
+    def count_by(
+        self, group: str, pred: "Pred | None" = None
+    ) -> dict[int, int]:
+        """Matching-row counts per code of ``group`` (zeros omitted).
+
+        The predicate folds once; the group column's equality leaves,
+        one per code it holds, are then counted against that one
+        answer in a single pass that hashes it once — O(z + sum of
+        group leaf sizes), not one intersection per code.
+        ``pred=None`` counts every row by group.  A cluster maps each
+        static shard's local codes back to global codes and sums.
+        """
+        return self._read("count_by", "count_by", pred, group)
+
+    def topk(
+        self, group: str, pred: "Pred | None" = None, k: int = 10
+    ) -> list[tuple[int, int]]:
+        """The ``k`` most frequent group codes among matching rows.
+
+        ``(code, count)`` pairs, count-descending with code ascending
+        as the deterministic tie-break, from one :meth:`count_by`.
+        """
+        if k <= 0:
+            raise InvalidParameterError("topk requires k >= 1")
+        counts = self.count_by(group, pred)
+        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+
+    def query(
+        self,
+        name: "str | Pred",
+        char_lo: int | None = None,
+        char_hi: int | None = None,
+    ) -> RangeResult:
+        """One query: a predicate, or one column's code range.
+
+        A predicate answers with its ``select`` fold as a
+        :class:`RangeResult` over the plan's row universe — on an
+        engine possibly complement-represented, never expanded.  A
+        range is one leaf read: through the LRU cache on an engine, a
+        one-leaf ``select`` fold per shard on a cluster.
+        """
+        if _predicate_form("query", name, char_lo, char_hi):
+            return self._read("query", "select", name)
+        return self._query_range(name, char_lo, char_hi)
+
+    def plan(
+        self,
+        name: "str | Pred",
+        char_lo: int | None = None,
+        char_hi: int | None = None,
+    ):
+        """How a query would be served, without executing it.
+
+        With a predicate, the typed :class:`~repro.query.PlanReport`
+        (tree of leaf plans, per-leaf backend verdict, predicted bits,
+        cache state, and on a cluster the shard fan-out); with
+        ``(name, char_lo, char_hi)``, the single-leaf
+        :class:`QueryPlan` — on a cluster one per shard.
+        """
+        if _predicate_form("plan", name, char_lo, char_hi):
+            return self._plan_report(name)
+        return self._plan_range(name, char_lo, char_hi)
+
+    def explain(
+        self,
+        name: "str | Pred | None" = None,
+        char_lo: int | None = None,
+        char_hi: int | None = None,
+    ) -> "str | PlanReport":
+        """Report a plan: a predicate, one range, one column, or all.
+
+        With a predicate, the typed :class:`~repro.query.PlanReport`
+        (JSON-serializable via ``to_dict()``, printable via ``str``);
+        every other form is a string.
+        """
+        if isinstance(name, Pred) and _predicate_form(
+            "explain", name, char_lo, char_hi
+        ):
+            return self._plan_report(name)
+        return self._explain(name, char_lo, char_hi)
+
+
+class QueryEngine(ReadSurface):
     """Builds, serves, and caches every column's secondary index."""
 
     def __init__(
@@ -568,11 +725,11 @@ class QueryEngine(ObservedOps):
         )
 
     # ------------------------------------------------------------------
-    # Predicate compilation (the shared repro.query path)
+    # The fold (ReadSurface's evaluator; every cluster shard runs it)
     # ------------------------------------------------------------------
 
     def _compile_pred(
-        self, pred: Pred, trace=NULL_TRACE
+        self, pred: "Pred | None", trace=NULL_TRACE, group=None
     ) -> tuple[Plan, int]:
         """Compile a code-space predicate against this engine's columns.
 
@@ -582,145 +739,78 @@ class QueryEngine(ObservedOps):
         columns whose position spaces drifted apart under
         single-column updates serve positive plans against the widest
         universe but reject ``Not``/``TRUE`` (see
-        :func:`repro.query.planner.resolve_universe`).
+        :func:`repro.query.planner.resolve_universe`).  ``group`` joins
+        the plan's columns: its equality leaves execute in the same
+        position space as the predicate.
         """
         with trace.span("plan", predicate=pred):
-            plan = compile_pred(pred, lambda name: self.column(name).sigma)
+            plan = compile_pred(
+                TRUE if pred is None and group else pred,
+                lambda name: self.column(name).sigma,
+            )
+            if group is not None:
+                plan = replace(
+                    plan, columns=tuple(sorted({*plan.columns, group}))
+                )
             universe = resolve_universe(
                 plan, lambda name: self.column(name).n
             )
         return plan, universe
 
+    def _fold(
+        self, mode: str, plan: Plan, universe: int, group, trace=NULL_TRACE
+    ):
+        """Evaluate a compiled plan against this engine's columns.
+
+        The one evaluator: every read of this engine, and every shard
+        fold of a cluster (:func:`~repro.cluster.worker.fold_shard`,
+        on the shard's specialized plan).  Leaves are fetched lazily
+        through :meth:`query` — each unique leaf at most once, served
+        by the LRU when cached — so an ``And`` that goes empty skips
+        the rest of its legs, and with more than one leaf the legs run
+        cheapest-predicted-first (:meth:`_leaf_costs`).  ``count_by``
+        counts the group column's equality leaf for every code it
+        holds against the folded predicate.  Leaf spans come from
+        :meth:`query` itself, so ``trace`` is not read here.
+        """
+        costs = self._leaf_costs(plan) if len(plan.leaves) > 1 else None
+        fetch = self.query
+        if mode == "select":
+            return evaluate_fetch(plan, fetch, universe, costs)
+        if mode == "count":
+            return evaluate_count(plan, fetch, universe, costs)
+        if mode == "exists":
+            return evaluate_exists(plan, fetch, universe, costs)
+        if mode == "count_by":
+            return evaluate_count_by(
+                plan,
+                fetch,
+                universe,
+                self.column(group).distinct_codes(),
+                lambda code: fetch(group, code, code),
+                costs,
+            )
+        raise InvalidParameterError(f"unknown fold mode {mode!r}")
+
     def _leaf_costs(self, plan: Plan) -> list[float]:
         """The advisor's predicted bits per unique leaf, zero if cached.
 
-        The cost vector ``evaluate_fetch`` and the counting folds
-        order ``And`` legs with: cached leaves sort first (they cost
-        nothing to probe), then cold leaves cheapest-first, so a
-        selective leg can empty the conjunction before the expensive
-        ones are fetched.
+        The cost vector the folds order ``And`` legs with: cached
+        leaves sort first (they cost nothing to probe), then cold
+        leaves cheapest-first, so a selective leg can empty the
+        conjunction before the expensive ones are fetched.
         """
         costs = []
         for col, lo, hi in plan.leaves:
-            leaf = self.plan(col, lo, hi)
+            leaf = self._plan_range(col, lo, hi)
             costs.append(0.0 if leaf.cached else leaf.estimated_cost_bits)
         return costs
-
-    def _query_pred(self, pred: Pred, op: str = "select") -> RangeResult:
-        # Lazy fold: each unique leaf fetched (and cached) at most
-        # once, on demand, And legs cost-ordered — an And that goes
-        # empty skips the rest of its legs, the generalized
-        # empty-dimension short-circuit, and the cheap legs go first.
-        with self._observed(
-            op, report_fn=lambda: self._plan_report(pred)
-        ) as trace:
-            plan, universe = self._compile_pred(pred, trace)
-            return evaluate_fetch(
-                plan, self.query, universe, self._leaf_costs(plan)
-            )
-
-    # ------------------------------------------------------------------
-    # Aggregates (cardinality-space execution; no RID materialization)
-    # ------------------------------------------------------------------
-
-    def count(self, pred: Pred) -> int:
-        """How many rows match, folded in cardinality space.
-
-        Same compiled plan, same lazy cached leaf fetches as
-        :meth:`select` — but the fold combines at the root with the
-        counting twins of the set algebra, so the answer RID list is
-        never built, a complement-represented majority answer is
-        counted as ``universe - len(stored)`` in O(1), and a wide
-        ``Or`` stops fetching the moment its union saturates the
-        universe.
-        """
-        with self._observed(
-            "count", report_fn=lambda: self._plan_report(pred)
-        ) as trace:
-            plan, universe = self._compile_pred(pred, trace)
-            return evaluate_count(
-                plan, self.query, universe, self._leaf_costs(plan)
-            )
-
-    def exists(self, pred: Pred) -> bool:
-        """Does at least one row match?  Stops at the first evidence.
-
-        ``Or`` disjuncts are probed cheapest-predicted-first and the
-        scan ends at the first non-empty fold; other shapes reduce to
-        a short-circuiting count.
-        """
-        with self._observed(
-            "exists", report_fn=lambda: self._plan_report(pred)
-        ) as trace:
-            plan, universe = self._compile_pred(pred, trace)
-            return evaluate_exists(
-                plan, self.query, universe, self._leaf_costs(plan)
-            )
-
-    def count_by(
-        self, group: str, pred: "Pred | None" = None
-    ) -> dict[int, int]:
-        """Matching-row counts per code of ``group`` (zeros omitted).
-
-        The predicate folds once; the group column's equality leaves
-        (LRU-cached like any leaf), one per code it holds, are then
-        counted against that one answer in a single pass that hashes
-        it once — O(z + sum of group leaf sizes), not one
-        intersection per code.  ``pred=None`` counts every row by
-        group.  Equivalent to ``{c: count(pred & Eq(group, c))}`` but
-        with the predicate evaluated a single time.
-        """
-        group_col = self.column(group)
-        group_codes = group_col.distinct_codes()
-        group_fetch = lambda code: self.query(group, code, code)  # noqa: E731
-        report_fn = (
-            (lambda: self._plan_report(pred)) if pred is not None else None
-        )
-        with self._observed("count_by", report_fn=report_fn) as trace:
-            if pred is None:
-                return evaluate_count_by(
-                    None, self.query, group_col.n, group_codes, group_fetch
-                )
-            with trace.span("plan", predicate=pred):
-                plan = compile_pred(
-                    pred, lambda name: self.column(name).sigma
-                )
-            # The group column joins the universe resolution: its
-            # equality leaves execute in the same position space as the
-            # predicate.
-            widened = replace(
-                plan, columns=tuple(sorted(set(plan.columns) | {group}))
-            )
-            universe = resolve_universe(
-                widened, lambda name: self.column(name).n
-            )
-            return evaluate_count_by(
-                plan,
-                self.query,
-                universe,
-                group_codes,
-                group_fetch,
-                self._leaf_costs(plan),
-            )
-
-    def topk(
-        self, group: str, pred: "Pred | None" = None, k: int = 10
-    ) -> list[tuple[int, int]]:
-        """The ``k`` most frequent group codes among matching rows.
-
-        ``(code, count)`` pairs, count-descending with code ascending
-        as the deterministic tie-break.
-        """
-        if k <= 0:
-            raise InvalidParameterError("topk requires k >= 1")
-        counts = self.count_by(group, pred)
-        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
     def _plan_report(self, pred: Pred) -> PlanReport:
         plan, universe = self._compile_pred(pred)
         leaves = []
         for col, lo, hi in plan.leaves:
-            leaf = self.plan(col, lo, hi)
+            leaf = self._plan_range(col, lo, hi)
             leaves.append(
                 LeafPlan(
                     column=col,
@@ -745,30 +835,11 @@ class QueryEngine(ObservedOps):
             ),
         )
 
-    def plan(
-        self,
-        name: str | Pred,
-        char_lo: int | None = None,
-        char_hi: int | None = None,
-    ) -> "QueryPlan | PlanReport":
-        """How a query would be served, without executing it.
+    # ------------------------------------------------------------------
+    # Single-leaf forms (a range of one column)
+    # ------------------------------------------------------------------
 
-        With a predicate, the typed :class:`~repro.query.PlanReport`
-        (tree of leaf plans, per-leaf backend verdict, predicted bits,
-        cache state); with ``(name, char_lo, char_hi)``, the
-        single-leaf :class:`QueryPlan`.
-        """
-        if isinstance(name, Pred):
-            if char_lo is not None or char_hi is not None:
-                raise InvalidParameterError(
-                    "a predicate plan takes no range arguments"
-                )
-            return self._plan_report(name)
-        if char_lo is None or char_hi is None:
-            raise InvalidParameterError(
-                "plan(name, char_lo, char_hi) requires both bounds; "
-                "pass a predicate for composed queries"
-            )
+    def _plan_range(self, name: str, char_lo: int, char_hi: int) -> QueryPlan:
         col = self.column(name)
         stats = col.stats
         est = col.spec.cost.query_cost(
@@ -784,32 +855,9 @@ class QueryEngine(ObservedOps):
             cached=key in self.cache,
         )
 
-    def query(
-        self,
-        name: str | Pred,
-        char_lo: int | None = None,
-        char_hi: int | None = None,
+    def _query_range(
+        self, name: str, char_lo: int, char_hi: int
     ) -> RangeResult:
-        """One query through the LRU cache: a leaf range or a predicate.
-
-        With a predicate, every unique leaf interval of the compiled
-        plan is fetched through this same method (so each is
-        individually cached and disjuncts share legs) and the answers
-        fold via complement-aware set algebra into one
-        :class:`RangeResult` — possibly complement-represented, never
-        expanded.
-        """
-        if isinstance(name, Pred):
-            if char_lo is not None or char_hi is not None:
-                raise InvalidParameterError(
-                    "a predicate query takes no range arguments"
-                )
-            return self._query_pred(name, op="query")
-        if char_lo is None or char_hi is None:
-            raise InvalidParameterError(
-                "query(name, char_lo, char_hi) requires both bounds; "
-                "pass a predicate for composed queries"
-            )
         col = self.column(name)
         tracer = self.tracer
         if (
@@ -839,11 +887,7 @@ class QueryEngine(ObservedOps):
         The delta is taken on the serving column's shared
         :class:`~repro.iomodel.stats.IOStats` (stable across a
         backend's internal device swaps), so a result served from the
-        LRU cache honestly reports zero transfers.  This is the
-        per-task currency of the cluster's scatter phase: each shard
-        task — wherever it runs, including a worker process — returns
-        its answer together with one of these, and the coordinator
-        folds them into cluster totals.
+        LRU cache honestly reports zero transfers.
         """
         stats = self.column(name).index.stats
         before = stats.snapshot()
@@ -861,16 +905,6 @@ class QueryEngine(ObservedOps):
         """
         return self.query(name, char_lo, char_hi).iter_positions()
 
-    def select(self, conditions: Pred) -> list[int]:
-        """RIDs matching a predicate.
-
-        The materialized form of :meth:`query` over a predicate:
-        every unique leaf runs (or is served from cache) once, the
-        plan folds with complement-aware set algebra, and the final
-        answer materializes as a sorted RID list.
-        """
-        return self._query_pred(conditions).positions()
-
     def select_iter(self, conditions: Pred):
         """Streaming select: matching RIDs yielded one at a time.
 
@@ -881,30 +915,14 @@ class QueryEngine(ObservedOps):
         The predicate is validated, compiled and folded eagerly, before
         the first RID is drawn.
         """
-        return self._query_pred(conditions, "select_iter").iter_positions()
+        answer = self._read("select_iter", "select", conditions)
+        return answer.iter_positions()
 
-    def explain(
-        self,
-        name: "str | Pred | None" = None,
-        char_lo: int | None = None,
-        char_hi: int | None = None,
-    ) -> "str | PlanReport":
-        """Report a plan: a predicate, one column, or every column.
-
-        With a predicate, the typed :class:`~repro.query.PlanReport`
-        (JSON-serializable via ``to_dict()``, printable via ``str``).
-        With a range, describes the concrete :class:`QueryPlan`; with a
-        column only, reprints the advisor's ranked verdict; with no
-        arguments, summarizes every column and the cache.
-        """
-        if isinstance(name, Pred):
-            if char_lo is not None or char_hi is not None:
-                raise InvalidParameterError(
-                    "a predicate explain takes no range arguments"
-                )
-            return self._plan_report(name)
+    def _explain(self, name, char_lo, char_hi) -> str:
+        # A range describes its QueryPlan; a column reprints the
+        # advisor's ranked verdict; nothing summarizes every column.
         if name is not None and char_lo is not None and char_hi is not None:
-            return self.plan(name, char_lo, char_hi).describe()
+            return self._plan_range(name, char_lo, char_hi).describe()
         if name is not None:
             col = self.column(name)
             header = (

@@ -524,7 +524,7 @@ def evaluate_exists(
 
 
 def evaluate_count_by(
-    plan: Plan | None,
+    plan: Plan,
     fetch: Callable[[str, int, int], RangeResult],
     universe: int,
     group_codes: Sequence[int],
@@ -539,19 +539,16 @@ def evaluate_count_by(
     :func:`~repro.bits.ops.intersect_aware_count_many` counts it
     against the folded answer, which it hashes once: O(z + sum of
     group leaf sizes) work, one leaf held at a time, no per-group
-    result lists, no re-evaluation of the predicate.  ``plan=None``
-    means no predicate (count every row by group).  Codes whose
-    intersection is empty are omitted; an unsatisfiable predicate
-    returns ``{}`` without touching the group column at all.
+    result lists, no re-evaluation of the predicate.  Counting every
+    row by group is the plan of ``TRUE`` (an ``ALL`` root), which the
+    engines compile for ``count_by(group)``.  Codes whose intersection
+    is empty are omitted; an unsatisfiable predicate returns ``{}``
+    without touching the group column at all.
     """
-    if plan is None:
-        stored: list[int] = []
-        comp = True
-    else:
-        folder = _CardinalityFold(plan, fetch, universe, leaf_costs)
-        stored, comp = folder.fold(plan.root)
-        if not stored and not comp:
-            return {}
+    folder = _CardinalityFold(plan, fetch, universe, leaf_costs)
+    stored, comp = folder.fold(plan.root)
+    if not stored and not comp:
+        return {}
     groups = (
         align_leaf(group_fetch(code), universe, needs_universe=False)
         for code in group_codes

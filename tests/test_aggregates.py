@@ -379,13 +379,14 @@ class TestCountByTracksWrites:
                 engine.close()
 
 
-def test_count_by_fold_io_is_the_sum_of_its_leaf_reads():
-    """The fold measures its group leaves as one delta; on a cold
-    engine its I/O equals ``query_measured`` summed over the same
-    leaves in the same order.  The predicate reads the group column
-    too, so a delta that started before the predicate folded would
-    count that leaf twice."""
-    from repro.cluster.worker import evaluate_shard_fold
+@pytest.mark.parametrize("mode", ["count", "exists", "select", "count_by"])
+def test_fold_io_is_the_sum_of_its_leaf_reads(mode):
+    """A shard fold measures each read column's device delta over the
+    whole fold; on a cold engine that equals ``query_measured`` summed
+    over the leaves the fold fetched, in the same order.  The plan reads
+    both columns, the group column included, so a delta missing a
+    column, or counting one twice, would differ."""
+    from repro.cluster.worker import fold_shard
     from repro.iomodel.stats import Snapshot
     from repro.query import compile_pred
 
@@ -398,9 +399,14 @@ def test_count_by_fold_io_is_the_sum_of_its_leaf_reads():
 
     engine = cold()
     columns = {name: list(col.codes) for name, col in engine.columns.items()}
-    pred = And(Range("x", 2, 9), Not(Eq("g", 1)))
+    pred = Or(
+        And(Range("x", 2, 9), Not(Eq("g", 1))),
+        And(Range("x", 12, 14), Eq("g", 3)),
+    )
     plan = compile_pred(pred, lambda name: engine.column(name).sigma)
-    payload = ("count_by", ("g", "x"), plan.leaves, plan.root, "g")
+    assert len(plan.leaves) == 4
+    group = "g" if mode == "count_by" else None
+    payload = (mode, ("g", "x"), plan.leaves, plan.root, group)
     seen = []
     query = engine.query
 
@@ -409,10 +415,18 @@ def test_count_by_fold_io_is_the_sum_of_its_leaf_reads():
         return query(name, lo, hi)
 
     engine.query = recording
-    value, io = evaluate_shard_fold(engine, payload)
-    assert value == brute_count_by(columns, "g", pred_oracle(pred, columns))
-    codes = engine.column("g").distinct_codes()
-    assert seen[-len(codes):] == [("g", c, c) for c in codes]
+    value, io, span = fold_shard(engine, 0, payload, None, None, "fold")
+    rows = pred_oracle(pred, columns)
+    assert rows and span is None
+    assert value == {
+        "count": len(rows),
+        "exists": True,
+        "select": rows,
+        "count_by": brute_count_by(columns, "g", rows),
+    }[mode]
+    if mode == "count_by":
+        codes = engine.column("g").distinct_codes()
+        assert seen[-len(codes):] == [("g", c, c) for c in codes]
 
     replay = cold()
     total = Snapshot()

@@ -276,6 +276,28 @@ def test_split_and_merge_drop_retired_fold_entries():
     assert window(cluster, OPS["count"])[0] == oracle(cluster, "count")
 
 
+@pytest.mark.parametrize("drop", ["drop_column", "drop_caches"])
+def test_eager_drops_keep_to_their_own_shards(drop):
+    # Two clusters share one cache.  An eager drop on the first empties
+    # its own fold entries only: the second keeps its entries and its
+    # repeat is still answered from the cache.
+    shared = InMemorySharedCache(64)
+    first, second = (make_cluster(shared_cache=shared) for _ in range(2))
+    window(first, OPS["count"])
+    window(second, OPS["count"])
+    entries = fold_entries(second)  # the shared store: both clusters'
+    kept = [k for k in entries if k[0] in second.shard_uids]
+    assert len(entries) == 2 * SHARDS and len(kept) == SHARDS
+    if drop == "drop_column":
+        first.drop_column("b")
+    else:
+        first.drop_caches()
+    assert fold_entries(second) == kept
+    answer, _, bits, hits, misses = window(second, OPS["count"])
+    assert answer == oracle(second, "count")
+    assert (hits, misses, bits) == (SHARDS, 0, 0)
+
+
 def test_cached_values_are_immutable():
     cluster = make_cluster()
     got = cluster.count_by("b", PRED)
