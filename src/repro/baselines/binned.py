@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..bits.bitio import BitWriter
-from ..bits.ebitmap import decode_gaps, encode_gaps
+from ..bits.ebitmap import encode_gaps
 from ..bits.ops import union_disjoint_sorted
 from ..core.interface import RangeResult, SecondaryIndex, SpaceBreakdown
 from ..errors import InvalidParameterError
@@ -92,12 +92,12 @@ class BinnedBitmapIndex(SecondaryIndex):
             directory_bits=self._num_bins * entry_bits,
         )
 
-    def _read_bin(self, b: int) -> list[int]:
+    def _read_bin(self, b: int) -> Sequence[int]:
         start, nbits, count = self._entries[b]
         if count == 0:
             return []
-        reader = self._disk.reader(self._extent.offset + start, nbits)
-        return decode_gaps(reader, count)
+        at = self._extent.offset + start
+        return self._disk.read_gaps(at, nbits, [(at, count)])[0]
 
     def _check_candidate(self, pos: int, char_lo: int, char_hi: int) -> bool:
         """Read x[pos] from the base data (the candidate check I/O)."""

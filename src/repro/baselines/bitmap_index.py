@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..bits.bitio import BitWriter
-from ..bits.ebitmap import decode_gaps, encode_gaps
+from ..bits.ebitmap import encode_gaps
 from ..bits.ops import union_disjoint_sorted
 from ..bits.plain import PlainBitmap
 from ..core.interface import RangeResult, SecondaryIndex, SpaceBreakdown
@@ -91,14 +91,18 @@ class CompressedBitmapIndex(SecondaryIndex):
         # One contiguous read: bitmaps of the range are adjacent.
         first_entry = self._entries[char_lo]
         last_entry = self._entries[char_hi]
+        base = self._extent.offset
         start = first_entry[0]
         end = last_entry[0] + last_entry[1]
-        reader = self._disk.reader(self._extent.offset + start, end - start)
-        lists: list[list[int]] = []
-        for ch in range(char_lo, char_hi + 1):
-            _, _, count = self._entries[ch]
-            if count:
-                lists.append(decode_gaps(reader, count))
+        lists = self._disk.read_gaps(
+            base + start,
+            end - start,
+            [
+                (base + at, count)
+                for at, _, count in self._entries[char_lo : char_hi + 1]
+                if count
+            ],
+        )
         return RangeResult(union_disjoint_sorted(lists), self._n)
 
 

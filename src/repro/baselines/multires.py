@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..bits.bitio import BitWriter
-from ..bits.ebitmap import decode_gaps, encode_gaps
+from ..bits.ebitmap import encode_gaps
 from ..bits.ops import union_disjoint_sorted
 from ..core.interface import RangeResult, SecondaryIndex, SpaceBreakdown
 from ..errors import InvalidParameterError
@@ -102,12 +102,12 @@ class MultiResolutionBitmapIndex(SecondaryIndex):
             directory_bits=num_entries * entry_bits,
         )
 
-    def _read_bin(self, level: int, idx: int) -> list[int]:
+    def _read_bin(self, level: int, idx: int) -> Sequence[int]:
         start, nbits, count = self._levels[level][idx]
         if count == 0:
             return []
-        reader = self._disk.reader(self._extents[level].offset + start, nbits)
-        return decode_gaps(reader, count)
+        at = self._extents[level].offset + start
+        return self._disk.read_gaps(at, nbits, [(at, count)])[0]
 
     def _cover(self, char_lo: int, char_hi: int) -> list[tuple[int, int]]:
         """Greedy cover of [char_lo, char_hi] by maximal aligned bins."""

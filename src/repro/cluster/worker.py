@@ -18,7 +18,7 @@ delta               effect on the resident engine
 ``add_column``      build one more column into the resident engine
 ``drop_column``     drop a column
 ``set_latency``     (re)apply the disk latency model to every column
-``drop_caches``     flush engine LRU + every disk's block cache
+``drop_caches``     flush engine LRU + every disk's block cache and gap memo
 ==================  ====================================================
 
 Coalescable deltas (``append``/``change``) may arrive wholesale as one

@@ -27,7 +27,7 @@ from itertools import groupby
 from typing import Iterator, Sequence
 
 from ..bits.bitio import BitWriter
-from ..bits.ebitmap import decode_gaps, encode_gaps
+from ..bits.ebitmap import encode_gaps
 from ..bits.ops import union_sorted
 from ..errors import QueryError
 from ..hashing.xorfold import XorFoldHash
@@ -225,28 +225,13 @@ class ApproximatePaghRaoIndex(PaghRaoIndex):
             level_j=j,
         )
 
-    def _read_hashed(self, read_nodes: list[WNode], j: int) -> list[list[int]]:
+    def _read_hashed(
+        self, read_nodes: list[WNode], j: int
+    ) -> list[Sequence[int]]:
         """Read hashed sets (coalescing adjacent extents, as for bitmaps)."""
-        entries = sorted(
-            (self._hashed_extent[v.node_id][j] for v in read_nodes),
-            key=lambda e: e[0],
+        return self._read_extents(
+            self._hashed_extent[v.node_id][j] for v in read_nodes
         )
-        lists: list[list[int]] = []
-        i = 0
-        while i < len(entries):
-            run_start = entries[i][0]
-            run_end = entries[i][0] + entries[i][1]
-            k = i + 1
-            while k < len(entries) and entries[k][0] == run_end:
-                run_end += entries[k][1]
-                k += 1
-            reader = self._disk.reader(run_start, run_end - run_start)
-            for t in range(i, k):
-                _, _, cnt = entries[t]
-                if cnt:
-                    lists.append(decode_gaps(reader, cnt))
-            i = k
-        return lists
 
 
 def at_least_k_candidates(

@@ -25,10 +25,10 @@ complement trick; the blocked tree layout (§2.2) bounds the descent to
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from ..bits.bitio import BitWriter
-from ..bits.ebitmap import decode_gaps, encode_gaps
+from ..bits.ebitmap import encode_gaps
 from ..bits.ops import union_disjoint_sorted
 from ..errors import InvalidParameterError
 from ..iomodel.disk import Disk
@@ -206,18 +206,23 @@ class PaghRaoIndex(SecondaryIndex):
         self._layout.touch_nodes(directory_nodes)
         return union_disjoint_sorted(self._read_bitmaps(read_nodes))
 
-    def _read_bitmaps(self, read_nodes: list[WNode]) -> list[list[int]]:
-        """Read and decode bitmaps, coalescing adjacent extents.
+    def _read_bitmaps(self, read_nodes: list[WNode]) -> list[Sequence[int]]:
+        """Read and decode the bitmaps of ``read_nodes``."""
+        return self._read_extents(
+            self._node_extent[v.node_id] for v in read_nodes
+        )
+
+    def _read_extents(
+        self, extents: Iterable[tuple[int, int, int]]
+    ) -> list[Sequence[int]]:
+        """Decode ``(offset, nbits, count)`` gap lists, coalescing reads.
 
         Frontier nodes of one canonical subtree are consecutive within
         their level's concatenated extent, so their payloads form one
         contiguous range — the "two consecutive chunks" read of §2.2.
         """
-        entries = sorted(
-            (self._node_extent[v.node_id] for v in read_nodes),
-            key=lambda e: e[0],
-        )
-        lists: list[list[int]] = []
+        entries = sorted(extents, key=lambda e: e[0])
+        lists: list[Sequence[int]] = []
         i = 0
         while i < len(entries):
             run_start = entries[i][0]
@@ -226,10 +231,12 @@ class PaghRaoIndex(SecondaryIndex):
             while j < len(entries) and entries[j][0] == run_end:
                 run_end += entries[j][1]
                 j += 1
-            reader = self._disk.reader(run_start, run_end - run_start)
-            for k in range(i, j):
-                _, _, count = entries[k]
-                if count:
-                    lists.append(decode_gaps(reader, count))
+            lists.extend(
+                self._disk.read_gaps(
+                    run_start,
+                    run_end - run_start,
+                    [(at, count) for at, _, count in entries[i:j] if count],
+                )
+            )
             i = j
         return lists

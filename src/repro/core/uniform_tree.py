@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..bits.bitio import BitWriter
-from ..bits.ebitmap import decode_gaps, encode_gaps
+from ..bits.ebitmap import encode_gaps
 from ..bits.ops import union_disjoint_sorted
 from ..errors import InvalidParameterError
 from ..iomodel.disk import Disk, Extent
@@ -186,7 +186,7 @@ class UniformTreeIndex(SecondaryIndex):
 
     def _query_positions(self, char_lo: int, char_hi: int) -> list[int]:
         nodes = self._canonical_nodes(char_lo, char_hi)
-        lists: list[list[int]] = []
+        lists: list[Sequence[int]] = []
         for level, idx in nodes:
             # Directory probe (cache-friendly O(1) I/O per node).
             flat_index = ((1 << level) - 1) + idx
@@ -197,9 +197,8 @@ class UniformTreeIndex(SecondaryIndex):
             start, nbits, count = self._directory[level][idx]
             if count == 0:
                 continue
-            extent = self._level_extents[level]
-            reader = self._disk.reader(extent.offset + start, nbits)
-            lists.append(decode_gaps(reader, count))
+            at = self._level_extents[level].offset + start
+            lists.extend(self._disk.read_gaps(at, nbits, [(at, count)]))
         return union_disjoint_sorted(lists)
 
 

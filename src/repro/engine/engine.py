@@ -101,6 +101,12 @@ class EngineColumn:
     twin's); latency/metrics applied while deferred stick and take
     effect at force time.
 
+    :meth:`apply_memo` turns the memo of decoded gap lists
+    (``Disk.memoize_gaps``) on or off for every index the column holds,
+    now and after a deferred build or a :meth:`rebuild`.  Engines turn
+    it on when their result cache is on, so a ``cache_size=0`` engine
+    decodes every read afresh.
+
     Updates never force a build.  ``append``/``change``/``delete``
     take their capability from :attr:`spec`, validate against the
     codes mirror, apply to the index only when one is built, and
@@ -128,6 +134,7 @@ class EngineColumn:
         self._deleted = self.codes.count(None)
         self._pending_latency: float | None = None
         self._pending_metrics = None
+        self._memo = False
         self._distinct: tuple[int, tuple[int, ...]] | None = None
 
     @property
@@ -157,6 +164,7 @@ class EngineColumn:
                 self._index.delete(pos)
         disk = getattr(self._index, "disk", None)
         if disk is not None:
+            disk.memoize_gaps(self._memo)
             if self._pending_latency is not None:
                 disk.latency_s = self._pending_latency
             if self._pending_metrics is not None:
@@ -179,6 +187,15 @@ class EngineColumn:
         if self._index is None:
             return Snapshot()
         return self._index.stats.snapshot()
+
+    def apply_memo(self, on: bool) -> None:
+        """Keep decoded gap lists on the column's disk, or stop; sticks."""
+        self._memo = on
+        if self._index is None:
+            return
+        disk = getattr(self._index, "disk", None)
+        if disk is not None:
+            disk.memoize_gaps(on)
 
     def apply_latency(self, latency_s: float) -> None:
         """Set the disk latency model without forcing a deferred build."""
@@ -280,10 +297,12 @@ class EngineColumn:
         old_disk = getattr(self.index, "disk", None)
         self.index = spec.build(live, self.stats.sigma)
         new_disk = getattr(self.index, "disk", None)
-        if new_disk is not None and old_disk is not None:
-            # Observability survives backend swaps: the replacement
-            # device reports into whatever registry the old one did.
-            new_disk.metrics = getattr(old_disk, "metrics", None)
+        if new_disk is not None:
+            new_disk.memoize_gaps(self._memo)
+            if old_disk is not None:
+                # Observability survives backend swaps: the replacement
+                # device reports into whatever registry the old one did.
+                new_disk.metrics = getattr(old_disk, "metrics", None)
         self.spec = spec
         self._compact_mirror(live)
         self._bump()
@@ -582,6 +601,7 @@ class QueryEngine(ReadSurface):
             spec = self.advisor.pick(stats)
         index = None if defer_index else spec.build(list(codes), stats.sigma)
         column = EngineColumn(name, codes, spec, index, stats)
+        column.apply_memo(self.cache.capacity > 0)
         if self.metrics is not None:
             column.apply_metrics(self.metrics)
         self.columns[name] = column

@@ -13,6 +13,19 @@ written, through a :class:`repro.bits.bitio.BitReader`.  This keeps the
 accounting honest — a structure cannot claim to answer a query without
 reading the blocks its answer lives in.
 
+Beside the block cache, the runtime side can hold a memo of decoded
+gap lists (:meth:`Disk.read_gaps`, switched on by
+:meth:`Disk.memoize_gaps`): the static indexes' bitmaps never change,
+so a list decoded once need not be decoded again.  The memo saves CPU
+only.  A hit charges exactly what the read it replaces charges — the
+same blocks through the block cache, the same ``bits_read``, the same
+latency sleeps — and serves only lists inside the extent it charged,
+so the sentence above still holds.  Like the block cache, the memo is
+never part of a :class:`DiskState`; any mutation of the device and
+:meth:`Disk.flush_cache` empty it.  It keeps one array per stored list
+it has served, at most 8 bytes per position, so it never outgrows the
+decoded size of the lists stored on the disk.
+
 Design notes
 ------------
 * Allocations are byte-aligned (a waste of at most 7 bits per extent)
@@ -32,9 +45,12 @@ from __future__ import annotations
 
 import struct
 import time
+from array import array
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from ..bits.bitio import BitReader
+from ..bits.ebitmap import decode_gaps
 from ..errors import InvalidParameterError, StorageError
 from .cache import LRUBlockCache
 from .stats import IOStats
@@ -161,6 +177,9 @@ class Disk:
         #: registry attached).  ``None`` — the default — costs one
         #: attribute check per transfer batch and nothing else.
         self.metrics = None
+        #: Decoded gap lists, ``(bit offset, count) -> (stop bit,
+        #: positions array)``; ``None`` (the default) keeps no memo.
+        self._gaps: dict | None = None
         self._data = bytearray()
         self._alloc_bits = 0
 
@@ -222,9 +241,12 @@ class Disk:
         return disk
 
     def _materialize(self) -> None:
-        # Copy-on-write for lazily adopted (mmap-backed) buffers: every
-        # mutator lands here first, so reads stay zero-copy until the
-        # disk actually changes.
+        # Every mutator lands here first.  Decoded gap lists may no
+        # longer match the bytes, so the memo forgets them; and
+        # lazily adopted (mmap-backed) buffers are copied on write, so
+        # reads stay zero-copy until the disk actually changes.
+        if self._gaps:
+            self._gaps.clear()
         if not isinstance(self._data, bytearray):
             self._data = bytearray(self._data)
 
@@ -336,8 +358,23 @@ class Disk:
             self.stats.bits_read += self.block_bits
 
     def flush_cache(self) -> None:
-        """Evict everything from internal memory (run the next query cold)."""
+        """Evict everything from internal memory (run the next query cold).
+
+        The memo of decoded gap lists goes too, so a cold query decodes
+        its bitmaps again as well as transferring their blocks.
+        """
         self.cache.clear()
+        if self._gaps:
+            self._gaps.clear()
+
+    def memoize_gaps(self, on: bool = True) -> None:
+        """Start an empty memo for :meth:`read_gaps`; ``on=False`` drops it."""
+        self._gaps = {} if on else None
+
+    @property
+    def memoized_gaps(self) -> int | None:
+        """How many decoded gap lists the memo holds; ``None`` when off."""
+        return None if self._gaps is None else len(self._gaps)
 
     # ------------------------------------------------------------------
     # Bulk byte-aligned I/O
@@ -373,6 +410,46 @@ class Disk:
         The whole extent is charged up front (the query algorithms in the
         paper always consume entire compressed bitmaps or whole blocks).
         """
+        self._charge_read(offset, nbits)
+        return self._window(offset, nbits)
+
+    def read_gaps(
+        self, offset: int, nbits: int, lists: Iterable[tuple[int, int]]
+    ) -> list[Sequence[int]]:
+        """Read ``[offset, offset+nbits)`` and decode gap lists stored in it.
+
+        Charges the extent exactly as :meth:`reader` does, then returns
+        the ascending positions of each requested ``(bit offset,
+        count)`` list, as :func:`~repro.bits.ebitmap.decode_gaps` would
+        decode them there.  With the memo on (:meth:`memoize_gaps`) a
+        list is decoded from the device bytes once and kept as a typed
+        array; later reads get a copy, so no caller can change what the
+        next one reads.  A memoized list that does not lie inside the
+        charged extent is not served: it is decoded from the extent,
+        which fails as it would without a memo.
+        """
+        self._charge_read(offset, nbits)
+        memo = self._gaps
+        end = offset + nbits
+        out: list[Sequence[int]] = []
+        reader = None
+        for at, count in lists:
+            if memo is not None:
+                hit = memo.get((at, count))
+                if hit is not None and offset <= at and hit[0] <= end:
+                    out.append(hit[1][:])
+                    continue
+            if reader is None:
+                reader = self._window(offset, nbits)
+            reader.seek(at - offset)
+            positions = decode_gaps(reader, count)
+            if memo is not None:
+                stop = offset + reader.tell()
+                memo[(at, count)] = (stop, _packed(positions))
+            out.append(positions)
+        return out
+
+    def _charge_read(self, offset: int, nbits: int) -> None:
         if nbits < 0 or offset < 0 or offset + nbits > self._alloc_bits:
             raise StorageError(
                 f"read [{offset}, {offset + nbits}) outside allocated "
@@ -382,6 +459,8 @@ class Disk:
             B = self.block_bits
             self._touch(offset // B, (offset + nbits - 1) // B, write=False)
             self.stats.bits_read += nbits
+
+    def _window(self, offset: int, nbits: int) -> BitReader:
         # Copy only the extent's covering bytes, not the whole device:
         # the reader's window is position-relative, so shifting the
         # origin is invisible to every consumer (including the fast
@@ -445,3 +524,10 @@ class Disk:
         B = self.block_bits
         self._touch(offset // B, (end - 1) // B, write=True)
         self.stats.bits_written += nbits
+
+
+def _packed(positions: list[int]) -> array:
+    """``positions`` in the narrowest array type that holds them."""
+    top = positions[-1] if positions else 0
+    code = "H" if top < 1 << 16 else "I" if top < 1 << 32 else "q"
+    return array(code, positions)

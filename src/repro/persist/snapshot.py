@@ -485,6 +485,7 @@ def load_shard_engine(
                     f"to deserialize: {exc}"
                 ) from None
         column = EngineColumn(entry["name"], codes, spec, index, stats)
+        column.apply_memo(cache_size > 0)
         column.version = entry["version"]
         engine.columns[entry["name"]] = column
     return engine

@@ -126,6 +126,59 @@ class TestConformance:
                 assert (p in result) == (p in member)
 
 
+#: The static backends that keep gap lists on their disk and read them
+#: through ``Disk.read_gaps``, the memo's one entry point.
+MEMO_SPECS = [
+    s for s in SPECS
+    if s.name in (
+        "pagh-rao", "pagh-rao-approx", "uniform-tree", "bitmap-gamma",
+        "bitmap-binned", "bitmap-multires",
+    )
+]
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS, ids=spec_id)
+@pytest.mark.parametrize("wname", [w[0] for w in WORKLOADS])
+def test_warm_memo_answers_and_charges_like_a_cold_read(spec, wname):
+    """The corpus ranges, twice, on an engine column with the memo on.
+
+    ``index.range_query`` is called directly, so repeats reach the
+    memo instead of the engine's LRU.  Both passes match the oracle,
+    and from the same (empty) block cache the warm pass charges what
+    the cold pass and a memo-less twin charge; ``flush_cache`` empties
+    the memo, so the pass after it is cold again.
+    """
+    _, gen, sigma = next(w for w in WORKLOADS if w[0] == wname)
+    x = gen()
+    idx = QueryEngine().add_column("c", x, sigma, backend=spec.name).index
+    disk = idx.disk
+    bare = spec.build(x, sigma)
+    assert disk.memoized_gaps == 0 and bare.disk.memoized_gaps is None
+    rng = random.Random(zlib.crc32(f"memo:{spec.name}:{wname}".encode()))
+    ranges = random_ranges(rng, sigma, 12)
+    expected = [brute_range(x, lo, hi) for lo, hi in ranges]
+
+    def one_pass(index):
+        index.disk.cache.clear()
+        before = index.stats.snapshot()
+        answers = [index.range_query(lo, hi).positions() for lo, hi in ranges]
+        return answers, index.stats.snapshot() - before
+
+    disk.flush_cache()
+    cold, cold_io = one_pass(idx)
+    memoized = disk.memoized_gaps
+    # On sigma_1 the trees answer every range by complement, reading
+    # no bitmap at all.
+    assert memoized or wname == "sigma_1"
+    warm, warm_io = one_pass(idx)
+    assert disk.memoized_gaps == memoized  # every list came from the memo
+    assert cold == warm == expected
+    assert warm_io == cold_io == one_pass(bare)[1]
+    disk.flush_cache()
+    assert disk.memoized_gaps == 0
+    assert one_pass(idx) == (expected, cold_io)
+
+
 SHARD_COUNTS = [1, 2, 7]
 
 

@@ -1,11 +1,15 @@
 """Unit tests for the simulated block device and its accounting."""
 
+import random
+from array import array
+
 import pytest
 
 from repro.bits.ebitmap import decode_gaps, encode_gaps
 from repro.bits.bitio import BitWriter
-from repro.errors import InvalidParameterError, StorageError
+from repro.errors import CodecError, InvalidParameterError, StorageError
 from repro.iomodel import Disk, IOStats
+from repro.iomodel import disk as disk_module
 from repro.iomodel.disk import DiskState
 from repro.iomodel.cache import LRUBlockCache
 
@@ -351,3 +355,171 @@ class TestMergeableStats:
         assert total.snapshot() == Snapshot(
             reads=2, writes=5, bits_read=16, bits_written=50
         )
+
+
+def gap_disk(memo=True, mem_blocks=3):
+    """A disk holding four gap lists back to back across several blocks.
+
+    Returns ``(disk, extent, runs, lists)``: ``runs`` are the lists'
+    ``(bit offset, count)`` pairs, ``lists`` their positions.
+    """
+    rng = random.Random(7)
+    lists = [sorted(rng.sample(range(5000), k)) for k in (40, 0, 25, 60)]
+    writer = BitWriter()
+    starts = []
+    for positions in lists:
+        starts.append(writer.bit_length)
+        encode_gaps(writer, positions)
+    d = Disk(block_bits=256, mem_blocks=mem_blocks)
+    d.alloc(13)  # the extent does not start on a block boundary
+    extent = d.store(writer.getvalue(), writer.bit_length)
+    runs = [(extent.offset + at, len(p)) for at, p in zip(starts, lists)]
+    if memo:
+        d.memoize_gaps()
+    return d, extent, runs, lists
+
+
+class TestGapMemo:
+    """The memo of decoded gap lists is invisible to the I/O model."""
+
+    @pytest.mark.parametrize("mem_blocks", [0, 2, 64])
+    @pytest.mark.parametrize("resident", [0, 300])
+    def test_a_hit_charges_what_a_reader_charges(
+        self, monkeypatch, mem_blocks, resident
+    ):
+        d, extent, runs, lists = gap_disk(mem_blocks=mem_blocks)
+        d.read_gaps(extent.offset, extent.nbits, runs)
+        assert d.memoized_gaps == len(runs)
+        decodes = []
+        real_decode = disk_module.decode_gaps
+        monkeypatch.setattr(
+            disk_module, "decode_gaps",
+            lambda reader, count: decodes.append(count)
+            or real_decode(reader, count),
+        )
+        sleeps = []
+        monkeypatch.setattr(disk_module.time, "sleep", sleeps.append)
+        d.latency_s = 0.001
+
+        def measured(read):
+            # The same block-cache state before each side: empty, or
+            # holding the blocks of the extent's first ``resident`` bits.
+            d.cache.clear()
+            d.touch_range(extent.offset, resident)
+            before = d.stats.snapshot()
+            del sleeps[:]
+            got = read()
+            return got, d.stats.snapshot() - before, list(sleeps)
+
+        got, memo_io, memo_sleeps = measured(
+            lambda: d.read_gaps(extent.offset, extent.nbits, runs)
+        )
+
+        def plain():
+            reader = d.reader(extent.offset, extent.nbits)
+            return [decode_gaps(reader, count) for _, count in runs]
+
+        want, reader_io, reader_sleeps = measured(plain)
+        assert decodes == []  # every list came from the memo
+        assert [list(g) for g in got] == want == lists
+        assert memo_io == reader_io and memo_io.bits_read == extent.nbits
+        assert memo_sleeps == reader_sleeps
+
+    def test_hits_are_copies_of_narrow_typed_arrays(self):
+        d, extent, runs, lists = gap_disk()
+        d.read_gaps(extent.offset, extent.nbits, runs)
+        for got in d.read_gaps(extent.offset, extent.nbits, runs):
+            assert isinstance(got, array) and got.itemsize <= 8
+        wide = [[3, 70_000], [5, 1 << 33]]
+        writer = BitWriter()
+        starts = []
+        for positions in wide:
+            starts.append(writer.bit_length)
+            encode_gaps(writer, positions)
+        extent = d.store(writer.getvalue(), writer.bit_length)
+        wide_runs = [(extent.offset + at, 2) for at in starts]
+        for _ in range(2):
+            got = d.read_gaps(extent.offset, extent.nbits, wide_runs)
+            assert [list(g) for g in got] == wide
+
+    @pytest.mark.parametrize(
+        "mutate",
+        ["alloc", "store", "write_bytes", "write_bits", "flush_cache"],
+    )
+    def test_mutations_and_flush_cache_empty_the_memo(self, mutate):
+        d, extent, runs, lists = gap_disk()
+        d.read_gaps(extent.offset, extent.nbits, runs)
+        assert d.memoized_gaps == len(runs)
+        first_byte = d.read_bits(extent.offset, 8)
+        {
+            "alloc": lambda: d.alloc(8),
+            "store": lambda: d.store(b"\x01", 8),
+            "write_bytes": lambda: d.write_bytes(
+                extent.offset, bytes([first_byte]), 8
+            ),
+            "write_bits": lambda: d.write_bits(extent.offset, first_byte, 8),
+            "flush_cache": d.flush_cache,
+        }[mutate]()
+        assert d.memoized_gaps == 0
+        got = d.read_gaps(extent.offset, extent.nbits, runs)
+        assert [list(g) for g in got] == lists
+
+    def test_a_rewritten_list_is_decoded_afresh(self):
+        def encoded(positions):
+            writer = BitWriter()
+            encode_gaps(writer, positions)
+            assert writer.bit_length == 7
+            return writer.getvalue()
+
+        # Gaps (1, 2, 2) and (2, 1, 2) take the same 7 bits.
+        d = Disk(block_bits=256, mem_blocks=2)
+        d.memoize_gaps()
+        extent = d.store(encoded([0, 2, 4]), 7)
+        runs = [(extent.offset, 3)]
+        assert d.read_gaps(extent.offset, 7, runs) == [[0, 2, 4]]
+        d.write_bytes(extent.offset, encoded([1, 2, 4]), 7)
+        got = d.read_gaps(extent.offset, 7, runs)
+        assert [list(g) for g in got] == [[1, 2, 4]]
+
+    def test_warm_reads_leave_the_packed_state_byte_identical(self):
+        d, extent, runs, _ = gap_disk()
+        packed = d.snapshot_state().pack()
+        for _ in range(3):
+            d.read_gaps(extent.offset, extent.nbits, runs)
+        assert d.memoized_gaps == len(runs)
+        assert d.snapshot_state().pack() == packed
+        assert Disk.from_state(d.snapshot_state()).memoized_gaps is None
+
+    def test_mutating_an_answer_leaves_the_next_one_unchanged(self):
+        d, extent, runs, lists = gap_disk()
+        for _ in range(3):  # a miss, then hits
+            got = d.read_gaps(extent.offset, extent.nbits, runs)
+            assert [list(g) for g in got] == lists
+            for positions in got:
+                positions.append(4999)
+                if len(positions) > 1:
+                    positions[0] += 1
+
+    def test_a_bare_disk_keeps_no_memo(self):
+        assert Disk().memoized_gaps is None
+        d, extent, runs, lists = gap_disk(memo=False)
+        for _ in range(2):
+            got = d.read_gaps(extent.offset, extent.nbits, runs)
+            assert got == lists and all(type(g) is list for g in got)
+        assert d.memoized_gaps is None
+        d.memoize_gaps()
+        d.read_gaps(extent.offset, extent.nbits, runs)
+        d.memoize_gaps(False)
+        assert d.memoized_gaps is None
+
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_a_list_outside_the_charged_extent_is_refused(self, memo):
+        d, extent, runs, _ = gap_disk(memo=memo)
+        d.read_gaps(extent.offset, extent.nbits, runs)
+        at, count = runs[-1]
+        with pytest.raises(CodecError):  # the extent ends inside it
+            d.read_gaps(extent.offset, at + 3 - extent.offset, [(at, count)])
+        with pytest.raises(InvalidParameterError):  # it starts before
+            d.read_gaps(runs[0][0] + 8, 64, [runs[0]])
+        with pytest.raises(StorageError):  # past the allocated region
+            d.read_gaps(extent.offset, d.size_bits, runs)

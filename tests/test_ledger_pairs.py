@@ -1,7 +1,8 @@
 """The pair-protocol summary of ``tools/ledger_pairs.py``, on canned lines.
 
 No ledger runs here: the records are the JSON lines the tool prints
-per run, written out by hand, so the verdicts are known exactly.
+per run, written out by hand, so the verdicts are known exactly; the
+tests of ``main`` replace its one runner with a stub.
 """
 
 import importlib.util
@@ -142,3 +143,64 @@ def test_parse_seeds():
     assert ledger_pairs.parse_seeds("1-10") == list(range(1, 11))
     assert ledger_pairs.parse_seeds("11,12") == [11, 12]
     assert ledger_pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
+
+
+def make_tree(root, bytecode=None):
+    """A minimal checkout: ``perfbench/run.py`` and ``src/repro/``."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text("")
+    (root / "src" / "repro").mkdir(parents=True)
+    if bytecode is not None:
+        (root / bytecode).mkdir(parents=True)
+    return root
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Stub out the ledger runs of ``main``; each call is recorded."""
+    calls = []
+
+    def run_one(tree, command, workload, seed, seconds):
+        calls.append((tree, seed))
+        return {"exit": 0, "result": json.loads(line("change", seed, 10.0,
+                                                     100.0))["result"]}
+
+    monkeypatch.setattr(ledger_pairs, "run_one", run_one)
+    return calls
+
+
+def main_on(parent, change):
+    return ledger_pairs.main([
+        "--parent", str(parent), "--change", str(change),
+        "--workload", "adhoc-scan", "--seeds", "1-2",
+    ])
+
+
+@pytest.mark.parametrize("side", ledger_pairs.SIDES)
+@pytest.mark.parametrize(
+    "bytecode", ["src/repro/__pycache__", "perfbench/__pycache__"]
+)
+def test_a_tree_holding_bytecode_is_refused_before_any_run(
+    tmp_path, runs, capsys, side, bytecode
+):
+    trees = {
+        s: make_tree(tmp_path / s, bytecode if s == side else None)
+        for s in ledger_pairs.SIDES
+    }
+    assert main_on(trees["parent"], trees["change"]) == 2
+    assert runs == []
+    err = capsys.readouterr().err
+    assert f"{side} tree" in err
+    assert str(tmp_path / side / bytecode) in err
+
+
+def test_clean_trees_pass_the_bytecode_check(tmp_path, runs, capsys):
+    parent = make_tree(tmp_path / "parent")
+    change = make_tree(tmp_path / "change")
+    # Bytecode elsewhere in a tree (here under tests/) is not checked.
+    (change / "tests" / "__pycache__").mkdir(parents=True)
+    assert main_on(parent, change) == 0
+    assert sorted(runs) == sorted(
+        (str(tree), seed) for tree in (parent, change) for seed in (1, 2)
+    )
+    assert "2 pairs" in capsys.readouterr().out

@@ -6,7 +6,13 @@ Usage (from the repository root)::
         --workload dashboard-zipf --seeds 1-10
 
 ``DIR`` is a full checkout of each tree (make the parent's copy with
-``git archive``).  Every seed runs once in each tree, through that
+``git archive``).  Neither tree may hold a ``__pycache__`` directory
+under ``src/`` or ``perfbench/``: with ``PYTHONDONTWRITEBYTECODE`` set
+the ledger never writes bytecode, so a tree that ran the test suite
+imports compiled modules while a fresh copy compiles every module on
+every run, which moves ``peak_rss_mb`` by megabytes.  The tool refuses
+such a tree before any run, naming the side and the first directory
+found.  Every seed runs once in each tree, through that
 tree's own ``perfbench/run.py`` as ``BENCHMARK.json`` names it, with
 ``--trace 0`` and the file's ``run_seconds``; the side that runs first
 alternates from seed to seed.  Each run prints one JSON line
@@ -23,7 +29,7 @@ not all read better).  Seeds where ``bits_read_per_op``, ``correct``
 or ``failed`` differ between the two trees are listed last.
 
 Exit status: 0 when every run exited 0 and no metric is worse than its
-bound, 1 otherwise, 2 on bad arguments.
+bound, 1 otherwise, 2 on bad arguments or a tree holding bytecode.
 """
 
 from __future__ import annotations
@@ -55,6 +61,15 @@ def parse_seeds(text: str) -> list[int]:
     if not seeds:
         raise ValueError(f"no seeds in {text!r}")
     return seeds
+
+
+def bytecode_dir(tree: str) -> Path | None:
+    """The first ``__pycache__`` directory under ``src/`` or ``perfbench/``."""
+    for top in ("src", "perfbench"):
+        for path in sorted(Path(tree, top).rglob("__pycache__")):
+            if path.is_dir():
+                return path
+    return None
 
 
 def run_one(tree: str, command: list[str], workload: str, seed: int,
@@ -227,6 +242,12 @@ def main(argv=None) -> int:
         if not (Path(tree) / "perfbench" / "run.py").is_file():
             print(f"ledger_pairs: no perfbench/run.py under {side} "
                   f"tree {tree!r}", file=sys.stderr)
+            return 2
+        stale = bytecode_dir(tree)
+        if stale is not None:
+            print(f"ledger_pairs: {side} tree {tree!r} holds bytecode at "
+                  f"{str(stale)!r}; remove every __pycache__ under src/ "
+                  "and perfbench/ first", file=sys.stderr)
             return 2
     spec = json.loads(BENCHMARK.read_text())
     records = []
