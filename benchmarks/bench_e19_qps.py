@@ -27,11 +27,7 @@ import os
 import random
 import time
 
-from repro.cluster import (
-    CacheStore,
-    ClusterEngine,
-    InMemorySharedCache,
-)
+from repro.cluster import ClusterEngine, InMemorySharedCache
 from repro.errors import Overloaded
 from repro.iomodel.cache import LRUBlockCache
 from repro.obs import MetricsRegistry
@@ -46,19 +42,6 @@ SIGMA = 64
 SHARDS = 6
 REQUIRED_COALESCE_SPEEDUP = 1.5
 P99_BOUND = 3.0
-
-
-class _NullStore(CacheStore):
-    """No result caching: every repeat is real work (see module doc)."""
-
-    def get(self, key):
-        return None
-
-    def put(self, key, positions):
-        pass
-
-    def __len__(self):
-        return 0
 
 
 def _merge_consolidated(section: str, payload: dict) -> None:
@@ -80,20 +63,19 @@ def _percentile(samples, q):
     return ordered[index]
 
 
-def _make_cluster(io_latency_s=0.0, store=None, sigma=SIGMA,
-                  cache_size=128):
+def _make_cluster(io_latency_s=0.0, sigma=SIGMA, cache_size=128):
     # At 40k rows the per-request cost is real plan evaluation (a few
     # ms), not a disk-block-cache artifact — tiny columns go fully
-    # resident after one touch and would make every repeat free.
+    # resident after one touch and would make every repeat free.  The
+    # shared fold cache holds nothing, so every repeat is real work
+    # (see the module doc).
     random.seed(190)
     codes = [random.randrange(sigma) for _ in range(N)]
     cluster = ClusterEngine(
         num_shards=SHARDS,
         io_latency_s=io_latency_s,
         cache_size=cache_size,
-        shared_cache=(
-            InMemorySharedCache(store=store) if store is not None else None
-        ),
+        shared_cache=InMemorySharedCache(0),
         drift_window=None,
     )
     cluster.add_column("v", codes, sigma)
@@ -106,10 +88,10 @@ def _zipf_picks(rng, universe, count, theta=1.2):
 
 
 def test_e19a_coalescing_qps(report):
-    # cache_size=0 switches off the per-shard fold LRU (and the null
-    # store the shared result cache), so a repeated predicate is real
-    # work every time — the measured speedup is coalescing's alone.
-    cluster, _ = _make_cluster(store=_NullStore(), cache_size=0)
+    # cache_size=0 switches off the per-shard fold LRU (and capacity 0
+    # the shared result cache), so a repeated predicate is real work
+    # every time — the measured speedup is coalescing's alone.
+    cluster, _ = _make_cluster(cache_size=0)
     preds = [
         Range("v", lo, min(SIGMA - 1, lo + 5)) for lo in range(0, 48)
     ]
@@ -222,9 +204,7 @@ def test_e19b_admission_bounds_p99(report):
     # arrival, whatever got shed in between.  cache_size=0 switches
     # off the per-shard fold LRU too, so even a repeated range (the
     # retry loop below replays the same workload) is real work.
-    cluster, _ = _make_cluster(
-        io_latency_s=0.0002, store=_NullStore(), cache_size=0
-    )
+    cluster, _ = _make_cluster(io_latency_s=0.0002, cache_size=0)
     for shard in cluster.shards:
         shard.column("v").index.disk.cache = LRUBlockCache(0)
     preds = [

@@ -38,7 +38,6 @@ from .cluster import (
     ClusterEngine,
     InMemorySharedCache,
     SerialExecutor,
-    SharedResultCache,
     ThreadedExecutor,
 )
 from .engine import (
@@ -113,7 +112,6 @@ __all__ = [
     "ReproError",
     "SecondaryIndex",
     "SerialExecutor",
-    "SharedResultCache",
     "SlowQueryLog",
     "SpaceBreakdown",
     "StorageError",

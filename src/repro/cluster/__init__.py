@@ -17,13 +17,7 @@ See README.md in this directory for the architecture diagram and the
 invalidation protocol.
 """
 
-from .cache import (
-    CacheStore,
-    DictStore,
-    InMemorySharedCache,
-    SharedResultCache,
-    TTLStore,
-)
+from .cache import InMemorySharedCache
 from .engine import (
     ClusterEngine,
     ClusterStats,
@@ -44,22 +38,18 @@ from .sharding import (
 )
 
 __all__ = [
-    "CacheStore",
     "ClusterEngine",
     "ClusterStats",
     "ColumnMeta",
-    "DictStore",
     "GatherStats",
     "InMemorySharedCache",
     "Migration",
     "ProcessExecutor",
     "SerialExecutor",
-    "TTLStore",
     "ShardMerge",
     "ShardPlan",
     "ShardSplit",
     "ShardStats",
-    "SharedResultCache",
     "ThreadedExecutor",
     "locate",
     "offsets_of",

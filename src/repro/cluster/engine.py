@@ -119,13 +119,7 @@ from ..query import (
     specialize,
 )
 from ..query.planner import ALL, EMPTY, LEAF
-from .cache import (
-    InMemorySharedCache,
-    SharedResultCache,
-    fold_entry,
-    fold_key,
-    fold_value,
-)
+from .cache import InMemorySharedCache, fold_entry, fold_key, fold_value
 from .executor import CompletedFuture, MappedFuture, SerialExecutor
 from .worker import fold_shard
 from .sharding import (
@@ -186,8 +180,8 @@ class ColumnMeta:
     shard_pins: dict[int, str] = field(default_factory=dict)
     #: Incarnation stamp (random token): cache keys carry it so a
     #: re-added column never matches its predecessor's entries — nor
-    #: another engine's same-named column when several engines (or
-    #: processes) share one external result cache.
+    #: another engine's same-named column when several engines share
+    #: one fold cache.
     epoch: str = ""
     updates_since_stat: dict[int, int] = field(default_factory=dict)
     #: Per-shard local alphabets (static columns only): the sorted
@@ -324,7 +318,7 @@ class ClusterStats:
     gather: GatherStats
     shards: tuple[ShardStats, ...]
     op_counts: dict
-    shared_cache: "CacheTierStats | None"
+    shared_cache: CacheTierStats
     migrations: int
     splits: int
     merges: int
@@ -341,11 +335,7 @@ class ClusterStats:
             "gather": self.gather.to_json(),
             "shards": [shard.to_dict() for shard in self.shards],
             "op_counts": dict(self.op_counts),
-            "shared_cache": (
-                self.shared_cache.to_dict()
-                if self.shared_cache is not None
-                else None
-            ),
+            "shared_cache": self.shared_cache.to_dict(),
             "migrations": self.migrations,
             "splits": self.splits,
             "merges": self.merges,
@@ -363,7 +353,7 @@ class ClusterEngine(ReadSurface):
         num_shards: int | None = None,
         target_shard_rows: int | None = None,
         executor=None,
-        shared_cache: SharedResultCache | None = None,
+        shared_cache: InMemorySharedCache | None = None,
         advisor: Advisor | None = None,
         cost_model: CostModel | None = None,
         cache_size: int = 128,
@@ -487,7 +477,7 @@ class ClusterEngine(ReadSurface):
         self.wal_listener = None
         self._wal_suspended = False
         if metrics is not None:
-            if getattr(self.shared_cache, "metrics", False) is None:
+            if self.shared_cache.metrics is None:
                 self.shared_cache.metrics = metrics
             if getattr(self.executor, "metrics", False) is None:
                 self.executor.metrics = metrics
@@ -1370,7 +1360,6 @@ class ClusterEngine(ReadSurface):
     def _explain(self, name, char_lo, char_hi) -> str:
         # Cluster-level strings: one leaf query's shard fan-out, one
         # column's shards, or the whole cluster.
-        cache = self.shared_cache
         if name is not None and char_lo is not None and char_hi is not None:
             lines = [
                 f"scatter-gather over {self.num_shards} shard(s), "
@@ -1403,18 +1392,13 @@ class ClusterEngine(ReadSurface):
                     f"[{column.spec.family}] v{column.version}"
                 )
             return "\n".join(lines)
-        hit_rate = getattr(cache, "hit_rate", None)
-        cache_note = (
-            f", shared cache hit rate {hit_rate:.1%}"
-            if hit_rate is not None
-            else ""
-        )
         lines = [
             f"cluster: {self.num_shards} shard(s), "
             f"{len(self.columns)} column(s), "
             f"{len(self.migrations)} migration(s), "
             f"{len(self.splits)} split(s), "
-            f"{len(self.merges)} merge(s){cache_note}"
+            f"{len(self.merges)} merge(s), "
+            f"shared cache hit rate {self.shared_cache.hit_rate:.1%}"
         ]
         for name_ in self.columns:
             lines.append(f"  {name_}: {' | '.join(self.backends(name_))}")
@@ -1439,20 +1423,14 @@ class ClusterEngine(ReadSurface):
 
     def _stats_impl(self) -> ClusterStats:
         cache = self.shared_cache
-        shared = None
-        if hasattr(cache, "hits"):
-            try:
-                size = len(cache)
-            except TypeError:
-                size = 0
-            shared = CacheTierStats(
-                tier="shared",
-                hits=cache.hits,
-                misses=cache.misses,
-                size=size,
-                capacity=getattr(cache, "capacity", None) or 0,
-                evictions=getattr(cache, "evictions", 0),
-            )
+        shared = CacheTierStats(
+            tier="shared",
+            hits=cache.hits,
+            misses=cache.misses,
+            size=len(cache),
+            capacity=cache.capacity,
+            evictions=cache.evictions,
+        )
         shards = tuple(
             ShardStats(
                 shard_id=shard_id,

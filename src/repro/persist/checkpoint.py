@@ -106,11 +106,17 @@ def read_current(directory: str) -> "str | None":
     return name
 
 
+def _manifest_crc(manifest: dict) -> str:
+    """The manifest's CRC-32 as 8 hex digits: a fixed width, so the
+    file's size does not depend on the checksum's value."""
+    body = json.dumps(manifest, sort_keys=True)
+    return f"{zlib.crc32(body.encode('utf-8')):08x}"
+
+
 def write_manifest(path: str, manifest: dict, fsync: bool = True) -> None:
     """Write a checksummed JSON manifest atomically."""
-    body = json.dumps(manifest, sort_keys=True)
     document = json.dumps(
-        {"crc32": zlib.crc32(body.encode("utf-8")), "manifest": manifest},
+        {"crc32": _manifest_crc(manifest), "manifest": manifest},
         sort_keys=True,
         indent=1,
     )
@@ -137,8 +143,7 @@ def read_manifest(path: str) -> dict:
         manifest = document["manifest"]
     except (KeyError, TypeError):
         raise CorruptSnapshot(f"manifest {path!r} missing crc32 envelope")
-    body = json.dumps(manifest, sort_keys=True)
-    if zlib.crc32(body.encode("utf-8")) != declared:
+    if _manifest_crc(manifest) != declared:
         raise CorruptSnapshot(f"manifest {path!r} failed its checksum")
     return manifest
 

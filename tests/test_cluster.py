@@ -11,9 +11,11 @@ from repro.cluster import (
     offsets_of,
     plan_shards,
 )
+from repro.cluster.cache import fold_entry, fold_value
 from repro.engine import Advisor, CostModel, WorkloadStats, get_spec
 from repro.errors import InvalidParameterError, QueryError, UpdateError
 from repro.model.distributions import uniform, zipf
+from repro.obs import MetricsRegistry
 from repro.query import And, Range
 
 from tests.conftest import brute_range
@@ -60,7 +62,9 @@ class TestSharedCache:
     def test_get_put_roundtrip_returns_copy(self):
         cache = InMemorySharedCache(8)
         key = (0, "d", 0)
-        cache.put(key, [1, 2, 3])
+        put = [1, 2, 3]
+        cache.put(key, put)
+        put.append(98)  # nor may the list handed to put
         got = cache.get(key)
         assert got == [1, 2, 3]
         got.append(99)  # a caller mutating its copy must not poison the cache
@@ -109,21 +113,66 @@ class TestSharedCache:
         cache.put((0, "d", 0), [0])
         assert len(cache) == 0
 
-    def test_minimal_external_cache_satisfies_the_cluster(self):
-        # The documented contract: get/put only — invalidate and the
-        # explain() presence probe must degrade gracefully.
-        from repro.cluster import SharedResultCache
+    def test_negative_capacity_is_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            InMemorySharedCache(-1)
 
-        class MinimalCache(SharedResultCache):
-            def __init__(self):
-                self.data = {}
+    def test_metrics_count_every_get(self):
+        metrics = MetricsRegistry()
+        cache = InMemorySharedCache(4, metrics=metrics)
+        key = (0, "d", 0)
+        assert cache.get(key) is None
+        cache.put(key, [1])  # a put reports nothing
+        assert cache.get(key) == [1]
+        counters = metrics.to_dict()["counters"]
+        assert counters == {"cache.shared.misses": 1, "cache.shared.hits": 1}
 
-            def get(self, key):
-                return self.data.get(key)
+    @pytest.mark.parametrize(
+        "mode, value",
+        [
+            ("count", 7),
+            ("exists", False),
+            ("count_by", {3: 2, 0: 5}),
+            ("select", [1, 4, 9]),
+        ],
+    )
+    def test_fold_value_round_trips_through_the_cache(self, mode, value):
+        cache = InMemorySharedCache(4)
+        key = (0, "d", 0)
+        cache.put(key, fold_entry(mode, value))
+        entry = cache.get(key)
+        assert all(type(x) is int for x in entry)
+        got = fold_value(mode, entry)
+        assert got == value and type(got) is type(value)
 
-            def put(self, key, positions):
-                self.data[key] = list(positions)
+    def test_overwrite_refreshes_without_evicting(self):
+        # Two scatter tasks that miss on one key both put it: the
+        # second put replaces the value and refreshes its recency.
+        cache = InMemorySharedCache(2)
+        cache.put((0, "d", 0), [0])
+        cache.put((1, "d", 0), [1])
+        cache.put((0, "d", 0), [5])
+        assert len(cache) == 2 and cache.evictions == 0
+        cache.put((2, "d", 0), [2])
+        assert (1, "d", 0) not in cache and cache.evictions == 1
+        assert cache.get((0, "d", 0)) == [5]
 
+    def test_round_trips_fold_entries(self):
+        cache = InMemorySharedCache(8)
+        key = (7, "d", 3)
+        assert cache.get(key) is None and key not in cache
+        # A count, an empty select answer, a count_by's flat pairs.
+        for value in ([4], [], [1, 5, 2, 9]):
+            cache.put(key, value)
+            assert cache.get(key) == value and key in cache
+        # Another version or another shard is another key.
+        assert cache.get((7, "d", 4)) is None
+        assert cache.get((8, "d", 3)) is None
+
+    def test_readded_column_never_serves_restored_entries(self):
+        # Epoch stamping: drop + re-add under the same name must never
+        # resurrect the previous incarnation's entries, even though
+        # shard versions restart at zero and its entries are put back.
         def folds(codes):
             # Aggregate folds go through the same get/put: their
             # values are int lists too.
@@ -137,26 +186,114 @@ class TestSharedCache:
                     by_code.items(), key=lambda kv: (-kv[1], kv[0])
                 )[:2]
 
-        cache = MinimalCache()
+        cache = InMemorySharedCache(64)
         cluster = ClusterEngine(num_shards=2, shared_cache=cache)
         x = uniform(40, 8, seed=40)
         cluster.add_column("c", x, 8, dynamism="fully_dynamic")
         assert cluster.query("c", 1, 4).positions() == brute_range(x, 1, 4)
         folds(x)
-        assert all(type(v) is list for v in cache.data.values())
-        cluster.change("c", 0, 7)  # invalidate() no-op must be safe
-        model = [7] + list(x[1:])
-        assert cluster.query("c", 1, 4).positions() == brute_range(model, 1, 4)
-        folds(model)
-        assert "miss" in cluster.explain("c", 1, 4)  # pessimistic probe
-        # Epoch stamping: drop + re-add under the same name must never
-        # resurrect the previous incarnation's entries, even though
-        # shard versions restart at zero and nothing was evicted.
+        old = {key: cache.get(key) for key in list(cache._lru._data)}
         cluster.drop_column("c")
+        assert len(cache) == 0
+        for key, entry in old.items():
+            cache.put(key, entry)
         y = [7 - c for c in x]
         cluster.add_column("c", y, 8, dynamism="fully_dynamic")
+        hits = cache.hits
         assert cluster.query("c", 1, 4).positions() == brute_range(y, 1, 4)
+        assert cache.hits == hits
         folds(y)
+
+    def test_cluster_serves_correctly_over_a_bounded_cache(self):
+        cache = InMemorySharedCache(4)
+        cluster = ClusterEngine(
+            num_shards=3, shared_cache=cache, drift_window=None
+        )
+        x = uniform(60, 8, seed=7)
+        cluster.add_column("c", x, 8)
+        for lo in range(8):
+            assert cluster.query("c", lo, 7).positions() == brute_range(
+                x, lo, 7
+            )
+        # The bound held however many distinct queries flowed through.
+        assert len(cache) <= 4
+        assert cache.evictions > 0
+
+    def test_write_leaves_the_stale_entry_unreachable(self):
+        # A write evicts nothing: versioned keys alone keep answers
+        # exact while the stale entry waits for the LRU to reclaim it.
+        cache = InMemorySharedCache(64)
+        cluster = ClusterEngine(
+            num_shards=2, shared_cache=cache, drift_window=None
+        )
+        x = uniform(40, 8, seed=42)
+        cluster.add_column("c", x, 8, dynamism="fully_dynamic")
+        model = list(x)
+        assert cluster.query("c", 1, 4).positions() == brute_range(model, 1, 4)
+        # Shard 0's select fold: the entry the write below makes stale.
+        (stale,) = [
+            k for k in cache._lru._data if k[0] == cluster.shard_uids[0]
+        ]
+        cluster.change("c", 0, 7)
+        model[0] = 7
+        assert cluster.query("c", 1, 4).positions() == brute_range(model, 1, 4)
+        assert stale in cache and len(cache) == 3
+
+    def test_explain_marks_each_shards_cache_verdict(self):
+        cluster = ClusterEngine(num_shards=3, drift_window=None)
+        x = uniform(60, 8, seed=11)
+        cluster.add_column("c", x, 8, dynamism="fully_dynamic")
+
+        def verdicts():
+            lines = cluster.explain("c", 1, 6).splitlines()[1:]
+            return [line.rsplit("[", 1)[1] for line in lines]
+
+        assert verdicts() == ["miss]"] * 3
+        assert cluster.query("c", 1, 6).positions() == brute_range(x, 1, 6)
+        assert verdicts() == ["shared-cache]"] * 3
+        # A write moves only its own shard's key.
+        cluster.change("c", 0, (x[0] + 1) % 8)
+        assert verdicts() == ["miss]"] + ["shared-cache]"] * 2
+
+    def test_overview_reports_the_hit_rate(self):
+        cluster = ClusterEngine(num_shards=2, drift_window=None)
+        cluster.add_column("c", uniform(40, 8, seed=9), 8)
+        assert "shared cache hit rate 0.0%" in cluster.explain()
+        cluster.query("c", 1, 4)
+        cluster.query("c", 1, 4)
+        assert "shared cache hit rate 50.0%" in cluster.explain()
+
+    def test_stats_report_a_zero_capacity_cache(self):
+        cluster = ClusterEngine(
+            num_shards=2, shared_cache=InMemorySharedCache(0)
+        )
+        x = uniform(40, 8, seed=3)
+        cluster.add_column("c", x, 8)
+        for _ in range(2):
+            assert cluster.query("c", 1, 4).positions() == brute_range(
+                x, 1, 4
+            )
+        tier = cluster.stats().shared_cache
+        assert (tier.tier, tier.capacity, tier.size) == ("shared", 0, 0)
+        assert (tier.hits, tier.misses, tier.evictions) == (0, 4, 0)
+        assert "shared-cache" not in cluster.explain("c", 1, 4)
+
+    def test_cluster_metrics_reach_only_a_bare_cache(self):
+        # A cluster's registry is attached to a cache that has none; a
+        # cache built with its own keeps reporting there.
+        x = uniform(40, 8, seed=5)
+        theirs = MetricsRegistry()
+        for own in (None, MetricsRegistry()):
+            cache = InMemorySharedCache(8, metrics=own)
+            cluster = ClusterEngine(
+                num_shards=2, shared_cache=cache, metrics=theirs
+            )
+            cluster.add_column("c", x, 8)
+            cluster.query("c", 1, 4)
+            assert cache.metrics is (own or theirs)
+            counters = cache.metrics.to_dict()["counters"]
+            assert counters["cache.shared.misses"] == 2
+        assert theirs.to_dict()["counters"]["cache.shared.misses"] == 2
 
 
 class TestExecutors:
@@ -546,8 +683,8 @@ class TestMigration:
             cluster.add_column("inferred", [0, 1, -1, 2])
 
     def test_engines_sharing_one_cache_do_not_collide(self):
-        # The documented cross-process scenario: one external store,
-        # several engines, same column names — epochs must fence them.
+        # One cache, several engines, same column names — epochs must
+        # fence them.
         cache = InMemorySharedCache(64)
         one = ClusterEngine(num_shards=2, shared_cache=cache)
         one.add_column("c", [0, 1, 2, 3, 0, 1, 2, 3], 4)
@@ -649,197 +786,3 @@ class TestMigration:
         assert fresh.dynamism == "fully_dynamic"
         assert fresh.expected_selectivity == 0.25
         assert fresh.sigma == stale.sigma
-
-
-class TestCacheStores:
-    """The CacheStore seam: pluggable backing stores for the shared cache."""
-
-    def test_dict_store_prefix_invalidation(self):
-        from repro.cluster import DictStore
-
-        store = DictStore(capacity=16)
-        store.put((0, "d", 0), [0])
-        store.put((0, "f", 1), [1])
-        store.put((1, "d", 0), [2])
-        # Keys are laid out (shard uid, digest, version), so both
-        # cluster invalidation granularities are literal prefixes.
-        assert store.invalidate_prefix((0, "f")) == 1
-        assert store.invalidate_prefix((0,)) == 1
-        assert store.invalidate_prefix(()) == 1
-        assert len(store) == 0
-
-    @pytest.mark.parametrize("kind", ["dict", "ttl"])
-    def test_store_round_trips_fold_entries(self, kind):
-        from repro.cluster import DictStore, TTLStore
-
-        store = DictStore(capacity=8) if kind == "dict" else TTLStore(60.0)
-        key = (7, "d", 3)
-        assert store.get(key) is None and key not in store
-        # A count, an empty select answer, a count_by's flat pairs.
-        for value in ([4], [], [1, 5, 2, 9]):
-            store.put(key, value)
-            assert store.get(key) == value and key in store
-        # Another version or another shard is another key.
-        assert store.get((7, "d", 4)) is None
-        assert store.get((8, "d", 3)) is None
-
-    def test_ttl_store_expires_without_enumeration(self):
-        from repro.cluster import TTLStore
-
-        clock = [0.0]
-        store = TTLStore(ttl_s=10.0, clock=lambda: clock[0])
-        key = (0, "d", 0)
-        store.put(key, [1, 2, 3])
-        assert store.get(key) == [1, 2, 3]
-        assert key in store
-        clock[0] = 11.0
-        assert key not in store
-        assert store.get(key) is None  # lazily dropped
-        assert store.expirations == 1
-        # No key enumeration: prefix invalidation is an honest no-op.
-        store.put(key, [4])
-        assert store.invalidate_prefix((0,)) == 0
-        assert store.get(key) == [4]
-
-    def test_ttl_store_len_excludes_expired_entries(self):
-        # Regression: len() used to report raw dict size, counting
-        # entries get/contains would already refuse to serve.
-        from repro.cluster import TTLStore
-
-        clock = [0.0]
-        store = TTLStore(ttl_s=10.0, clock=lambda: clock[0])
-        store.put((0, "d", 0), [1])
-        store.put((1, "d", 0), [2])
-        assert len(store) == 2
-        clock[0] = 11.0
-        # Nothing swept or lazily dropped yet — still invisible.
-        assert len(store) == 0
-        store.put((2, "d", 0), [3])
-        assert len(store) == 1
-
-    def test_ttl_store_counts_overwrite_expirations(self):
-        # Regression: an entry that dies and is overwritten between
-        # sweeps was never counted as expired — not by get (the key
-        # was never read), not by the sweep (the overwrite revived
-        # the slot first).
-        from repro.cluster import TTLStore
-
-        clock = [0.0]
-        store = TTLStore(ttl_s=5.0, clock=lambda: clock[0])
-        key = (0, "d", 0)
-        store.put(key, [1])
-        clock[0] = 6.0
-        store.put(key, [2])  # overwrite of an already-dead entry
-        assert store.expirations == 1
-        assert store.get(key) == [2]
-        # A live overwrite is not an expiration.
-        store.put(key, [3])
-        assert store.expirations == 1
-
-    def test_ttl_store_rejects_nonpositive_ttl(self):
-        from repro.cluster import TTLStore
-
-        with pytest.raises(InvalidParameterError):
-            TTLStore(ttl_s=0)
-        with pytest.raises(InvalidParameterError):
-            TTLStore(ttl_s=1.0, max_entries=0)
-
-    def test_ttl_store_bound_evicts_soonest_expiring_first(self):
-        from repro.cluster import TTLStore
-
-        clock = [0.0]
-        store = TTLStore(
-            ttl_s=10.0, clock=lambda: clock[0], max_entries=2
-        )
-        k1, k2, k3 = (0, "d", 0), (1, "d", 0), (2, "d", 0)
-        store.put(k1, [1])
-        clock[0] = 1.0
-        store.put(k2, [2])
-        clock[0] = 2.0
-        store.put(k3, [3])
-        # k1 expires soonest, so the bound evicted it — live, hence an
-        # eviction, not an expiration.
-        assert store.get(k1) is None
-        assert store.get(k2) == [2] and store.get(k3) == [3]
-        assert store.evictions == 1 and store.expirations == 0
-
-    def test_ttl_store_bound_reclaims_expired_before_evicting_live(self):
-        from repro.cluster import TTLStore
-
-        clock = [0.0]
-        store = TTLStore(
-            ttl_s=5.0, clock=lambda: clock[0], max_entries=2
-        )
-        dead = (0, "d", 0)
-        store.put(dead, [1])
-        clock[0] = 6.0  # the first entry is now expired
-        store.put((1, "d", 0), [2])
-        store.put((2, "d", 0), [3])
-        # The sweep reclaimed the dead entry; no live one was evicted.
-        assert store.expirations == 1 and store.evictions == 0
-        assert len(store) == 2
-
-    def test_ttl_store_overwrite_refreshes_eviction_order(self):
-        from repro.cluster import TTLStore
-
-        clock = [0.0]
-        store = TTLStore(
-            ttl_s=10.0, clock=lambda: clock[0], max_entries=2
-        )
-        k1, k2 = (0, "d", 0), (1, "d", 0)
-        store.put(k1, [1])
-        clock[0] = 1.0
-        store.put(k2, [2])
-        clock[0] = 2.0
-        store.put(k1, [10])  # overwrite: k1 now expires *after* k2
-        clock[0] = 3.0
-        store.put((2, "d", 0), [3])
-        assert store.get(k2) is None  # k2 became soonest-expiring
-        assert store.get(k1) == [10]
-        assert store.evictions == 1
-
-    def test_cluster_serves_correctly_over_bounded_ttl_store(self):
-        from repro.cluster import TTLStore
-
-        cache = InMemorySharedCache(store=TTLStore(60.0, max_entries=4))
-        cluster = ClusterEngine(
-            num_shards=3, shared_cache=cache, drift_window=None
-        )
-        x = uniform(60, 8, seed=7)
-        cluster.add_column("c", x, 8)
-        for lo in range(8):
-            assert cluster.query("c", lo, 7).positions() == brute_range(
-                x, lo, 7
-            )
-        # The bound held however many distinct queries flowed through.
-        assert len(cache) <= 4
-        assert cache.store.evictions > 0
-
-    def test_cluster_serves_correctly_over_ttl_store(self):
-        # The deployment the TTL path models: no eager invalidation at
-        # all — versioned keys alone must keep answers exact while
-        # expiry bounds the dead weight.
-        from repro.cluster import TTLStore
-
-        clock = [0.0]
-        store = TTLStore(5.0, clock=lambda: clock[0])
-        cache = InMemorySharedCache(store=store)
-        cluster = ClusterEngine(
-            num_shards=2, shared_cache=cache, drift_window=None
-        )
-        x = uniform(40, 8, seed=42)
-        cluster.add_column("c", x, 8, dynamism="fully_dynamic")
-        model = list(x)
-        assert cluster.query("c", 1, 4).positions() == brute_range(model, 1, 4)
-        # Shard 0's select fold: the entry the write below makes stale.
-        (stale,) = [k for k in store._data if k[0] == cluster.shard_uids[0]]
-        cluster.change("c", 0, 7)
-        model[0] = 7
-        # The stale entry still sits in the store (invalidation is a
-        # no-op there), yet can never be served again.
-        assert cluster.query("c", 1, 4).positions() == brute_range(model, 1, 4)
-        assert stale in store and len(cache) == 3
-        clock[0] = 6.0
-        assert stale not in store  # aged out
-        assert cache.get(stale) is None and len(cache) == 0
-        assert cluster.query("c", 1, 4).positions() == brute_range(model, 1, 4)

@@ -363,7 +363,7 @@ class ClusterLifecycleMachine(RuleBasedStateMachine):
         # newer than the shard's (writes evict nothing; versions only
         # grow, so an older key is never looked up again).
         uids = self.cluster.shard_uids
-        for key in list(self.cluster.shared_cache.store._lru._data):
+        for key in list(self.cluster.shared_cache._lru._data):
             assert len(key) == 3 and isinstance(key[1], str), key
             uid, _, version = key
             assert uid in uids

@@ -300,7 +300,7 @@ class ClusterCacheMachine(RuleBasedStateMachine):
         # entries eagerly, so none may reference a retired shard.
         # Every key is a fold key: (shard uid, digest, version sum).
         uids = self.cluster.shard_uids
-        for key in list(self.cluster.shared_cache.store._lru._data):
+        for key in list(self.cluster.shared_cache._lru._data):
             assert len(key) == 3 and isinstance(key[1], str), key
             uid, _, version = key
             assert uid in uids

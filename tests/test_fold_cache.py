@@ -3,11 +3,11 @@
 A shard's ``count``/``exists``/``count_by`` fold is cached under a fold
 key: the shard uid, a digest of the specialized plan and the read
 columns' epochs, and the sum of their versions.  Its value is a list
-of ints, so any store holds it.  A repeat at unchanged versions is
-answered at the coordinator — no pipe message, no bits — while a write
-makes only its own shard fold again.  The fold entries live in the
-same tier as select answers, so a store that caches nothing turns them
-off too, and ``drop_caches`` empties them.
+of ints.  A repeat at unchanged versions is answered at the
+coordinator — no pipe message, no bits — while a write makes only its
+own shard fold again.  The fold entries live in the same tier as
+select answers, so a zero-capacity cache turns them off too, and
+``drop_caches`` empties them.
 """
 
 import random
@@ -16,14 +16,11 @@ from collections import Counter
 import pytest
 
 from repro.cluster import (
-    CacheStore,
     ClusterEngine,
-    DictStore,
     InMemorySharedCache,
     ProcessExecutor,
     SerialExecutor,
     ThreadedExecutor,
-    TTLStore,
 )
 from repro.obs import ManualClock, MetricsRegistry, Tracer
 from repro.query import And, In, Range
@@ -112,7 +109,7 @@ def window(cluster, fn):
 
 
 def fold_entries(cluster):
-    return list(cluster.shared_cache.store._lru._data)
+    return list(cluster.shared_cache._lru._data)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -177,19 +174,22 @@ def test_drop_caches_empties_the_tier(executor_of, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("store", ["lru", "ttl"])
-def test_readded_column_never_serves_the_old_fold(executor_of, kind, store):
-    # An expiry-only store evicts nothing on drop_column, so there the
-    # epoch in the fold key is the only fence.
-    shared = InMemorySharedCache(
-        store=TTLStore(ttl_s=3600) if store == "ttl" else None
-    )
-    cluster = make_cluster(executor_of(kind), shared_cache=shared)
+@pytest.mark.parametrize("old_entries", ["lru", "put_back"])
+def test_readded_column_never_serves_the_old_fold(
+    executor_of, kind, old_entries
+):
+    # drop_column evicts the old incarnation's entries from the LRU;
+    # putting them back by hand leaves the epoch in the fold key as the
+    # only fence.
+    cluster = make_cluster(executor_of(kind))
     try:
         before = window(cluster, OPS["count_by"])[0]
+        old = {k: cluster.shared_cache.get(k) for k in fold_entries(cluster)}
         cluster.drop_column("b")
-        if store == "lru":
-            assert not fold_entries(cluster)
+        assert not fold_entries(cluster)
+        if old_entries == "put_back":
+            for key, entry in old.items():
+                cluster.shared_cache.put(key, entry)
         fresh = [(c + 3) % 8 for c in codes(2, 8)]
         cluster.add_column("b", fresh, 8, dynamism="fully_dynamic")
         answer, _, bits, hits, _ = window(cluster, OPS["count_by"])
@@ -204,7 +204,7 @@ def test_stale_fold_entry_is_never_served(executor_of, kind):
     # The coordinator trusts the value under a key it finds, so a
     # forged value under shard 0's current key is what the next read
     # answers.  A write to that shard moves its version sum: the
-    # forged entry stays in the store but is never served again.
+    # forged entry stays in the cache but is never served again.
     cluster = make_cluster(executor_of(kind))
     try:
         want = window(cluster, OPS["count"])[0]
@@ -248,7 +248,7 @@ def test_empty_fold_answer_is_a_hit(executor_of, kind, op):
         answer, _, bits, hits, misses = window(cluster, fn)
         assert not answer and bits > 0 and (hits, misses) == (0, SHARDS)
         assert all(
-            cluster.shared_cache.store._lru._data[k] == []
+            cluster.shared_cache._lru._data[k] == []
             for k in fold_entries(cluster)
         )
         again, msgs, bits, hits, misses = window(cluster, fn)
@@ -285,7 +285,7 @@ def test_eager_drops_keep_to_their_own_shards(drop):
     first, second = (make_cluster(shared_cache=shared) for _ in range(2))
     window(first, OPS["count"])
     window(second, OPS["count"])
-    entries = fold_entries(second)  # the shared store: both clusters'
+    entries = fold_entries(second)  # the shared cache: both clusters'
     kept = [k for k in entries if k[0] in second.shard_uids]
     assert len(entries) == 2 * SHARDS and len(kept) == SHARDS
     if drop == "drop_column":
@@ -307,28 +307,18 @@ def test_cached_values_are_immutable():
     assert cluster.count_by("b", PRED) == oracle(cluster, "count_by")
     assert cluster.topk("b", PRED, k=3) == oracle(cluster, "topk")
     values = [
-        cluster.shared_cache.store._lru._data[k] for k in fold_entries(cluster)
+        cluster.shared_cache._lru._data[k] for k in fold_entries(cluster)
     ]
     assert values and all(
         type(v) is list and all(type(x) is int for x in v) for v in values
     )
 
 
-class _NullStore(CacheStore):
-    def get(self, key):
-        return None
-
-    def put(self, key, positions):
-        pass
-
-    def __len__(self):
-        return 0
-
-
-@pytest.mark.parametrize("kind", ["serial", "process"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_null_store_turns_fold_caching_off(executor_of, kind):
+    # A zero-capacity cache stores nothing, so every fold misses.
     metrics = MetricsRegistry()
-    shared = InMemorySharedCache(store=_NullStore())
+    shared = InMemorySharedCache(0)
     cluster = make_cluster(
         executor_of(kind), shared_cache=shared, metrics=metrics
     )
@@ -347,11 +337,10 @@ def test_null_store_turns_fold_caching_off(executor_of, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_caller_store_holds_folds_until_retired(executor_of, kind):
-    # A store the caller keeps a handle on: every fold answer lands in
+    # A cache the caller keeps a handle on: every fold answer lands in
     # it and serves the repeat, a split drops the retired uid's
-    # entries from it by key prefix, and DDL empties it.
-    store = DictStore(capacity=64)
-    shared = InMemorySharedCache(store=store)
+    # entries from it, and DDL empties it.
+    shared = InMemorySharedCache(64)
     cluster = make_cluster(executor_of(kind), shared_cache=shared)
     try:
         for op in sorted(OPS):
@@ -361,11 +350,11 @@ def test_caller_store_holds_folds_until_retired(executor_of, kind):
             assert (msgs, bits, misses) == (0, 0, 0) and hits > 0
         retired = cluster.shard_uids[0]
         cluster.split_shard(0)
-        assert store.invalidate_prefix((retired,)) == 0
-        assert len(store) > 0
+        assert shared.invalidate(retired) == 0
+        assert len(shared) > 0
         assert window(cluster, OPS["count"])[0] == oracle(cluster, "count")
         cluster.drop_column("a")
-        assert len(store) == 0
+        assert len(shared) == 0
     finally:
         cluster.close()
 

@@ -77,7 +77,12 @@ class TestKernelSwitch:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": "src", "REPRO_KERNEL": name, "PATH": ""},
+            env={
+                "PYTHONPATH": "src",
+                "PYTHONDONTWRITEBYTECODE": "1",
+                "REPRO_KERNEL": name,
+                "PATH": "",
+            },
         )
         assert out.stdout.strip() == name
 
@@ -87,7 +92,12 @@ class TestKernelSwitch:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": "src", "REPRO_KERNEL": "turbo", "PATH": ""},
+            env={
+                "PYTHONPATH": "src",
+                "PYTHONDONTWRITEBYTECODE": "1",
+                "REPRO_KERNEL": "turbo",
+                "PATH": "",
+            },
         )
         assert out.returncode != 0
         assert "REPRO_KERNEL" in out.stderr

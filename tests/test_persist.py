@@ -20,10 +20,12 @@ The crash-injection helpers (:func:`flip_byte`,
 and crashes actually do to files, a byte at a time.
 """
 
+import json
 import os
 import random
 import struct
 import time
+import zlib
 
 import pytest
 
@@ -46,9 +48,11 @@ from repro.persist import (
     init_persistence,
     load_shard_engine,
     read_current,
+    read_manifest,
     restore_cluster,
     unflatten_codes,
     wal_segments,
+    write_manifest,
     write_shard_snapshot,
 )
 from repro.persist.checkpoint import WAL_DIRNAME
@@ -455,8 +459,8 @@ class TestCheckpointRestore:
             restored.close()
 
     def test_epochs_survive_restart(self, durable_cluster):
-        """Fold keys digest the column epochs, so an external shared
-        cache can serve a restored cluster only if they are identical
+        """Fold keys digest the column epochs, so a shared cache handed
+        to a restored cluster can serve it only if they are identical
         after a cold restore."""
         cluster, _mirror, directory, _rand = durable_cluster
         epochs = {n: m.epoch for n, m in cluster.columns.items()}
@@ -485,6 +489,40 @@ class TestCheckpointRestore:
         flip_byte(manifest_path, os.path.getsize(manifest_path) // 2)
         with pytest.raises(PersistenceError):
             restore_cluster(directory)
+
+    def test_manifest_checksum_has_one_form(self, tmp_path):
+        path = str(tmp_path / "MANIFEST.json")
+        manifest = {"kind": "cluster", "epoch": "e0"}
+        write_manifest(path, manifest, fsync=False)
+        assert read_manifest(path) == manifest
+        with open(path, encoding="utf-8") as fh:
+            declared = json.load(fh)["crc32"]
+        body = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        assert declared == f"{zlib.crc32(body):08x}"
+        # A tampered checksum, and the right one in the old integer
+        # form: both are refused.
+        for forged in (f"{zlib.crc32(body) ^ 1:08x}", zlib.crc32(body)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"crc32": forged, "manifest": manifest}, fh)
+            with pytest.raises(CorruptSnapshot):
+                read_manifest(path)
+
+    def test_manifest_size_does_not_follow_the_epochs(self, tmp_path):
+        # Epochs are random tokens, and the envelope's checksum follows
+        # them: the same rows must checkpoint to the same bytes whatever
+        # the checksum's value.
+        cluster = ClusterEngine(num_shards=2)
+        cluster.add_column("c", [i % 8 for i in range(64)], 8)
+        sizes = set()
+        for i in range(16):
+            cluster.columns["c"].epoch = f"{i:032x}"
+            info = checkpoint_cluster(
+                cluster, str(tmp_path / f"d{i}"), fsync=False
+            )
+            sizes.add(
+                os.path.getsize(os.path.join(info.path, "MANIFEST.json"))
+            )
+        assert len(sizes) == 1
 
     def test_snapshot_tamper_detected_at_restore(self, durable_cluster):
         cluster, _mirror, directory, _rand = durable_cluster

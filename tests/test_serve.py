@@ -14,7 +14,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cluster import (
-    CacheStore,
     ClusterEngine,
     InMemorySharedCache,
     ProcessExecutor,
@@ -65,19 +64,6 @@ class _GateEngine:
         if not self.gate.wait(timeout=30):
             raise AssertionError("test gate never released")
         return self.calls
-
-
-class _NullStore(CacheStore):
-    """A shared-cache store that retains nothing — every get misses."""
-
-    def get(self, key):
-        return None
-
-    def put(self, key, positions):
-        pass
-
-    def __len__(self):
-        return 0
 
 
 class TestFrontEndOps:
@@ -144,14 +130,14 @@ class TestFrontEndOps:
 
 class TestCoalescing:
     def test_duplicates_share_one_scatter(self):
-        # A resident executor counts worker ops; a null shared-cache
-        # store guarantees repeats are real scatters — so the fold
-        # count *is* the number of scatters that actually ran.
+        # A resident executor counts worker ops; a zero-capacity
+        # shared cache guarantees repeats are real scatters — so the
+        # fold count *is* the number of scatters that actually ran.
         pool = ProcessExecutor(max_workers=2)
         cluster = ClusterEngine(
             num_shards=2,
             executor=pool,
-            shared_cache=InMemorySharedCache(store=_NullStore()),
+            shared_cache=InMemorySharedCache(0),
             drift_window=None,
         )
         try:
